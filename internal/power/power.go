@@ -63,6 +63,11 @@ func Standby(d *netlist.Design, opts StandbyOptions) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	return standby(d, s, opts)
+}
+
+// standby is Standby on a simulator already compiled for d.
+func standby(d *netlist.Design, s *sim.Simulator, opts StandbyOptions) (*Report, error) {
 	s.ResetState(logic.V0)
 	for _, p := range d.Ports() {
 		if p.Dir != netlist.DirInput {

@@ -1,6 +1,7 @@
 package power
 
 import (
+	"math"
 	"testing"
 
 	"selectivemt/internal/liberty"
@@ -30,13 +31,16 @@ func lib(t *testing.T) *liberty.Library {
 }
 
 // mixed builds: in → LVT INV → n1 → HVT NAND(b=in2) → out, plus a flop.
-func mixed(t *testing.T) *netlist.Design {
+func mixed(t *testing.T) *netlist.Design { return mixedClockedBy(t, "clk") }
+
+// mixedClockedBy is mixed with its clock port named clock.
+func mixedClockedBy(t *testing.T, clock string) *netlist.Design {
 	t.Helper()
 	l := lib(t)
 	d := netlist.New("mixed", l)
 	d.AddPort("in", netlist.DirInput)
 	d.AddPort("in2", netlist.DirInput)
-	d.AddPort("clk", netlist.DirInput)
+	d.AddPort(clock, netlist.DirInput)
 	d.AddPort("out", netlist.DirOutput)
 	n1, _ := d.AddNet("n1")
 	n2, _ := d.AddNet("n2")
@@ -49,7 +53,7 @@ func mixed(t *testing.T) *netlist.Design {
 	d.Connect(nd, "B", d.NetByName("in2"))
 	d.Connect(nd, "ZN", n2)
 	d.Connect(ff, "D", n2)
-	d.Connect(ff, "CK", d.NetByName("clk"))
+	d.Connect(ff, "CK", d.NetByName(clock))
 	d.Connect(ff, "Q", d.NetByName("out"))
 	return d
 }
@@ -224,5 +228,41 @@ func TestCurrents(t *testing.T) {
 	}
 	if _, err := Currents(d, act, sharedProc, 0, ex); err == nil {
 		t.Error("zero period accepted")
+	}
+}
+
+// TestActivityIndependentOfClockName: the stimulus finds the clock from
+// the netlist, so naming the clock port clk or CK leaves every other net's
+// activity bit-identical and the dynamic power equal.
+func TestActivityIndependentOfClockName(t *testing.T) {
+	lib(t)
+	ex := &parasitics.EstimateExtractor{Proc: sharedProc}
+	measure := func(clock string) (*netlist.Design, *sim.Activity, float64) {
+		d := mixedClockedBy(t, clock)
+		act, err := sim.EstimateActivity(d, 96, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mw, err := Dynamic(d, act, sharedProc, 2.0, ex)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d, act, mw
+	}
+	da, actA, mwA := measure("clk")
+	db, actB, mwB := measure("CK")
+	for _, na := range da.Nets() {
+		if na.Name == "clk" {
+			continue
+		}
+		nb := db.NetByName(na.Name)
+		if math.Float64bits(actA.Toggle[na]) != math.Float64bits(actB.Toggle[nb]) ||
+			math.Float64bits(actA.ProbOne[na]) != math.Float64bits(actB.ProbOne[nb]) {
+			t.Errorf("net %s: toggle %v P(1) %v with the clock named clk, %v %v named CK",
+				na.Name, actA.Toggle[na], actA.ProbOne[na], actB.Toggle[nb], actB.ProbOne[nb])
+		}
+	}
+	if math.Float64bits(mwA) != math.Float64bits(mwB) {
+		t.Errorf("dynamic power %v mW with the clock named clk, %v named CK", mwA, mwB)
 	}
 }

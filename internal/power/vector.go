@@ -5,6 +5,7 @@ import (
 
 	"selectivemt/internal/logic"
 	"selectivemt/internal/netlist"
+	"selectivemt/internal/sim"
 )
 
 // OptimizeStandbyVector searches for the primary-input vector that
@@ -14,30 +15,32 @@ import (
 //
 // The search is greedy bit-flipping with random restarts: evaluate the
 // current vector, try flipping each input, keep improvements, restart from
-// random vectors. Deterministic for a given seed. It returns the best
-// vector and its leakage.
+// random vectors. Deterministic for a given seed. The vector covers the
+// inputs sim.InputNames stimulates (the clock and the sleep enable stay at
+// 0), and every candidate is evaluated on one compiled simulator. It
+// returns the best vector and its leakage.
 func OptimizeStandbyVector(d *netlist.Design, opts StandbyOptions,
 	restarts int, seed int64) (map[string]logic.Value, float64, error) {
-	var inputs []string
-	for _, p := range d.Ports() {
-		if p.Dir == netlist.DirInput && !p.IsClock && p.Name != "clk" && p.Name != "MTE" {
-			inputs = append(inputs, p.Name)
-		}
+	inputs := sim.InputNames(d)
+	s, err := sim.New(d)
+	if err != nil {
+		return nil, 0, err
 	}
-	eval := func(vec map[string]logic.Value) (float64, error) {
+	vec := make(map[string]logic.Value, len(inputs))
+	eval := func(cur []logic.Value) (float64, error) {
+		for i, in := range inputs {
+			vec[in] = cur[i]
+		}
 		o := opts
 		o.Inputs = vec
-		rep, err := Standby(d, o)
+		rep, err := standby(d, s, o)
 		if err != nil {
 			return 0, err
 		}
 		return rep.StandbyLeakMW, nil
 	}
 
-	best := make(map[string]logic.Value, len(inputs))
-	for _, in := range inputs {
-		best[in] = logic.V0
-	}
+	best := make([]logic.Value, len(inputs)) // all V0
 	bestLeak, err := eval(best)
 	if err != nil {
 		return nil, 0, err
@@ -47,14 +50,12 @@ func OptimizeStandbyVector(d *netlist.Design, opts StandbyOptions,
 	}
 	rng := rand.New(rand.NewSource(seed))
 	for r := 0; r < restarts; r++ {
-		cur := make(map[string]logic.Value, len(inputs))
+		cur := make([]logic.Value, len(inputs))
 		if r == 0 {
-			for k, v := range best {
-				cur[k] = v
-			}
+			copy(cur, best)
 		} else {
-			for _, in := range inputs {
-				cur[in] = logic.FromBool(rng.Intn(2) == 1)
+			for i := range cur {
+				cur[i] = logic.FromBool(rng.Intn(2) == 1)
 			}
 		}
 		curLeak, err := eval(cur)
@@ -64,8 +65,8 @@ func OptimizeStandbyVector(d *netlist.Design, opts StandbyOptions,
 		improved := true
 		for improved {
 			improved = false
-			for _, in := range inputs {
-				cur[in] = cur[in].Not()
+			for i := range cur {
+				cur[i] = cur[i].Not()
 				leak, err := eval(cur)
 				if err != nil {
 					return nil, 0, err
@@ -74,17 +75,18 @@ func OptimizeStandbyVector(d *netlist.Design, opts StandbyOptions,
 					curLeak = leak
 					improved = true
 				} else {
-					cur[in] = cur[in].Not() // revert
+					cur[i] = cur[i].Not() // revert
 				}
 			}
 		}
 		if curLeak < bestLeak {
 			bestLeak = curLeak
-			best = make(map[string]logic.Value, len(inputs))
-			for k, v := range cur {
-				best[k] = v
-			}
+			best = cur
 		}
 	}
-	return best, bestLeak, nil
+	out := make(map[string]logic.Value, len(inputs))
+	for i, in := range inputs {
+		out[in] = best[i]
+	}
+	return out, bestLeak, nil
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"selectivemt/internal/liberty"
@@ -255,5 +256,100 @@ func TestInstanceInputState(t *testing.T) {
 	env := s.InstanceInputState(d.Instance("g"))
 	if env["A"] != logic.V1 || env["B"] != logic.V0 {
 		t.Errorf("env = %v", env)
+	}
+}
+
+// TestDataInputNamedClkToggles: a data port named clk is stimulated like
+// any other input; only a port whose net reaches a clock pin is the clock.
+func TestDataInputNamedClkToggles(t *testing.T) {
+	l := lib(t)
+	d := netlist.New("clk_data", l)
+	d.AddPort("clk", netlist.DirInput)
+	d.AddPort("y", netlist.DirOutput)
+	g, _ := d.AddInstance("g", l.Cell("INV_X1_L"))
+	d.Connect(g, "A", d.NetByName("clk"))
+	d.Connect(g, "ZN", d.NetByName("y"))
+	if got := InputNames(d); len(got) != 1 || got[0] != "clk" {
+		t.Fatalf("InputNames = %v, want [clk]", got)
+	}
+	act, err := EstimateActivity(d, 96, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if act.Toggle[d.NetByName("y")] == 0 {
+		t.Error("a data input named clk got no stimulus")
+	}
+}
+
+// TestInputNamesSkipsClockAndEnable: the clock is recognized through a
+// clock buffer's A pin and the sleep enable through an enable pin, under
+// any names.
+func TestInputNamesSkipsClockAndEnable(t *testing.T) {
+	l := lib(t)
+	d := netlist.New("named", l)
+	for _, p := range []string{"d", "ck_in", "sleep"} {
+		d.AddPort(p, netlist.DirInput)
+	}
+	d.AddPort("q", netlist.DirOutput)
+	ckb, _ := d.AddNet("ckb")
+	cb, _ := d.AddInstance("cb", l.Cell("CKBUF_X2_H"))
+	d.Connect(cb, "A", d.NetByName("ck_in"))
+	d.Connect(cb, "Z", ckb)
+	ff, _ := d.AddInstance("ff", l.Cell("DFF_X1_L"))
+	d.Connect(ff, "D", d.NetByName("d"))
+	d.Connect(ff, "CK", ckb)
+	d.Connect(ff, "Q", d.NetByName("q"))
+	h, _ := d.AddInstance("h", l.Holder())
+	d.Connect(h, "A", d.NetByName("q"))
+	d.Connect(h, "MTE", d.NetByName("sleep"))
+	if got := InputNames(d); len(got) != 1 || got[0] != "d" {
+		t.Fatalf("InputNames = %v, want [d]", got)
+	}
+}
+
+// TestCompileRejectsWideCells: a cell with more data inputs than the
+// truth tables cover is an error naming the cell.
+func TestCompileRejectsWideCells(t *testing.T) {
+	l := liberty.NewLibrary("wide", lib(t).Proc)
+	pins := []*liberty.Pin{}
+	var terms []*logic.Expr
+	for i := 0; i < maxInputs+1; i++ {
+		name := string(rune('A' + i))
+		pins = append(pins, &liberty.Pin{Name: name, Dir: liberty.DirInput})
+		terms = append(terms, logic.Var(name))
+	}
+	pins = append(pins, &liberty.Pin{Name: "Z", Dir: liberty.DirOutput, Function: logic.And(terms...)})
+	wide := &liberty.Cell{Name: "AND9_X1", Kind: liberty.KindComb, Pins: pins}
+	if err := l.Add(wide); err != nil {
+		t.Fatal(err)
+	}
+	d := netlist.New("wide", l)
+	g, _ := d.AddInstance("g", wide)
+	z, _ := d.AddNet("z")
+	d.Connect(g, "Z", z)
+	if _, err := New(d); err == nil || !strings.Contains(err.Error(), "AND9_X1") {
+		t.Fatalf("New = %v, want an error naming AND9_X1", err)
+	}
+}
+
+// TestEvalStepStandbyAllocateNothing pins the compiled hot loops at zero
+// heap allocations per call.
+func TestEvalStepStandbyAllocateNothing(t *testing.T) {
+	d := buildCounterBit(t)
+	s, err := New(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.ResetState(logic.V0)
+	gated := func(i *netlist.Instance) bool { return i.Name == "inv" }
+	holderOn := func(*netlist.Net) bool { return true }
+	for name, f := range map[string]func(){
+		"Eval":        s.Eval,
+		"Step":        s.Step,
+		"EvalStandby": func() { s.EvalStandby(gated, holderOn) },
+	} {
+		if n := testing.AllocsPerRun(100, f); n != 0 {
+			t.Errorf("%s allocates %v times per call", name, n)
+		}
 	}
 }

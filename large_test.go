@@ -1,8 +1,9 @@
 // The ~100k-instance benchmark tier: a deterministic hierarchical design
 // (gen.Large, fixed seed) big enough that the timing kernel's asymptotics
-// and allocation behavior dominate. The Large benchmarks here are the
-// source of BENCH_sta_pr6.json; the test is the journal-capacity
-// regression for design-wide edit passes.
+// and allocation behavior dominate. The Large timing benchmarks here are
+// the source of BENCH_sta_pr6.json, BenchmarkLargeActivity times the
+// logic simulator's activity estimation, and the test is the
+// journal-capacity regression for design-wide edit passes.
 package selectivemt
 
 import (
@@ -14,6 +15,7 @@ import (
 	"selectivemt/internal/liberty"
 	"selectivemt/internal/netlist"
 	"selectivemt/internal/parasitics"
+	"selectivemt/internal/sim"
 	"selectivemt/internal/sta"
 )
 
@@ -178,6 +180,21 @@ func BenchmarkLargeIncremental(b *testing.B) {
 	}
 	st := inc.Stats()
 	b.ReportMetric(float64(st.NetsRetimed)/float64(b.N), "nets-retimed/op")
+}
+
+// BenchmarkLargeActivity times one activity estimation of the 100k tier
+// with the flow's cycle count and seed, called directly so no analysis
+// cache can answer it: compile, the simulated cycles and the Activity
+// maps.
+func BenchmarkLargeActivity(b *testing.B) {
+	d, _, env := largeTimingSetup(b)
+	cfg := env.NewConfig()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.EstimateActivity(d, cfg.ActivityCycles, cfg.Seed); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // benchFullSharded times steady-state full analysis through the sharded

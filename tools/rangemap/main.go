@@ -16,7 +16,7 @@
 //
 // Usage:
 //
-//	go run ./tools/rangemap internal/sta internal/dualvth internal/assign internal/core
+//	go run ./tools/rangemap internal/sta internal/dualvth internal/assign internal/core internal/partition internal/sim internal/power
 //
 // Package arguments are directories relative to the module root (or
 // "." for the root package). Exit status 1 when any unsuppressed map
