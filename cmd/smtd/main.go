@@ -60,7 +60,7 @@ func main() {
 	maxUpload := flag.Int64("max-upload", server.DefaultMaxUpload, "request body size cap in bytes (413 beyond it)")
 	maxJobs := flag.Int("max-jobs", server.DefaultMaxJobs, "finished-job retention cap (oldest evicted past it)")
 	drainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "how long a shutdown waits for accepted jobs")
-	partitions := flag.Int("partitions", 0, "default timing shards for specs that leave partitions unset (<= 1 = monolithic)")
+	partitions := flag.Int("partitions", 0, "default timing shards for specs that leave partitions unset (<= 1 = one shard)")
 	shardJobs := flag.Int("shard-jobs", 0, "default per-shard fan-out for specs that leave shard_jobs unset (0 = GOMAXPROCS)")
 	assignJobs := flag.Int("assign-jobs", 0, "default assignment-lane fan-out for specs that leave assign_jobs unset (0 = GOMAXPROCS)")
 	strategy := flag.String("strategy", "", "default Vth-assignment strategy for specs that leave strategy unset (greedy or sensitivity)")
@@ -77,7 +77,7 @@ func main() {
 		log.Fatalf("smtd: -jobs must be >= 0 (0 = all %d CPUs), got %d", runtime.GOMAXPROCS(0), *jobs)
 	}
 	if *partitions < 0 {
-		log.Fatalf("smtd: -partitions must be >= 0 (<= 1 = monolithic), got %d", *partitions)
+		log.Fatalf("smtd: -partitions must be >= 0 (<= 1 = one shard), got %d", *partitions)
 	}
 	if *shardJobs < 0 {
 		log.Fatalf("smtd: -shard-jobs must be >= 0 (0 = all %d CPUs), got %d", runtime.GOMAXPROCS(0), *shardJobs)

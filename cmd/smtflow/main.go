@@ -44,7 +44,7 @@ func main() {
 	sdcIn := flag.String("sdc", "", "SDC constraints for -verilog input")
 	technique := flag.String("technique", "improved", "improved, conventional, dual, all, or a registered pipeline name")
 	jobs := flag.Int("jobs", 0, "max concurrent technique jobs (0 = GOMAXPROCS)")
-	partitions := flag.Int("partitions", 0, "timing shards per analysis (<= 1 = monolithic flat kernel; results are bit-identical)")
+	partitions := flag.Int("partitions", 0, "timing shards per analysis (<= 1 = one shard; results are bit-identical)")
 	shardJobs := flag.Int("shard-jobs", 0, "max concurrent timing shards when -partitions > 1 (0 = GOMAXPROCS)")
 	assignJobs := flag.Int("assign-jobs", 0, "max concurrent assignment lanes for the sensitivity strategy when -partitions > 1 (0 = GOMAXPROCS)")
 	strategy := flag.String("strategy", "", "Vth-assignment strategy: greedy (paper default) or sensitivity (leakage-per-slack LUT ordering)")
@@ -61,7 +61,7 @@ func main() {
 		log.Fatalf("smtflow: -jobs must be >= 0 (0 = all %d CPUs), got %d", runtime.GOMAXPROCS(0), *jobs)
 	}
 	if *partitions < 0 {
-		log.Fatalf("smtflow: -partitions must be >= 0 (<= 1 = monolithic), got %d", *partitions)
+		log.Fatalf("smtflow: -partitions must be >= 0 (<= 1 = one shard), got %d", *partitions)
 	}
 	if *shardJobs < 0 {
 		log.Fatalf("smtflow: -shard-jobs must be >= 0 (0 = all %d CPUs), got %d", runtime.GOMAXPROCS(0), *shardJobs)

@@ -36,7 +36,7 @@ func main() {
 	circuit := flag.String("circuit", "both", "which circuit to run: a, b, small, large or both")
 	detail := flag.Bool("detail", false, "print per-technique detail (counts, clusters, stages)")
 	jobs := flag.Int("jobs", 0, "max concurrent flow jobs (0 = GOMAXPROCS, 1 = sequential)")
-	partitions := flag.Int("partitions", 0, "timing shards per analysis (<= 1 = monolithic flat kernel; results are bit-identical)")
+	partitions := flag.Int("partitions", 0, "timing shards per analysis (<= 1 = one shard; results are bit-identical)")
 	shardJobs := flag.Int("shard-jobs", 0, "max concurrent timing shards when -partitions > 1 (0 = GOMAXPROCS)")
 	assignJobs := flag.Int("assign-jobs", 0, "max concurrent assignment lanes for the sensitivity strategy when -partitions > 1 (0 = GOMAXPROCS)")
 	strategy := flag.String("strategy", "", "Vth-assignment strategy: greedy (paper default) or sensitivity (leakage-per-slack LUT ordering)")
@@ -50,7 +50,7 @@ func main() {
 		log.Fatalf("table1: -jobs must be >= 0 (0 = all %d CPUs), got %d", runtime.GOMAXPROCS(0), *jobs)
 	}
 	if *partitions < 0 {
-		log.Fatalf("table1: -partitions must be >= 0 (<= 1 = monolithic), got %d", *partitions)
+		log.Fatalf("table1: -partitions must be >= 0 (<= 1 = one shard), got %d", *partitions)
 	}
 	if *shardJobs < 0 {
 		log.Fatalf("table1: -shard-jobs must be >= 0 (0 = all %d CPUs), got %d", runtime.GOMAXPROCS(0), *shardJobs)

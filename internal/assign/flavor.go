@@ -169,7 +169,7 @@ func delayDelta(inst *netlist.Instance, v *liberty.Cell, timing *sta.Result) flo
 	if out == nil {
 		return 0
 	}
-	rc := timing.RC[out]
+	rc := timing.RC(out)
 	load := 0.0
 	if rc != nil {
 		load = rc.TotalCap()
@@ -180,7 +180,7 @@ func delayDelta(inst *netlist.Instance, v *liberty.Cell, timing *sta.Result) flo
 		if inNet == nil {
 			continue
 		}
-		slew := timing.SlewMax[inNet]
+		slew := timing.Slew(inNet)
 		if dOld := arc.WorstDelay(slew, load); dOld > worstOld {
 			worstOld = dOld
 		}

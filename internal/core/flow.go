@@ -54,7 +54,7 @@ type Config struct {
 	StandbyInputs map[string]logic.Value
 
 	// Cache, when set, memoizes deterministic per-design analyses
-	// (activity estimation, pre-route STA, the min-period probe) across
+	// (pre-route STA, the min-period probe) across
 	// techniques, circuits and repeated runs. Safe to share between
 	// concurrent flows; nil disables caching.
 	Cache *engine.AnalysisCache
@@ -73,16 +73,15 @@ type Config struct {
 	// sequential corner loop, <= 0 means GOMAXPROCS.
 	SignoffJobs int
 
-	// Partitions, when > 1, runs every timing analysis in the flow on the
-	// partition-parallel sharded kernel: the netlist is clustered into
-	// about this many shards and per-shard propagation fans out on the
-	// engine pool. Timing results are bit-identical to the monolithic
-	// kernel at any worker count. The sensitivity assignment strategy
-	// additionally switches to its shard-parallel lane engine on a
-	// partitioned timer — a different (equally valid, violation-free)
-	// commit schedule than the monolithic serial loop, itself bit-exact
-	// across worker counts. Greedy is unaffected. 0 or 1 means
-	// monolithic everywhere.
+	// Partitions, when > 1, sets the shard count of every timing analysis
+	// in the flow: the netlist is clustered into about this many shards
+	// and per-shard propagation fans out on the engine pool. Timing
+	// results are bit-identical to one shard at any worker count. The
+	// sensitivity assignment strategy additionally switches to its
+	// shard-parallel lane engine on a partitioned timer — a different
+	// (equally valid, violation-free) commit schedule than the serial
+	// loop, itself bit-exact across worker counts. Greedy is unaffected.
+	// 0 or 1 means one shard and the serial loop.
 	Partitions int
 	// ShardJobs bounds the sharded kernel's per-design fan-out width
 	// (<= 0 means GOMAXPROCS). Independent of SignoffJobs: corners fan
@@ -152,12 +151,9 @@ func shardRun(tasks, workers int, run func(int)) {
 	}
 }
 
-// estimateActivity runs the config's activity estimation, through the
-// shared cache when one is attached.
+// estimateActivity runs the config's activity estimation. It bypasses
+// the shared cache: a fresh estimate costs less than a cache hit.
 func (c *Config) estimateActivity(d *netlist.Design) (*sim.Activity, error) {
-	if c.Cache != nil {
-		return c.Cache.Activity(d, c.ActivityCycles, c.Seed)
-	}
 	return sim.EstimateActivity(d, c.ActivityCycles, c.Seed)
 }
 

@@ -101,7 +101,7 @@ func legacyDelayDelta(inst *netlist.Instance, v *liberty.Cell, timing *sta.Resul
 	if out == nil {
 		return 0
 	}
-	rc := timing.RC[out]
+	rc := timing.RC(out)
 	load := 0.0
 	if rc != nil {
 		load = rc.TotalCap()
@@ -112,7 +112,7 @@ func legacyDelayDelta(inst *netlist.Instance, v *liberty.Cell, timing *sta.Resul
 		if inNet == nil {
 			continue
 		}
-		slew := timing.SlewMax[inNet]
+		slew := timing.Slew(inNet)
 		if dOld := arc.WorstDelay(slew, load); dOld > worstOld {
 			worstOld = dOld
 		}

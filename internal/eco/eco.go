@@ -166,7 +166,7 @@ func holdSlackAt(timing *sta.Result, ff *netlist.Instance) float64 {
 	if dNet == nil {
 		return 0
 	}
-	am, ok := timing.ArrivalMin[dNet]
+	_, am, ok := timing.Arrival(dNet)
 	if !ok {
 		return 0
 	}

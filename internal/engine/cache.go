@@ -7,20 +7,17 @@ import (
 
 	"selectivemt/internal/netlist"
 	"selectivemt/internal/parasitics"
-	"selectivemt/internal/sim"
 	"selectivemt/internal/sta"
 )
 
 // AnalysisCache memoizes the deterministic per-design analyses the flow
-// repeats on identical inputs: random-vector activity estimation, the
-// pre-route STA summary, and the minimum-period probe. Entries are keyed
-// by the design's content fingerprint plus the analysis parameters, so a
-// clone (or a re-run of the same circuit in a batch or benchmark) hits
-// the cache even though every run works on its own Design instance.
-//
-// Cached activity is stored keyed by net *name* and rehydrated onto the
-// requesting design's nets, because sim.Activity maps are keyed by net
-// pointers that are only meaningful within one Design instance.
+// repeats on identical inputs: the pre-route STA summary and the
+// minimum-period probe. Entries are keyed by the design's content
+// fingerprint plus the analysis parameters, so a clone (or a re-run of
+// the same circuit in a batch or benchmark) hits the cache even though
+// every run works on its own Design instance. Activity estimation is not
+// cached: the compiled simulator computes it faster than a hit could
+// fingerprint the design and replay the statistics onto its nets.
 //
 // The cache is safe for concurrent use and deduplicates in-flight
 // computations: when two workers ask for the same key at once, one
@@ -82,7 +79,7 @@ func runCompute(compute func() (any, error)) (val any, err error) {
 // in-flight deduplication the built-in analyses use). Callers own the key
 // namespace: prefix keys with a unique tag so independent subsystems —
 // the multi-corner sign-off keys its entries by (fingerprint, corner) —
-// cannot collide with the built-in "act|"/"sta|"/"minp|" entries. The
+// cannot collide with the built-in "sta|"/"minp|" entries. The
 // compute function must be deterministic; errors are cached like values.
 func (c *AnalysisCache) Memo(key string, compute func() (any, error)) (any, error) {
 	return c.do(key, compute)
@@ -117,54 +114,6 @@ func (c *AnalysisCache) Reset() {
 	c.entries = make(map[string]*cacheEntry)
 }
 
-// activitySnapshot is a design-independent copy of a sim.Activity.
-type activitySnapshot struct {
-	toggle  map[string]float64
-	probOne map[string]float64
-	cycles  int
-}
-
-func (s *activitySnapshot) rehydrate(d *netlist.Design) *sim.Activity {
-	act := &sim.Activity{
-		Toggle:  make(map[*netlist.Net]float64, len(s.toggle)),
-		ProbOne: make(map[*netlist.Net]float64, len(s.probOne)),
-		Cycles:  s.cycles,
-	}
-	for _, n := range d.Nets() {
-		act.Toggle[n] = s.toggle[n.Name]
-		act.ProbOne[n] = s.probOne[n.Name]
-	}
-	return act
-}
-
-// Activity is a caching sim.EstimateActivity: nCycles random cycles from
-// seed on d, memoized by (design fingerprint, cycles, seed).
-func (c *AnalysisCache) Activity(d *netlist.Design, nCycles int, seed int64) (*sim.Activity, error) {
-	key := fmt.Sprintf("act|%s|%d|%d", d.Fingerprint(), nCycles, seed)
-	v, err := c.do(key, func() (any, error) {
-		act, err := sim.EstimateActivity(d, nCycles, seed)
-		if err != nil {
-			return nil, err
-		}
-		snap := &activitySnapshot{
-			toggle:  make(map[string]float64, len(act.Toggle)),
-			probOne: make(map[string]float64, len(act.ProbOne)),
-			cycles:  act.Cycles,
-		}
-		for n, t := range act.Toggle {
-			snap.toggle[n.Name] = t
-		}
-		for n, p := range act.ProbOne {
-			snap.probOne[n.Name] = p
-		}
-		return snap, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*activitySnapshot).rehydrate(d), nil
-}
-
 // TimingSummary is the design-independent part of a pre-route STA run —
 // the scalars the flow's stage reports and sign-off checks consume.
 type TimingSummary struct {
@@ -178,12 +127,13 @@ type TimingSummary struct {
 // fully described by these scalars (the extractor is represented by its
 // process, pointer identity matching the fingerprint's treatment of the
 // library, so the fresh extractor struct each call site allocates still
-// shares entries). Configs carrying any other extractor type return
-// ok=false and must not be cached: an address-based key could go stale
-// after garbage collection and alias a different extractor.
+// shares entries). Any other config returns ok=false and must not be
+// cached: a clock-arrival function has no key, and an address-based key
+// for another extractor type could go stale after garbage collection and
+// alias a different extractor.
 func preKey(kind string, d *netlist.Design, cfg sta.Config) (string, bool) {
 	ee, ok := cfg.Extractor.(*parasitics.EstimateExtractor)
-	if !ok {
+	if !ok || cfg.ClockArrival != nil {
 		return "", false
 	}
 	return fmt.Sprintf("%s|%s|%g|%s|%g|%g|%g|%g|%p",
@@ -191,8 +141,9 @@ func preKey(kind string, d *netlist.Design, cfg sta.Config) (string, bool) {
 		cfg.InputDelayNs, cfg.OutputDelayNs, cfg.ClockSlewNs, ee.Proc), true
 }
 
-// AnalyzePre runs pre-route STA and memoizes its summary. Configs whose
-// extractor the key cannot describe are computed directly, uncached.
+// AnalyzePre runs pre-route STA and memoizes its summary. Configs the key
+// cannot describe (a clock-arrival override, another extractor) are
+// computed directly, uncached.
 func (c *AnalysisCache) AnalyzePre(d *netlist.Design, cfg sta.Config) (TimingSummary, error) {
 	analyze := func() (any, error) {
 		t, err := sta.Analyze(d, cfg)
@@ -216,8 +167,7 @@ func (c *AnalysisCache) AnalyzePre(d *netlist.Design, cfg sta.Config) (TimingSum
 }
 
 // MinPeriod runs the pre-route minimum-period probe and memoizes it.
-// Configs whose extractor the key cannot describe are computed directly,
-// uncached.
+// Configs the key cannot describe are computed directly, uncached.
 func (c *AnalysisCache) MinPeriod(d *netlist.Design, cfg sta.Config) (float64, error) {
 	probe := func() (any, error) { return sta.MinPeriod(d, cfg) }
 	key, ok := preKey("minp", d, cfg)

@@ -7,8 +7,11 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"selectivemt/internal/geom"
 	"selectivemt/internal/liberty"
 	"selectivemt/internal/netlist"
+	"selectivemt/internal/parasitics"
+	"selectivemt/internal/sta"
 	"selectivemt/internal/tech"
 )
 
@@ -89,10 +92,11 @@ func TestCacheSingleFlight(t *testing.T) {
 	}
 }
 
-// activityDesign builds a small combinational design for activity tests.
-func activityDesign(t *testing.T, lib *liberty.Library) *netlist.Design {
+// tinyDesign builds a small placed combinational design: a NAND feeding
+// an inverter between two inputs and one output.
+func tinyDesign(t *testing.T, lib *liberty.Library) *netlist.Design {
 	t.Helper()
-	d := netlist.New("actest", lib)
+	d := netlist.New("tiny", lib)
 	must := func(err error) {
 		t.Helper()
 		if err != nil {
@@ -116,53 +120,9 @@ func activityDesign(t *testing.T, lib *liberty.Library) *netlist.Design {
 	must(d.Connect(nd, "ZN", mid))
 	must(d.Connect(inv, "A", mid))
 	must(d.Connect(inv, "ZN", d.NetByName("y")))
+	nd.Pos, nd.Placed = geom.Pt(0, 0), true
+	inv.Pos, inv.Placed = geom.Pt(4, 0), true
 	return d
-}
-
-func TestCachedActivityMatchesAcrossClones(t *testing.T) {
-	proc := tech.Default130()
-	lib, err := liberty.Generate(proc, liberty.DefaultBuildOptions(proc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := activityDesign(t, lib)
-	c := NewAnalysisCache()
-
-	act1, err := c.Activity(d, 64, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clone := d.Clone()
-	act2, err := c.Activity(clone, 64, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hits, misses := c.Stats()
-	if hits != 1 || misses != 1 {
-		t.Errorf("clone should hit the cache: %d hits / %d misses", hits, misses)
-	}
-	// The rehydrated activity must be keyed by the clone's own nets with
-	// identical values.
-	for _, n := range clone.Nets() {
-		orig := d.NetByName(n.Name)
-		if act2.Toggle[n] != act1.Toggle[orig] || act2.ProbOne[n] != act1.ProbOne[orig] {
-			t.Errorf("net %s: cached activity diverged", n.Name)
-		}
-	}
-	if act2.Cycles != act1.Cycles {
-		t.Error("cycle counts differ")
-	}
-
-	// Different seed or cycle count must miss.
-	if _, err := c.Activity(d, 64, 2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Activity(d, 32, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, m := c.Stats(); m != 3 {
-		t.Errorf("expected 3 misses, got %d", m)
-	}
 }
 
 func TestCacheKeyDistinguishesDesigns(t *testing.T) {
@@ -171,8 +131,8 @@ func TestCacheKeyDistinguishesDesigns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d1 := activityDesign(t, lib)
-	d2 := activityDesign(t, lib)
+	d1 := tinyDesign(t, lib)
+	d2 := tinyDesign(t, lib)
 	if d1.Fingerprint() != d2.Fingerprint() {
 		t.Fatal("identical construction should fingerprint equal")
 	}
@@ -183,11 +143,14 @@ func TestCacheKeyDistinguishesDesigns(t *testing.T) {
 	if d1.Fingerprint() == d2.Fingerprint() {
 		t.Fatal("mutated design should fingerprint differently")
 	}
+	cfg := sta.Config{ClockPeriodNs: 1, Extractor: &parasitics.EstimateExtractor{Proc: proc}}
 	c := NewAnalysisCache()
-	if _, err := c.Activity(d1, 16, 1); err != nil {
+	s1, err := c.AnalyzePre(d1, cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Activity(d2, 16, 1); err != nil {
+	s2, err := c.AnalyzePre(d2, cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if h, m := c.Stats(); h != 0 || m != 2 {
@@ -195,5 +158,15 @@ func TestCacheKeyDistinguishesDesigns(t *testing.T) {
 	}
 	if c.Len() != 2 {
 		t.Errorf("len = %d, want 2", c.Len())
+	}
+	if s1 == s2 {
+		t.Errorf("an HVT swap left the summary unchanged (%+v); the designs are not distinguished", s1)
+	}
+	// A clone of d1 fingerprints equal and hits its entry.
+	if _, err := c.AnalyzePre(d1.Clone(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	if h, _ := c.Stats(); h != 1 {
+		t.Errorf("a clone should hit the cache: %d hits", h)
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"selectivemt/internal/gen"
 	"selectivemt/internal/liberty"
+	"selectivemt/internal/netlist"
 	"selectivemt/internal/parasitics"
 	"selectivemt/internal/place"
 	"selectivemt/internal/sta"
@@ -96,5 +97,65 @@ func TestCacheSummariesMatchIncremental(t *testing.T) {
 	checkAll("after swaps")
 	if hits, misses := cache.Stats(); misses != 2 {
 		t.Errorf("cache misses = %d (hits %d), want 2 (one per distinct fingerprint)", misses, hits)
+	}
+}
+
+// TestAnalyzePreSkipsClockArrival: a clock-arrival function is not part
+// of the pre-route key, so a skewed-clock call after an ideal-clock call
+// on the same design must be computed, not served the ideal-clock entry.
+func TestAnalyzePreSkipsClockArrival(t *testing.T) {
+	proc := tech.Default130()
+	l, err := liberty.Generate(proc, liberty.DefaultBuildOptions(proc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := synth.Map(gen.SmallTest().Module, l, synth.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := place.Place(d, place.DefaultOptions(proc.RowHeightUm, proc.SitePitchUm)); err != nil {
+		t.Fatal(err)
+	}
+	cfg := sta.Config{
+		ClockPeriodNs: 3,
+		ClockPort:     "clk",
+		InputSlewNs:   0.03,
+		Extractor:     &parasitics.EstimateExtractor{Proc: proc},
+	}
+	skewed := cfg
+	skewed.ClockArrival = func(*netlist.Instance) float64 { return 0.5 }
+	cache := NewAnalysisCache()
+	if _, err := cache.AnalyzePre(d, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cache.MinPeriod(d, cfg); err != nil {
+		t.Fatal(err)
+	}
+	got, err := cache.AnalyzePre(d, skewed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sta.Analyze(d, skewed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if !same(got.WNSNs, want.WNS) || !same(got.TNSNs, want.TNS) || !same(got.WorstHoldNs, want.WorstHold) {
+		t.Fatalf("skewed-clock summary %+v, sta.Analyze gives %v/%v/%v",
+			got, want.WNS, want.TNS, want.WorstHold)
+	}
+	gotP, err := cache.MinPeriod(d, skewed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantP, err := sta.MinPeriod(d, skewed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !same(gotP, wantP) {
+		t.Fatalf("skewed-clock min period %v, sta.MinPeriod gives %v", gotP, wantP)
+	}
+	if hits, _ := cache.Stats(); hits != 0 {
+		t.Errorf("skewed-clock calls hit the cache %d times", hits)
 	}
 }

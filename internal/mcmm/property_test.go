@@ -161,9 +161,11 @@ func TestCornerPathSlackMonotonic(t *testing.T) {
 		}
 		typ := results[tech.CornerTyp]
 		arrivalByName := func(r *sta.Result) map[string]float64 {
-			out := make(map[string]float64, len(r.ArrivalMax))
-			for n, a := range r.ArrivalMax {
-				out[n.Name] = a
+			out := make(map[string]float64)
+			for _, n := range r.Design().Nets() {
+				if a, _, ok := r.Arrival(n); ok {
+					out[n.Name] = a
+				}
 			}
 			return out
 		}

@@ -40,8 +40,8 @@ type Options struct {
 	// oldest-first past it); <= 0 means DefaultMaxJobs.
 	MaxJobs int
 	// Partitions is the default timing-shard count applied to job specs
-	// that leave it unset (a spec's own value wins). <= 1 keeps the
-	// monolithic flat kernel; results are bit-identical either way.
+	// that leave it unset (a spec's own value wins). <= 1 keeps one
+	// shard; results are bit-identical either way.
 	Partitions int
 	// ShardJobs bounds per-shard fan-out when partitioned timing is on;
 	// same spec-wins default rule as Partitions. <= 0 means GOMAXPROCS.

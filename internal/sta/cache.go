@@ -1,17 +1,16 @@
 package sta
 
-// Per-design compile cache. The flat kernel interns (Compile) once per
-// design revision: repeated Analyze calls on an unchanged design reuse
-// the compiled graph and only re-run the zero-allocation flat passes,
-// then snapshot the map view. The cache is a small checked-out-while-in-
-// use LRU list bounded by both an entry count and an approximate resident
-// byte size (a compiled 1M-instance graph is hundreds of MB; a
-// long-running smtd session sees arbitrarily many uploaded designs), so
-// concurrent Analyze calls on the same design never share a
-// CompiledGraph and the cache can't grow without limit.
+// Per-design compile cache. A design is interned (compile) once per
+// revision: repeated Analyze calls on an unchanged design reuse the
+// compiled graph and its shards and only re-run the zero-allocation
+// propagation, then copy the per-net state into the caller's Result. The
+// cache is a small checked-out-while-in-use LRU list bounded by both an
+// entry count and an approximate resident byte size (a compiled
+// 1M-instance graph is hundreds of MB; a long-running smtd session sees
+// arbitrarily many uploaded designs), so concurrent Analyze calls on the
+// same design never share a graph and the cache can't grow without limit.
 
 import (
-	"maps"
 	"slices"
 	"sync"
 
@@ -19,23 +18,17 @@ import (
 	"selectivemt/internal/parasitics"
 )
 
-// cacheEntry pairs one design's compiled graph with the canonical Result
-// its flat state is mirrored into. Returned Results are snapshots cloned
-// from the canonical one, so later refreshes never mutate what a caller
-// already holds (RC trees stay shared, per the documented live-view
-// parasitics semantics).
+// cacheEntry holds one design's compiled graph and its shards.
 type cacheEntry struct {
 	d         *netlist.Design
 	rev       uint64
 	clockPort string
 	extractor parasitics.Extractor
-	// partitions is part of the key: a sharded graph (cfg.Partitions > 1)
-	// carries shard structures a monolithic caller must not inherit, and
-	// vice versa. 0 means monolithic.
+	// partitions is part of the key: a graph clustered for
+	// cfg.Partitions > 1 carries shards a one-shard caller must not
+	// inherit, and vice versa. 0 means one shard.
 	partitions int
-	cg         *CompiledGraph
-	sg         *ShardedGraph // non-nil iff partitions > 0
-	res        *Result
+	sg         *ShardedGraph
 	bytes      int64 // approxBytes at store time
 }
 
@@ -141,10 +134,7 @@ func takeCompiled(d *netlist.Design, clockPort string, ex parasitics.Extractor, 
 // storeCompiled inserts an entry at the MRU position, evicting past the
 // bounds.
 func storeCompiled(e *cacheEntry) {
-	e.bytes = e.cg.approxBytes()
-	if e.sg != nil {
-		e.bytes += e.sg.approxBytes()
-	}
+	e.bytes = e.sg.cg.approxBytes() + e.sg.approxBytes()
 	compileCache.Lock()
 	defer compileCache.Unlock()
 	compileCache.entries = slices.Insert(compileCache.entries, 0, e)
@@ -157,7 +147,7 @@ func storeCompiled(e *cacheEntry) {
 func (cg *CompiledGraph) approxBytes() int64 {
 	const perNet = 6*8 + // arrMax/arrMin/slewMax/reqMax/totalCap + rc ptr
 		2 + 2*4 + // hasArr/hasReq, level, drvIdx
-		3*24 + // sinkD/combArcs-share/queue headers
+		2*24 + // sinkD/combArcs-share headers
 		2*8 // netID map entry
 	b := int64(len(cg.nets)) * perNet
 	b += int64(len(cg.reqConsArr))*8 + int64(len(cg.reqConsOff))*4
@@ -175,72 +165,18 @@ func (cg *CompiledGraph) approxBytes() int64 {
 		}
 	}
 	b += nodes*3*8 + sinks*2*8
-	b += int64(len(cg.arrQ.mark)+len(cg.reqQ.mark)) * 4
 	return b
 }
 
-// approxBytes estimates the sharded overlay's resident size (ownership,
-// marks, interface graph).
+// approxBytes estimates the shard structures' resident size (ownership,
+// marks, the bucket/changed/net slab, interface graph).
 func (sg *ShardedGraph) approxBytes() int64 {
 	nn := int64(len(sg.owner))
-	b := nn * (4 + 4 + 4 + 4) // owner, bSlot, arrMark, reqMark
+	b := nn * (4 + 4 + 4 + 4 + 5*4) // owner, bSlot, arrMark, reqMark, slab
 	b += int64(len(sg.boundary)) * (4 + 4*8 + 2)
 	for i := range sg.shards {
 		s := &sg.shards[i]
-		b += int64(len(s.nets))*4 + int64(len(s.arrB)+len(s.reqB))*24
+		b += int64(len(s.arrB)+len(s.reqB)) * 24
 	}
 	return b
-}
-
-// refresh re-runs the flat passes on a revision-matched graph under a
-// possibly different config (period, delays, clock-arrival model — the
-// graph structure and RC depend on neither) and patches the canonical
-// Result from the changed-net lists. Returns a caller-private snapshot.
-func (e *cacheEntry) refresh(cfg Config) *Result {
-	cg := e.cg
-	cg.cfg = cfg
-	if e.sg != nil {
-		e.sg.repropagateAll()
-	} else {
-		cg.repropagateAll()
-	}
-	r := e.res
-	r.Config = cfg
-	for _, id := range cg.arrChanged {
-		n := cg.nets[id]
-		if cg.hasArr[id] {
-			r.ArrivalMax[n] = cg.arrMax[id]
-			r.ArrivalMin[n] = cg.arrMin[id]
-			r.SlewMax[n] = cg.slewMax[id]
-		} else {
-			delete(r.ArrivalMax, n)
-			delete(r.ArrivalMin, n)
-			delete(r.SlewMax, n)
-		}
-	}
-	for _, id := range cg.reqChanged {
-		n := cg.nets[id]
-		if cg.hasReq[id] {
-			r.RequiredMax[n] = cg.reqMax[id]
-		} else {
-			delete(r.RequiredMax, n)
-		}
-	}
-	cg.mirrorEndpoints(r)
-	return r.snapshot()
-}
-
-// snapshot returns a caller-private copy of the result. Map headers are
-// cloned (bucket copies, no rehashing — far cheaper than re-inserting
-// every net), scalar values are copied with them; pointees like RC trees
-// and instances stay shared.
-func (r *Result) snapshot() *Result {
-	c := *r
-	c.ArrivalMax = maps.Clone(r.ArrivalMax)
-	c.ArrivalMin = maps.Clone(r.ArrivalMin)
-	c.SlewMax = maps.Clone(r.SlewMax)
-	c.RequiredMax = maps.Clone(r.RequiredMax)
-	c.RC = maps.Clone(r.RC)
-	c.HoldViolations = slices.Clone(r.HoldViolations)
-	return &c
 }

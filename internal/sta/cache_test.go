@@ -44,7 +44,8 @@ func TestCompileCacheEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireExactMatch(t, d1, r1b, r1)
+	requireExactMatch(t, d1, r1b, legacyView(d1, r1))
+	requireOracle(t, d1, c, r1b)
 }
 
 // TestCompileCacheByteBound: a byte cap smaller than two graphs keeps only
@@ -81,7 +82,7 @@ func TestCompileCacheCheckedOutSafety(t *testing.T) {
 
 	d := synthSmall(t)
 	c := cfg(t, 3)
-	want, err := Analyze(d, c)
+	want, err := AnalyzeLegacy(d, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,9 +106,9 @@ func TestCompileCacheCheckedOutSafety(t *testing.T) {
 	}
 }
 
-// TestCompileCachePartitionKey: monolithic and sharded analyses of the
-// same design are distinct cache entries — a sharded graph checked back
-// in must never be handed to a monolithic caller, and both keep giving
+// TestCompileCachePartitionKey: one-shard and clustered analyses of the
+// same design are distinct cache entries — a clustered graph checked back
+// in must never be handed to a one-shard caller, and both keep giving
 // exact results when alternated.
 func TestCompileCachePartitionKey(t *testing.T) {
 	prevE, prevB := SetCompileCacheLimits(4, 0)
@@ -117,7 +118,7 @@ func TestCompileCachePartitionKey(t *testing.T) {
 	mono := cfg(t, 3)
 	shard := mono
 	shard.Partitions = 3
-	want, err := Analyze(d, mono)
+	want, err := AnalyzeLegacy(d, mono)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,6 +136,6 @@ func TestCompileCachePartitionKey(t *testing.T) {
 	}
 	s := CompileCacheStats()
 	if s.Entries < 2 {
-		t.Fatalf("monolithic and sharded should coexist as 2 entries, cache holds %d", s.Entries)
+		t.Fatalf("one-shard and clustered graphs should coexist as 2 entries, cache holds %d", s.Entries)
 	}
 }

@@ -1,15 +1,16 @@
-// Flat, slice-indexed timing core. CompiledGraph interns a design's nets,
-// instances and timing arcs into dense int32 IDs once per structural
-// revision and keeps every per-net timing quantity (arrival window, worst
-// slew, required time, level) in flat []float64/[]int32 state indexed by
-// those IDs. The propagate loops walk preallocated per-level buckets and
-// perform zero heap allocations (guarded by testing.AllocsPerRun in
-// compiled_test.go); the map-keyed Result the rest of the flow consumes is
-// materialized (or incrementally patched) from the flat state afterwards.
+// Flat timing graph data. A CompiledGraph interns one design revision
+// into dense int32 IDs: nets, sequential and combinational instances,
+// their flattened NLDM arcs, the required-time consumer CSR and the logic
+// levels. It owns the per-net state every analysis reads and writes
+// (extracted RC, arrival window, worst slew, required time) in flat
+// slices indexed by net ID, the extraction that fills the RC part, and
+// the serial endpoint scan. It propagates nothing itself: the shard drain
+// (sharded.go) is the one propagator over it, as a single shard unless
+// Config.Partitions asks for more.
 //
-// The arithmetic is exactly the legacy map-based pass's, in the same
-// evaluation order, so results are bit-identical to AnalyzeLegacy — the
-// retained oracle the differential tests hold this kernel to.
+// The arithmetic is exactly the map-based pass's that preceded this
+// kernel, in the same evaluation order, so results are bit-identical to
+// it. That pass lives on only as the test oracle in legacy_test.go.
 package sta
 
 import (
@@ -82,47 +83,52 @@ type seqInfo struct {
 
 // reqConsumer is one required-time candidate source on a net: an output
 // port, a flop D pin, or a combinational consumer instance (deduplicated,
-// in net-sink order — the same candidate set the legacy backward pass
+// in net-sink order — the same candidate set the map-based backward pass
 // min-accumulates).
 type reqConsumer struct {
 	kind uint8
 	idx  int32
 }
 
-// flatQueue is the index-based dirty queue: per-level buckets of net IDs
-// with an epoch-stamped membership mark, reused across retimes without
-// reallocation.
-type flatQueue struct {
-	buckets [][]int32
-	mark    []uint32
-	epoch   uint32
+// netState is the per-net timing state a Result reads, indexed by net ID.
+// Absent quantities (has* false) keep zeroed values, so reading an absent
+// net yields the zero a map lookup would.
+type netState struct {
+	netID   map[*netlist.Net]int32
+	rc      []*parasitics.RCTree
+	arrMax  []float64
+	arrMin  []float64
+	slewMax []float64
+	reqMax  []float64
+	hasArr  []bool
+	hasReq  []bool
 }
 
-func (q *flatQueue) init(levels, nets int) {
-	q.buckets = make([][]int32, levels)
-	q.mark = make([]uint32, nets)
-	q.epoch = 0
-}
-
-func (q *flatQueue) reset() {
-	q.epoch++
-	if q.epoch == 0 { // wrapped: marks are ambiguous, clear them
-		for i := range q.mark {
-			q.mark[i] = 0
-		}
-		q.epoch = 1
+// clone copies the numeric state into fresh slabs: a fixed handful of
+// allocations whatever the design size. netID and rc are shared, because
+// neither changes once a graph is compiled and extracted (only an
+// Incremental re-extracts, and it never shares its graph).
+func (st *netState) clone() *netState {
+	nn := len(st.arrMax)
+	f := make([]float64, 4*nn)
+	b := make([]bool, 2*nn)
+	c := &netState{
+		netID:   st.netID,
+		rc:      st.rc,
+		arrMax:  f[:nn:nn],
+		arrMin:  f[nn : 2*nn : 2*nn],
+		slewMax: f[2*nn : 3*nn : 3*nn],
+		reqMax:  f[3*nn:],
+		hasArr:  b[:nn:nn],
+		hasReq:  b[nn:],
 	}
-	for i := range q.buckets {
-		q.buckets[i] = q.buckets[i][:0]
-	}
-}
-
-func (q *flatQueue) push(id, lvl int32) {
-	if q.mark[id] == q.epoch {
-		return
-	}
-	q.mark[id] = q.epoch
-	q.buckets[lvl] = append(q.buckets[lvl], id)
+	copy(c.arrMax, st.arrMax)
+	copy(c.arrMin, st.arrMin)
+	copy(c.slewMax, st.slewMax)
+	copy(c.reqMax, st.reqMax)
+	copy(c.hasArr, st.hasArr)
+	copy(c.hasReq, st.hasReq)
+	return c
 }
 
 // CompiledGraph is the flat timing graph over one design revision.
@@ -130,10 +136,9 @@ type CompiledGraph struct {
 	d   *netlist.Design
 	cfg Config // normalized
 
-	nets  []*netlist.Net
-	netID map[*netlist.Net]int32
+	nets []*netlist.Net
+	netState
 
-	srcPorts []int32 // nets seeded by data input ports, port order
 	outPorts []int32 // nets sunk by output ports, port order
 
 	seqs     []seqInfo // sequential instances, instance order
@@ -155,35 +160,26 @@ type CompiledGraph struct {
 	level    []int32
 	maxLevel int32
 
-	// Per-net state, indexed by net ID. Absent quantities (has* false)
-	// keep zeroed values so reads mirror the legacy maps' zero-value
-	// semantics bit for bit.
-	rc       []*parasitics.RCTree
-	trees    []parasitics.RCTree // slab the rc trees are carved from (IntoExtractor path)
+	// Extraction state beside netState.rc: the slab the rc trees are
+	// carved from (IntoExtractor path), per-net total load, and the Elmore
+	// delay per sink position, padded to len(Sinks).
+	trees    []parasitics.RCTree
 	intoEx   parasitics.IntoExtractor
 	totalCap []float64
-	sinkD    [][]float64 // Elmore delay per sink position, padded to len(Sinks)
-	arrMax   []float64
-	arrMin   []float64
-	slewMax  []float64
-	reqMax   []float64
-	hasArr   []bool
-	hasReq   []bool
+	sinkD    [][]float64
 
 	// Endpoint scan results (mirrored into the Result afterwards).
 	wns, tns, worstHold float64
 	holdBuf             []*netlist.Instance
 
-	// Retime scratch, preallocated once and reused.
-	arrQ, reqQ              flatQueue
-	arrChanged, reqChanged  []int32
+	// Elmore scratch for serial extraction, reused across nets.
 	elmoreDelay, elmoreDown []float64
 }
 
-// Compile interns the design into a flat graph at its current structural
-// revision. The per-net timing state starts empty; run a full pass
-// (runFull) or import prior state (importFrom) before reading results.
-func Compile(d *netlist.Design, cfg Config) (*CompiledGraph, error) {
+// compile interns the design into a flat graph at its current structural
+// revision. The per-net timing state starts empty; run a full pass or
+// import prior state (importFrom) before reading results.
+func compile(d *netlist.Design, cfg Config) (*CompiledGraph, error) {
 	order, err := d.TopoOrder()
 	if err != nil {
 		return nil, err
@@ -191,25 +187,27 @@ func Compile(d *netlist.Design, cfg Config) (*CompiledGraph, error) {
 	nets := d.Nets()
 	nn := len(nets)
 	cg := &CompiledGraph{
-		d:       d,
-		cfg:     cfg,
-		nets:    nets,
-		netID:   make(map[*netlist.Net]int32, nn),
+		d:    d,
+		cfg:  cfg,
+		nets: nets,
+		netState: netState{
+			netID:   make(map[*netlist.Net]int32, nn),
+			rc:      make([]*parasitics.RCTree, nn),
+			arrMax:  make([]float64, nn),
+			arrMin:  make([]float64, nn),
+			slewMax: make([]float64, nn),
+			reqMax:  make([]float64, nn),
+			hasArr:  make([]bool, nn),
+			hasReq:  make([]bool, nn),
+		},
 		seqIdx:  make(map[*netlist.Instance]int32),
 		combIdx: make(map[*netlist.Instance]int32),
 		drvKind: make([]uint8, nn),
 		drvIdx:  make([]int32, nn),
 		level:   make([]int32, nn),
 
-		rc:       make([]*parasitics.RCTree, nn),
 		totalCap: make([]float64, nn),
 		sinkD:    make([][]float64, nn),
-		arrMax:   make([]float64, nn),
-		arrMin:   make([]float64, nn),
-		slewMax:  make([]float64, nn),
-		reqMax:   make([]float64, nn),
-		hasArr:   make([]bool, nn),
-		hasReq:   make([]bool, nn),
 	}
 	for i, n := range nets {
 		cg.netID[n] = int32(i)
@@ -256,7 +254,6 @@ func Compile(d *netlist.Design, cfg Config) (*CompiledGraph, error) {
 		id := cg.netID[p.Net]
 		if p.Dir == netlist.DirInput {
 			if p.Name != cfg.ClockPort {
-				cg.srcPorts = append(cg.srcPorts, id)
 				cg.drvKind[id] = drvPort
 			}
 		} else {
@@ -285,8 +282,8 @@ func Compile(d *netlist.Design, cfg Config) (*CompiledGraph, error) {
 
 	// Combinational instances with an output, in topological order, with
 	// levelization (level of a net = 1 + worst level over its driver's
-	// fanin nets, exactly the legacy relevel). Arc counts are gathered
-	// here so the arcs themselves can be carved from one slab below.
+	// fanin nets). Arc counts are gathered here so the arcs themselves can
+	// be carved from one slab below.
 	arcCnt := make([]int32, 0, len(order))
 	for _, inst := range order {
 		if inst.Cell.IsSequential() {
@@ -341,7 +338,7 @@ func Compile(d *netlist.Design, cfg Config) (*CompiledGraph, error) {
 	// the packed length and the array never reallocates.
 	cg.reqConsOff = make([]int32, nn+1)
 	cg.reqConsArr = make([]reqConsumer, 0, totalSinks)
-	var seenComb []int32 // small linear dedup, matches legacy's per-call set
+	var seenComb []int32 // small linear dedup of a net's comb consumers
 	for i, n := range nets {
 		seenComb = seenComb[:0]
 		for _, s := range n.Sinks {
@@ -377,11 +374,6 @@ func Compile(d *netlist.Design, cfg Config) (*CompiledGraph, error) {
 		}
 		cg.reqConsOff[i+1] = int32(len(cg.reqConsArr))
 	}
-
-	cg.arrQ.init(int(cg.maxLevel)+1, nn)
-	cg.reqQ.init(int(cg.maxLevel)+1, nn)
-	cg.arrChanged = make([]int32, 0, nn)
-	cg.reqChanged = make([]int32, 0, nn)
 	return cg, nil
 }
 
@@ -411,8 +403,7 @@ func (cg *CompiledGraph) consumers(id int32) []reqConsumer {
 	return cg.reqConsArr[cg.reqConsOff[id]:cg.reqConsOff[id+1]]
 }
 
-// sinkPos returns the first position of (inst, pin) in n.Sinks, or -1 —
-// the index legacy sinkWireDelay scans for on every call.
+// sinkPos returns the first position of (inst, pin) in n.Sinks, or -1.
 func sinkPos(n *netlist.Net, inst *netlist.Instance, pin string) int32 {
 	for i, s := range n.Sinks {
 		if s.Inst == inst && s.Pin == pin {
@@ -422,19 +413,17 @@ func sinkPos(n *netlist.Net, inst *netlist.Instance, pin string) int32 {
 	return -1
 }
 
-// extract re-runs parasitic extraction for one net and refreshes the
-// derived flat state (total cap, per-sink Elmore delays). With an
-// IntoExtractor the net's preallocated tree is refilled in place —
-// consistent with the Result's documented live-view semantics — so the
-// steady-state retime loop allocates nothing.
+// extract re-runs parasitic extraction for one net with the graph's own
+// Elmore scratch. With an IntoExtractor the net's preallocated tree is
+// refilled in place — consistent with the live view an Incremental's
+// Result gives — so the steady-state retime loop allocates nothing.
 func (cg *CompiledGraph) extract(id int32) {
 	cg.extractWith(id, &cg.elmoreDelay, &cg.elmoreDown)
 }
 
-// extractWith is extract with caller-supplied Elmore scratch, so the
-// sharded kernel can run per-shard extraction concurrently (each shard
-// owns disjoint nets and its own scratch; all other written state —
-// rc/totalCap/sinkD — is per-net).
+// extractWith is extract with caller-supplied Elmore scratch, so shards
+// can extract concurrently (each shard owns disjoint nets and its own
+// scratch; all other written state — rc/totalCap/sinkD — is per-net).
 func (cg *CompiledGraph) extractWith(id int32, elmoreDelay, elmoreDown *[]float64) {
 	n := cg.nets[id]
 	var t *parasitics.RCTree
@@ -445,8 +434,8 @@ func (cg *CompiledGraph) extractWith(id int32, elmoreDelay, elmoreDown *[]float6
 		cg.rc[id] = t
 	}
 	cg.totalCap[id] = t.TotalCap()
-	// Per-sink wire delays, padded with zeros past SinkNode exactly like
-	// legacy sinkWireDelay's out-of-range fallback.
+	// Per-sink wire delays, padded with zeros past SinkNode (a sink that
+	// resolved to no RC node has no wire delay).
 	nodes := len(t.CapPF)
 	if cap(*elmoreDelay) < nodes {
 		*elmoreDelay = make([]float64, nodes)
@@ -473,14 +462,7 @@ func (cg *CompiledGraph) wireD(in, pos int32) float64 {
 	return cg.sinkD[in][pos]
 }
 
-func (cg *CompiledGraph) clkArr(inst *netlist.Instance) float64 {
-	if cg.cfg.ClockArrival != nil {
-		return cg.cfg.ClockArrival(inst)
-	}
-	return 0
-}
-
-// seqWindow computes a flop's Q arrival and slew (legacy seqArrival).
+// seqWindow computes a flop's Q arrival and slew from the clock edge.
 func (cg *CompiledGraph) seqWindow(si *seqInfo) (arr, slew float64) {
 	arc := si.inst.Cell.Arc("CK", "Q")
 	var dq, sq float64
@@ -493,37 +475,11 @@ func (cg *CompiledGraph) seqWindow(si *seqInfo) (arr, slew float64) {
 		}
 		dq, sq = si.cDelay, si.cQSlew
 	}
-	return cg.clkArr(si.inst) + dq, sq
-}
-
-// combWindow computes a combinational output's arrival window and worst
-// slew from its fanin state (legacy combArrival), ok=false when no fanin
-// is constrained.
-func (cg *CompiledGraph) combWindow(ci int32) (amax, amin, smax float64, ok bool) {
-	load := cg.totalCap[cg.combOut[ci]]
-	amax = math.Inf(-1)
-	amin = math.Inf(1)
-	smax = 0.0
-	arcs := cg.combArcs[ci]
-	for i := range arcs {
-		a := &arcs[i]
-		if !cg.hasArr[a.in] {
-			continue
-		}
-		wire := cg.wireD(a.in, a.sinkPos)
-		dm, sm := a.eval(cg.slewMax[a.in], load)
-		amax = math.Max(amax, cg.arrMax[a.in]+wire+dm)
-		amin = math.Min(amin, cg.arrMin[a.in]+wire+dm)
-		smax = math.Max(smax, sm)
-	}
-	if math.IsInf(amax, -1) {
-		return 0, 0, 0, false
-	}
-	return amax, amin, smax, true
+	return cg.cfg.clockArrival(si.inst) + dq, sq
 }
 
 // setArr writes a present arrival window; clearArr removes one (zeroing
-// the state so later reads see the legacy maps' zero values).
+// the state so later reads see zero values).
 func (cg *CompiledGraph) setArr(id int32, amax, amin, smax float64) {
 	cg.arrMax[id] = amax
 	cg.arrMin[id] = amin
@@ -538,82 +494,9 @@ func (cg *CompiledGraph) clearArr(id int32) {
 	cg.hasArr[id] = false
 }
 
-// forwardFull seeds every arrival source and propagates in topological
-// order — the flat propagateArrival.
-func (cg *CompiledGraph) forwardFull() {
-	for i := range cg.hasArr {
-		cg.clearArr(int32(i))
-	}
-	for _, id := range cg.srcPorts {
-		cg.setArr(id, cg.cfg.InputDelayNs, cg.cfg.InputDelayNs, cg.cfg.InputSlewNs)
-	}
-	for i := range cg.seqs {
-		si := &cg.seqs[i]
-		if si.q < 0 {
-			continue
-		}
-		arr, slew := cg.seqWindow(si)
-		cg.setArr(si.q, arr, arr, slew)
-	}
-	for ci := range cg.combs {
-		if amax, amin, smax, ok := cg.combWindow(int32(ci)); ok {
-			cg.setArr(cg.combOut[ci], amax, amin, smax)
-		}
-	}
-}
-
-func (cg *CompiledGraph) outputPortRequired() float64 {
-	return cg.cfg.ClockPeriodNs - cg.cfg.OutputDelayNs
-}
-
-func (cg *CompiledGraph) flopSetupRequired(si *seqInfo) float64 {
-	return cg.cfg.ClockPeriodNs + cg.clkArr(si.inst) - si.inst.Cell.SetupNs
-}
-
-func (cg *CompiledGraph) accumReq(id int32, req float64) {
-	if !cg.hasReq[id] || req < cg.reqMax[id] {
-		cg.reqMax[id] = req
-		cg.hasReq[id] = true
-	}
-}
-
-// backwardFull seeds the endpoint required times and propagates against
-// the topological order — the flat propagateRequired.
-func (cg *CompiledGraph) backwardFull() {
-	for i := range cg.hasReq {
-		cg.reqMax[i] = 0
-		cg.hasReq[i] = false
-	}
-	for _, id := range cg.outPorts {
-		cg.accumReq(id, cg.outputPortRequired())
-	}
-	for i := range cg.seqs {
-		si := &cg.seqs[i]
-		if si.dNet < 0 {
-			continue
-		}
-		cg.accumReq(si.dNet, cg.flopSetupRequired(si))
-	}
-	for ci := len(cg.combs) - 1; ci >= 0; ci-- {
-		out := cg.combOut[ci]
-		if !cg.hasReq[out] {
-			continue
-		}
-		req := cg.reqMax[out]
-		load := cg.totalCap[out]
-		arcs := cg.combArcs[ci]
-		for i := range arcs {
-			a := &arcs[i]
-			dm, _ := a.eval(cg.slewMax[a.in], load)
-			cg.accumReq(a.in, req-dm-cg.wireD(a.in, a.sinkPos))
-		}
-	}
-}
-
 // endpointScan recomputes WNS/TNS/WorstHold and the hold-violation list in
-// the design's deterministic endpoint order (output ports, then flops) —
-// the flat endpointChecks. Scan state lands in cg fields; callers mirror
-// it into the Result.
+// the design's deterministic endpoint order (output ports, then flops).
+// Scan state lands in cg fields; mirrorEndpoints copies it into a Result.
 func (cg *CompiledGraph) endpointScan() {
 	cg.wns = math.Inf(1)
 	cg.worstHold = math.Inf(1)
@@ -632,15 +515,15 @@ func (cg *CompiledGraph) endpointScan() {
 		}
 	}
 	for _, id := range cg.outPorts {
-		check(id, cg.outputPortRequired())
+		check(id, cg.cfg.outputRequired())
 	}
 	for i := range cg.seqs {
 		si := &cg.seqs[i]
 		if si.dNet < 0 {
 			continue
 		}
-		lat := cg.clkArr(si.inst)
-		check(si.dNet, cg.flopSetupRequired(si))
+		lat := cg.cfg.clockArrival(si.inst)
+		check(si.dNet, cg.cfg.setupRequired(si.inst))
 		if cg.hasArr[si.dNet] {
 			hs := cg.arrMin[si.dNet] + cg.wireD(si.dNet, si.dSinkPos) - lat - si.inst.Cell.HoldNs
 			if hs < cg.worstHold {
@@ -659,207 +542,24 @@ func (cg *CompiledGraph) endpointScan() {
 	}
 }
 
-// runFull extracts every net and runs the three flat passes.
-func (cg *CompiledGraph) runFull() {
-	for id := range cg.nets {
-		cg.extract(int32(id))
-	}
-	cg.forwardFull()
-	cg.backwardFull()
-	cg.endpointScan()
-}
-
-// materialize builds a fresh map-keyed Result view of the flat state.
-func (cg *CompiledGraph) materialize() *Result {
-	nn := len(cg.nets)
-	r := &Result{
-		Config:      cg.cfg,
-		ArrivalMax:  make(map[*netlist.Net]float64, nn),
-		ArrivalMin:  make(map[*netlist.Net]float64, nn),
-		SlewMax:     make(map[*netlist.Net]float64, nn),
-		RequiredMax: make(map[*netlist.Net]float64, nn),
-		RC:          make(map[*netlist.Net]*parasitics.RCTree, nn),
-		design:      cg.d,
-	}
-	for id, n := range cg.nets {
-		r.RC[n] = cg.rc[id]
-		if cg.hasArr[id] {
-			r.ArrivalMax[n] = cg.arrMax[id]
-			r.ArrivalMin[n] = cg.arrMin[id]
-			r.SlewMax[n] = cg.slewMax[id]
-		}
-		if cg.hasReq[id] {
-			r.RequiredMax[n] = cg.reqMax[id]
-		}
-	}
-	cg.mirrorEndpoints(r)
-	return r
-}
-
 // mirrorEndpoints copies the endpoint-scan scalars and hold list into a
-// Result, preserving the legacy nil-when-clean hold list shape.
+// Result; the hold list is nil when clean and never aliases holdBuf.
 func (cg *CompiledGraph) mirrorEndpoints(r *Result) {
 	r.WNS = cg.wns
 	r.TNS = cg.tns
 	r.WorstHold = cg.worstHold
-	if len(cg.holdBuf) == 0 {
-		r.HoldViolations = nil
-	} else {
+	r.HoldViolations = nil
+	if len(cg.holdBuf) > 0 {
 		r.HoldViolations = append([]*netlist.Instance(nil), cg.holdBuf...)
 	}
 }
 
-// recomputeArrival redoes one net's arrival window from its driver kind
-// and reports whether presence or value changed (legacy recomputeArrival).
-func (cg *CompiledGraph) recomputeArrival(id int32) bool {
-	var amax, amin, smax float64
-	present := false
-	switch cg.drvKind[id] {
-	case drvPort:
-		amax, amin, smax = cg.cfg.InputDelayNs, cg.cfg.InputDelayNs, cg.cfg.InputSlewNs
-		present = true
-	case drvSeq:
-		si := &cg.seqs[cg.drvIdx[id]]
-		arr, slew := cg.seqWindow(si)
-		amax, amin, smax = arr, arr, slew
-		present = true
-	case drvComb:
-		amax, amin, smax, present = cg.combWindow(cg.drvIdx[id])
-	}
-	if present == cg.hasArr[id] && (!present ||
-		(cg.arrMax[id] == amax && cg.arrMin[id] == amin && cg.slewMax[id] == smax)) {
-		return false
-	}
-	if present {
-		cg.setArr(id, amax, amin, smax)
-	} else {
-		cg.clearArr(id)
-	}
-	return true
-}
-
-// recomputeRequired redoes one net's required time from its endpoint and
-// consumer candidates and reports whether it changed (legacy
-// recomputeRequired, over the compiled candidate list).
-func (cg *CompiledGraph) recomputeRequired(id int32) bool {
-	req := math.Inf(1)
-	present := false
-	for _, c := range cg.consumers(id) {
-		switch c.kind {
-		case rcOutPort:
-			if r := cg.outputPortRequired(); r < req {
-				req = r
-			}
-			present = true
-		case rcFlopD:
-			if r := cg.flopSetupRequired(&cg.seqs[c.idx]); r < req {
-				req = r
-			}
-			present = true
-		case rcComb:
-			out := cg.combOut[c.idx]
-			if !cg.hasReq[out] {
-				continue
-			}
-			outReq := cg.reqMax[out]
-			load := cg.totalCap[out]
-			arcs := cg.combArcs[c.idx]
-			for i := range arcs {
-				a := &arcs[i]
-				if a.in != id {
-					continue
-				}
-				dm, _ := a.eval(cg.slewMax[id], load)
-				if r := outReq - dm - cg.wireD(id, a.sinkPos); r < req {
-					req = r
-				}
-				present = true
-			}
-		}
-	}
-	if present == cg.hasReq[id] && (!present || cg.reqMax[id] == req) {
-		return false
-	}
-	if present {
-		cg.reqMax[id] = req
-		cg.hasReq[id] = true
-	} else {
-		cg.reqMax[id] = 0
-		cg.hasReq[id] = false
-	}
-	return true
-}
-
-// seedDriverFanins marks the fanin nets of a net's combinational driver
-// required-dirty (their required times read both its required time and
-// its load).
-func (cg *CompiledGraph) seedDriverFanins(id int32) {
-	if cg.drvKind[id] != drvComb {
-		return
-	}
-	for _, a := range cg.combArcs[cg.drvIdx[id]] {
-		cg.reqQ.push(a.in, cg.level[a.in])
-	}
-}
-
-// seedRetime re-extracts one touched net and marks the cones its new RC
-// invalidates, mirroring the legacy retime seeding: the net itself both
-// ways, every combinational sink's output forward, and the driver's
-// fanins backward.
-func (cg *CompiledGraph) seedRetime(id int32) {
-	cg.extract(id)
-	cg.arrQ.push(id, cg.level[id])
-	cg.reqQ.push(id, cg.level[id])
-	for _, c := range cg.consumers(id) {
-		if c.kind == rcComb {
-			out := cg.combOut[c.idx]
-			cg.arrQ.push(out, cg.level[out])
-		}
-	}
-	cg.seedDriverFanins(id)
-}
-
-// flowArrival drains the forward dirty queue by ascending level; a net
-// whose recomputed window is bit-identical stops the wave. Changed nets
-// are appended to arrChanged (and made required-dirty). This is the
-// zero-allocation forward inner loop.
-func (cg *CompiledGraph) flowArrival(retimed *int) {
-	for lvl := 0; lvl < len(cg.arrQ.buckets); lvl++ {
-		// The bucket may grow while being walked (fanout at a later index
-		// of the same level is impossible, but fanout pushes to higher
-		// levels; same-level pushes come only from re-seeding at this
-		// level). Index-walk so appends stay visible.
-		for bi := 0; bi < len(cg.arrQ.buckets[lvl]); bi++ {
-			id := cg.arrQ.buckets[lvl][bi]
-			*retimed++
-			if !cg.recomputeArrival(id) {
-				continue
-			}
-			cg.arrChanged = append(cg.arrChanged, id)
-			cg.reqQ.push(id, cg.level[id]) // its slew feeds backward delays
-			for _, c := range cg.consumers(id) {
-				if c.kind == rcComb {
-					out := cg.combOut[c.idx]
-					cg.arrQ.push(out, cg.level[out])
-				}
-			}
-		}
-	}
-}
-
-// flowRequired drains the backward dirty queue by descending level —
-// the zero-allocation backward inner loop.
-func (cg *CompiledGraph) flowRequired() {
-	for lvl := len(cg.reqQ.buckets) - 1; lvl >= 0; lvl-- {
-		for bi := 0; bi < len(cg.reqQ.buckets[lvl]); bi++ {
-			id := cg.reqQ.buckets[lvl][bi]
-			if !cg.recomputeRequired(id) {
-				continue
-			}
-			cg.reqChanged = append(cg.reqChanged, id)
-			cg.seedDriverFanins(id)
-		}
-	}
+// result returns a caller-private Result of the current state: its own
+// copy of the per-net state plus the endpoint scan.
+func (cg *CompiledGraph) result() *Result {
+	r := &Result{Config: cg.cfg, Revision: cg.d.Revision(), design: cg.d, st: cg.netState.clone()}
+	cg.mirrorEndpoints(r)
+	return r
 }
 
 // importFrom carries per-net timing state over from a previous
@@ -883,23 +583,4 @@ func (cg *CompiledGraph) importFrom(old *CompiledGraph) {
 		cg.hasArr[id] = old.hasArr[oid]
 		cg.hasReq[id] = old.hasReq[oid]
 	}
-}
-
-// repropagateAll re-runs the incremental propagate loops over every net
-// (no extraction, no map patching): the direct subject of the
-// zero-allocation guards in compiled_test.go.
-func (cg *CompiledGraph) repropagateAll() int {
-	cg.arrQ.reset()
-	cg.reqQ.reset()
-	cg.arrChanged = cg.arrChanged[:0]
-	cg.reqChanged = cg.reqChanged[:0]
-	for id := range cg.nets {
-		cg.arrQ.push(int32(id), cg.level[id])
-		cg.reqQ.push(int32(id), cg.level[id])
-	}
-	retimed := 0
-	cg.flowArrival(&retimed)
-	cg.flowRequired()
-	cg.endpointScan()
-	return retimed
 }

@@ -1,8 +1,6 @@
 package sta
 
 import (
-	"fmt"
-
 	"selectivemt/internal/netlist"
 )
 
@@ -11,9 +9,8 @@ import (
 // dirty fanout cone of each edit (and required times back through the
 // dirty fanin cone), instead of re-walking every net the way Analyze does.
 // The propagation state lives in a flat CompiledGraph — dense int32 net
-// IDs, slice-indexed arrivals/requireds/slews, preallocated per-level
-// dirty buckets — so the retime inner loops allocate nothing; the live
-// map-keyed Result is patched from the flat state after each update.
+// IDs, slice-indexed arrivals/requireds/slews — drained by the same shard
+// propagator Analyze uses, so the retime inner loops allocate nothing.
 //
 // It follows the design through its change journal (netlist.Design
 // revisions): cell swaps and placement moves are re-timed incrementally,
@@ -23,26 +20,25 @@ import (
 // re-time the touched cones, and a lost journal (overflow, NoteBulkEdit,
 // out-of-band surgery) falls back to a full re-analysis. Results are
 // exact: after Update the Result is equal — field by field, bit by bit —
-// to what a fresh Analyze of the current design would return. Full
-// Analyze stays the oracle; the property tests in incremental_test.go
-// hold the two engines to exact equality.
+// to what a fresh Analyze of the current design would return; the
+// property tests in incremental_test.go hold both to the map-based
+// oracle.
 //
-// The Result returned by Update/Result is live: its maps are patched in
-// place by later updates (and the pointer itself is replaced after a full
-// rebuild). Callers that need a frozen snapshot must run Analyze.
-// An Incremental is not safe for concurrent use.
+// The Result returned by Update/Result is live: it reads the timer's
+// current graph, so later updates show through it. Callers that need a
+// frozen snapshot must run Analyze. An Incremental is not safe for
+// concurrent use.
 type Incremental struct {
 	d   *netlist.Design
 	cfg Config // normalized
-	cg  *CompiledGraph
-	sg  *ShardedGraph // non-nil when cfg.Partitions > 1: sharded propagation
+	sg  *ShardedGraph
 	res *Result
 	rev uint64 // design revision res reflects
 
 	// lastSvc records how the most recent Update was serviced, so
-	// LastRetimeChanged knows whether the compiled graph's changed lists
-	// describe the whole delta (retime), nothing (noop) or are
-	// meaningless because everything was recomputed (full rebuild).
+	// LastRetimeChanged knows whether the shards' changed lists describe
+	// the whole delta (retime), nothing (noop) or are meaningless because
+	// everything was recomputed (full rebuild).
 	lastSvc serviceKind
 	// touched is the retime seed scratch: the net IDs directly named by
 	// the last journal batch (their RC was re-extracted even when their
@@ -78,7 +74,7 @@ func NewIncremental(d *netlist.Design, cfg Config) (*Incremental, error) {
 	if err != nil {
 		return nil, err
 	}
-	inc := &Incremental{d: d, cfg: cfg}
+	inc := &Incremental{d: d, cfg: cfg, res: &Result{Config: cfg, design: d}}
 	if err := inc.rebuild(); err != nil {
 		return nil, err
 	}
@@ -94,88 +90,58 @@ func (inc *Incremental) Design() *netlist.Design { return inc.d }
 // Stats returns the update counters.
 func (inc *Incremental) Stats() IncrementalStats { return inc.stats }
 
-// sharded reports whether the config asks for the partition-parallel
-// kernel.
-func (inc *Incremental) sharded() bool {
-	return inc.cfg.Partitions > 1 || inc.cfg.shardAssign != nil
-}
-
-// rebuild recompiles the flat graph (plus the sharded overlay when
-// partitioning is on) and re-runs the full analysis.
+// rebuild recompiles the graph and re-runs the full analysis.
 func (inc *Incremental) rebuild() error {
-	cg, err := Compile(inc.d, inc.cfg)
+	sg, err := newTimer(inc.d, inc.cfg)
 	if err != nil {
 		return err
 	}
-	inc.sg = nil
-	if inc.sharded() {
-		sg, err := buildSharded(cg, inc.cfg)
-		if err != nil {
-			return err
-		}
-		sg.runFull()
-		inc.sg = sg
-	} else {
-		cg.runFull()
-	}
-	inc.cg = cg
-	inc.res = cg.materialize()
-	inc.rev = inc.d.Revision()
-	inc.res.Revision = inc.rev
+	sg.runFull()
+	inc.setGraph(sg)
 	inc.lastSvc = svcFull
 	inc.stats.FullBuilds++
+	inc.publish()
 	return nil
 }
 
-// ShardCount reports how many partition shards the timer propagates on:
-// 1 for the monolithic flat kernel. Callers that schedule work per shard
-// (the assignment lane engine) size their structures off this.
-func (inc *Incremental) ShardCount() int {
-	if inc.sg == nil {
-		return 1
-	}
-	return len(inc.sg.shards)
+// setGraph installs a (re)compiled graph and points the live Result at
+// its per-net state.
+func (inc *Incremental) setGraph(sg *ShardedGraph) {
+	inc.sg = sg
+	inc.res.st = &sg.cg.netState
 }
+
+// publish stamps the live Result with the current revision and endpoint
+// scan.
+func (inc *Incremental) publish() {
+	inc.rev = inc.d.Revision()
+	inc.res.Revision = inc.rev
+	inc.sg.cg.mirrorEndpoints(inc.res)
+}
+
+// ShardCount reports how many shards the timer propagates on: 1 unless
+// Config.Partitions asked for more. Callers that schedule work per shard
+// (the assignment lane engine) size their structures off this.
+func (inc *Incremental) ShardCount() int { return len(inc.sg.shards) }
 
 // ShardOf returns the shard that owns an instance's timing state — the
 // owner of its output net, the same assignment buildSharded derived from
-// the clustering. Sink-only instances and instances of a monolithic
-// timer report shard 0.
+// the clustering. Sink-only instances report shard 0.
 func (inc *Incremental) ShardOf(inst *netlist.Instance) int {
-	if inc.sg == nil {
-		return 0
-	}
 	if out := inst.OutputNet(); out != nil {
-		if id, ok := inc.cg.netID[out]; ok {
+		if id, ok := inc.sg.cg.netID[out]; ok {
 			return int(inc.sg.owner[id])
 		}
 	}
 	return 0
 }
 
-// BoundaryNet reports whether a net is part of the sharded kernel's
-// interface graph — read across a partition cut, so concurrent decisions
-// in different shards can share its slack. Always false on a monolithic
-// timer.
+// BoundaryNet reports whether a net is part of the interface graph — read
+// across a partition cut, so concurrent decisions in different shards can
+// share its slack. Always false on a one-shard timer.
 func (inc *Incremental) BoundaryNet(n *netlist.Net) bool {
-	if inc.sg == nil {
-		return false
-	}
-	if id, ok := inc.cg.netID[n]; ok {
-		return inc.sg.bSlot[id] >= 0
-	}
-	return false
-}
-
-// DirtyShards reports how many shards the most recent retime activated
-// (0 when the timer is monolithic or the last Update was not an
-// incremental retime) — the "only shards that absorbed commits
-// re-propagate" observable the assignment scheduler tunes against.
-func (inc *Incremental) DirtyShards() int {
-	if inc.sg == nil || inc.lastSvc != svcRetime {
-		return 0
-	}
-	return inc.sg.lastDirty
+	id, ok := inc.sg.cg.netID[n]
+	return ok && inc.sg.bSlot[id] >= 0
 }
 
 // LastRetimeChanged reports the nets whose timing or parasitic state the
@@ -192,16 +158,11 @@ func (inc *Incremental) LastRetimeChanged(fn func(*netlist.Net)) bool {
 	case svcNoop:
 		return true
 	}
-	cg := inc.cg
+	nets := inc.sg.cg.nets
 	for _, id := range inc.touched {
-		fn(cg.nets[id])
+		fn(nets[id])
 	}
-	for _, id := range cg.arrChanged {
-		fn(cg.nets[id])
-	}
-	for _, id := range cg.reqChanged {
-		fn(cg.nets[id])
-	}
+	inc.sg.eachChanged(func(id int32) { fn(nets[id]) })
 	return true
 }
 
@@ -218,8 +179,7 @@ func (inc *Incremental) LastRetimeSpan() (int, bool) {
 	case svcNoop:
 		return 0, true
 	}
-	cg := inc.cg
-	return len(inc.touched) + len(cg.arrChanged) + len(cg.reqChanged), true
+	return len(inc.touched) + inc.sg.changedCount(), true
 }
 
 // Update brings the result up to date with the design. A clean journal
@@ -248,29 +208,27 @@ func (inc *Incremental) Update() (*Result, error) {
 		}
 	}
 	if structural {
-		cg, err := Compile(inc.d, inc.cfg)
+		cg, err := compile(inc.d, inc.cfg)
 		if err != nil {
 			return nil, err // e.g. a combinational cycle was introduced
 		}
-		cg.importFrom(inc.cg)
-		if inc.sharded() {
-			// The net/instance population changed: recluster and rebuild
-			// the shard overlay over the new graph.
-			sg, err := buildSharded(cg, inc.cfg)
-			if err != nil {
-				return nil, err
-			}
-			inc.sg = sg
+		cg.importFrom(inc.sg.cg)
+		// The net/instance population changed: lay the shards (and, when
+		// partitioned, the clustering) over the new graph.
+		sg, err := buildSharded(cg, inc.cfg)
+		if err != nil {
+			return nil, err
 		}
-		inc.cg = cg
+		inc.setGraph(sg)
 		inc.stats.StructuralUpdates++
 	} else {
 		// Swap/move batch: connectivity is intact, but a replaced cell
 		// carries new arc pointers — rebind the flattened arcs in place.
+		cg := inc.sg.cg
 		for _, ch := range delta {
 			if ch.Kind == netlist.ChangeCellReplaced && ch.Inst != nil {
-				if ci, ok := inc.cg.combIdx[ch.Inst]; ok {
-					inc.cg.combArcs[ci] = inc.cg.buildArcs(ch.Inst, inc.cg.combArcs[ci])
+				if ci, ok := cg.combIdx[ch.Inst]; ok {
+					cg.combArcs[ci] = cg.buildArcs(ch.Inst, cg.combArcs[ci])
 				}
 			}
 		}
@@ -278,8 +236,7 @@ func (inc *Incremental) Update() (*Result, error) {
 	}
 	inc.retime(delta)
 	inc.lastSvc = svcRetime
-	inc.rev = inc.d.Revision()
-	inc.res.Revision = inc.rev
+	inc.publish()
 	return inc.res, nil
 }
 
@@ -287,37 +244,17 @@ func (inc *Incremental) Update() (*Result, error) {
 // by an entry plus every net currently connected to an instance named by
 // an entry (a swapped cell changes its own arcs and, through its input pin
 // caps, the RC of every fanin net; a moved one changes the RC of
-// everything it touches). Nets that left the design have their map state
-// dropped; live touched nets are re-extracted and seeded, the flat
-// forward/backward waves run, and the changed state is patched into the
-// live Result.
+// everything it touches). Nets that left the design are gone from the
+// graph already; live touched nets are re-extracted and seeded into their
+// owning shards' queues, so a batch confined to a few clusters activates
+// only those shards (plus whatever the interface graph ripples into).
 func (inc *Incremental) retime(delta []netlist.Change) {
-	cg := inc.cg
-	r := inc.res
-	if inc.sg != nil {
-		inc.sg.resetAll()
-	} else {
-		cg.arrQ.reset()
-		cg.reqQ.reset()
-		cg.arrChanged = cg.arrChanged[:0]
-		cg.reqChanged = cg.reqChanged[:0]
-	}
-
+	sg := inc.sg
+	sg.resetAll()
 	seen := make(map[int32]bool, len(delta))
 	touched := inc.touched[:0]
 	note := func(n *netlist.Net) {
-		id, ok := cg.netID[n]
-		if !ok {
-			// The net left the design: drop its state so the maps match
-			// what a fresh Analyze of the current design would hold.
-			delete(r.ArrivalMax, n)
-			delete(r.ArrivalMin, n)
-			delete(r.SlewMax, n)
-			delete(r.RequiredMax, n)
-			delete(r.RC, n)
-			return
-		}
-		if !seen[id] {
+		if id, ok := sg.cg.netID[n]; ok && !seen[id] {
 			seen[id] = true
 			touched = append(touched, id)
 		}
@@ -337,134 +274,8 @@ func (inc *Incremental) retime(delta []netlist.Change) {
 		}
 	}
 	inc.touched = touched // keep for LastRetimeChanged (and reuse the buffer)
-
-	if sg := inc.sg; sg != nil {
-		// Seeds land only in the owning shards' queues, so a swap batch
-		// confined to a few clusters activates only those shards (plus
-		// whatever the interface graph ripples into).
-		for _, id := range touched {
-			sg.seedRetime(id)
-		}
-		inc.stats.NetsRetimed += sg.propagate()
-	} else {
-		for _, id := range touched {
-			cg.seedRetime(id)
-		}
-		cg.flowArrival(&inc.stats.NetsRetimed)
-		cg.flowRequired()
-		cg.endpointScan()
-	}
-
-	// Patch the live map view from the flat state.
 	for _, id := range touched {
-		r.RC[cg.nets[id]] = cg.rc[id]
+		sg.seedRetime(id)
 	}
-	for _, id := range cg.arrChanged {
-		n := cg.nets[id]
-		if cg.hasArr[id] {
-			r.ArrivalMax[n] = cg.arrMax[id]
-			r.ArrivalMin[n] = cg.arrMin[id]
-			r.SlewMax[n] = cg.slewMax[id]
-		} else {
-			delete(r.ArrivalMax, n)
-			delete(r.ArrivalMin, n)
-			delete(r.SlewMax, n)
-		}
-	}
-	for _, id := range cg.reqChanged {
-		n := cg.nets[id]
-		if cg.hasReq[id] {
-			r.RequiredMax[n] = cg.reqMax[id]
-		} else {
-			delete(r.RequiredMax, n)
-		}
-	}
-	cg.mirrorEndpoints(r)
-}
-
-// SetPeriod re-solves the graph at a new clock period without re-running
-// extraction or the forward pass: arrivals are period-independent, so only
-// required times and the endpoint checks are redone (over the whole
-// design — the period shifts every constrained endpoint). The result is
-// exactly what Analyze would return at that period. Pending design edits
-// are applied first.
-func (inc *Incremental) SetPeriod(periodNs float64) (*Result, error) {
-	if periodNs <= 0 {
-		return nil, fmt.Errorf("sta: clock period %v must be positive", periodNs)
-	}
-	if _, err := inc.Update(); err != nil {
-		return nil, err
-	}
-	inc.cfg.ClockPeriodNs = periodNs
-	inc.lastSvc = svcFull // every constrained endpoint's required shifts
-	cg := inc.cg
-	cg.cfg.ClockPeriodNs = periodNs
-	r := inc.res
-	r.Config = inc.cfg
-	cg.backwardFull()
-	cg.endpointScan()
-	r.RequiredMax = make(map[*netlist.Net]float64, len(r.RequiredMax))
-	for id, n := range cg.nets {
-		if cg.hasReq[id] {
-			r.RequiredMax[n] = cg.reqMax[id]
-		}
-	}
-	cg.mirrorEndpoints(r)
-	return r, nil
-}
-
-// MinPeriodSearch bisects the smallest feasible clock period to within
-// tolNs, re-using one built timing graph for the whole binary search:
-// every probe re-solves only the backward pass at the candidate period.
-// MinPeriod's closed form is exact for the linear timing model and stays
-// the flow's probe; the search is the general tool for models where slack
-// does not shift linearly with the period.
-func MinPeriodSearch(d *netlist.Design, cfg Config, tolNs float64) (float64, error) {
-	if cfg.ClockPeriodNs <= 0 {
-		cfg.ClockPeriodNs = 100
-	}
-	if tolNs <= 0 {
-		tolNs = 1e-3
-	}
-	inc, err := NewIncremental(d, cfg)
-	if err != nil {
-		return 0, err
-	}
-	hi := inc.cfg.ClockPeriodNs - inc.res.WNS
-	if hi <= 0 {
-		// Unconstrained design, or one whose slacks exceed the reference
-		// period (e.g. all-latency endpoints): any positive period works.
-		return 0, nil
-	}
-	lo := 0.0
-	// The closed-form bound is exact only when slack shifts 1:1 with the
-	// period; verify it (and widen) so the bracket is genuinely feasible
-	// under any timing model before bisecting.
-	for tries := 0; ; tries++ {
-		rh, err := inc.SetPeriod(hi)
-		if err != nil {
-			return 0, err
-		}
-		if rh.WNS >= 0 {
-			break
-		}
-		if tries == 64 {
-			return 0, fmt.Errorf("sta: no feasible period found up to %v ns", hi)
-		}
-		lo = hi
-		hi *= 2
-	}
-	for hi-lo > tolNs {
-		mid := (lo + hi) / 2
-		rm, err := inc.SetPeriod(mid)
-		if err != nil {
-			return 0, err
-		}
-		if rm.WNS >= 0 {
-			hi = mid
-		} else {
-			lo = mid
-		}
-	}
-	return hi, nil
+	inc.stats.NetsRetimed += sg.propagate()
 }

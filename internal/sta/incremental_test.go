@@ -8,16 +8,57 @@ import (
 	"selectivemt/internal/gen"
 	"selectivemt/internal/liberty"
 	"selectivemt/internal/netlist"
+	"selectivemt/internal/parasitics"
 	"selectivemt/internal/place"
 	"selectivemt/internal/synth"
 )
 
-// requireExactMatch asserts that the incremental result equals a fresh
-// full Analyze of the same design bit for bit: presence and value of
-// every per-net quantity, the endpoint scalars, and the hold list. This
-// is the oracle check the whole incremental engine is held to — exact,
-// not epsilon.
-func requireExactMatch(t *testing.T, d *netlist.Design, got, want *Result) {
+// requireExactMatch asserts that a Result equals the map-based oracle bit
+// for bit: presence and value of every per-net quantity, the endpoint
+// scalars, and the hold list. This is the check the whole engine is held
+// to — exact, not epsilon. A Result compared against another Result goes
+// through legacyView first.
+func requireExactMatch(t *testing.T, d *netlist.Design, got *Result, want *legacyResult) {
+	t.Helper()
+	if n := len(got.st.rc); n != d.NumNets() {
+		t.Fatalf("result covers %d nets, design has %d (stale graph)", n, d.NumNets())
+	}
+	requireSameTiming(t, d, legacyView(d, got), want)
+}
+
+// legacyView reads a Result through its accessors into the oracle's map
+// shape, over the design's current nets.
+func legacyView(d *netlist.Design, r *Result) *legacyResult {
+	v := &legacyResult{
+		Config:         r.Config,
+		ArrivalMax:     make(map[*netlist.Net]float64),
+		ArrivalMin:     make(map[*netlist.Net]float64),
+		SlewMax:        make(map[*netlist.Net]float64),
+		RequiredMax:    make(map[*netlist.Net]float64),
+		RC:             make(map[*netlist.Net]*parasitics.RCTree),
+		WNS:            r.WNS,
+		TNS:            r.TNS,
+		WorstHold:      r.WorstHold,
+		HoldViolations: r.HoldViolations,
+		Revision:       r.Revision,
+		design:         r.design,
+	}
+	for _, n := range d.Nets() {
+		if rc := r.RC(n); rc != nil {
+			v.RC[n] = rc
+		}
+		if amax, amin, ok := r.Arrival(n); ok {
+			v.ArrivalMax[n], v.ArrivalMin[n], v.SlewMax[n] = amax, amin, r.Slew(n)
+		}
+		if req, ok := r.Required(n); ok {
+			v.RequiredMax[n] = req
+		}
+	}
+	return v
+}
+
+// requireSameTiming compares two map-shaped results bit for bit.
+func requireSameTiming(t *testing.T, d *netlist.Design, got, want *legacyResult) {
 	t.Helper()
 	sameF := func(a, b float64) bool {
 		return math.Float64bits(a) == math.Float64bits(b)
@@ -33,7 +74,7 @@ func requireExactMatch(t *testing.T, d *netlist.Design, got, want *Result) {
 		{"RequiredMax", got.RequiredMax, want.RequiredMax},
 	} {
 		if len(mm.got) != len(mm.wnt) {
-			t.Errorf("%s: %d entries incremental vs %d full (stale or missing nets)",
+			t.Errorf("%s: %d entries got vs %d oracle (stale or missing nets)",
 				mm.name, len(mm.got), len(mm.wnt))
 		}
 		for _, n := range d.Nets() {
@@ -44,13 +85,13 @@ func requireExactMatch(t *testing.T, d *netlist.Design, got, want *Result) {
 				continue
 			}
 			if gok && !sameF(gv, wv) {
-				t.Errorf("%s[%s] = %v incremental, %v full (Δ=%g)",
+				t.Errorf("%s[%s] = %v got, %v oracle (Δ=%g)",
 					mm.name, n.Name, gv, wv, gv-wv)
 			}
 		}
 	}
 	if len(got.RC) != len(want.RC) {
-		t.Errorf("RC: %d entries incremental vs %d full", len(got.RC), len(want.RC))
+		t.Errorf("RC: %d entries got vs %d oracle", len(got.RC), len(want.RC))
 	}
 	for _, n := range d.Nets() {
 		grc, wrc := got.RC[n], want.RC[n]
@@ -63,16 +104,16 @@ func requireExactMatch(t *testing.T, d *netlist.Design, got, want *Result) {
 		}
 	}
 	if !sameF(got.WNS, want.WNS) {
-		t.Errorf("WNS %v incremental, %v full", got.WNS, want.WNS)
+		t.Errorf("WNS %v got, %v oracle", got.WNS, want.WNS)
 	}
 	if !sameF(got.TNS, want.TNS) {
-		t.Errorf("TNS %v incremental, %v full", got.TNS, want.TNS)
+		t.Errorf("TNS %v got, %v oracle", got.TNS, want.TNS)
 	}
 	if !sameF(got.WorstHold, want.WorstHold) {
-		t.Errorf("WorstHold %v incremental, %v full", got.WorstHold, want.WorstHold)
+		t.Errorf("WorstHold %v got, %v oracle", got.WorstHold, want.WorstHold)
 	}
 	if len(got.HoldViolations) != len(want.HoldViolations) {
-		t.Fatalf("hold violations: %d incremental vs %d full",
+		t.Fatalf("hold violations: %d got vs %d oracle",
 			len(got.HoldViolations), len(want.HoldViolations))
 	}
 	for i := range got.HoldViolations {
@@ -83,6 +124,49 @@ func requireExactMatch(t *testing.T, d *netlist.Design, got, want *Result) {
 	}
 	if t.Failed() {
 		t.FailNow()
+	}
+}
+
+// requireOracle compares a Result with a fresh run of the map-based
+// oracle on the design's current state.
+func requireOracle(t *testing.T, d *netlist.Design, c Config, got *Result) {
+	t.Helper()
+	want, err := AnalyzeLegacy(d, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireExactMatch(t, d, got, want)
+}
+
+// forEachLayout runs an oracle walk once per shard layout, each on its
+// own freshly built design: Partitions 0 and 1 (one shard), Partitions 4
+// at 2 workers (clustered), and a random 5-shard cut at 1, 2 and 4
+// workers.
+func forEachLayout(t *testing.T, build func(*testing.T) *netlist.Design, base Config,
+	walk func(t *testing.T, d *netlist.Design, c Config)) {
+	cut := func(workers int) func(*netlist.Design, *Config) {
+		return func(d *netlist.Design, c *Config) {
+			c.shardAssign, c.shardCount, c.ShardJobs = randomCut(d, 5, 20050307), 5, workers
+		}
+	}
+	layouts := []struct {
+		name string
+		set  func(d *netlist.Design, c *Config)
+	}{
+		{"p0", func(*netlist.Design, *Config) {}},
+		{"p1", func(_ *netlist.Design, c *Config) { c.Partitions = 1 }},
+		{"p4w2", func(_ *netlist.Design, c *Config) { c.Partitions, c.ShardJobs = 4, 2 }},
+		{"cut5w1", cut(1)},
+		{"cut5w2", cut(2)},
+		{"cut5w4", cut(4)},
+	}
+	for _, l := range layouts {
+		t.Run(l.name, func(t *testing.T) {
+			d := build(t)
+			c := base
+			l.set(d, &c)
+			walk(t, d, c)
+		})
 	}
 }
 
@@ -108,69 +192,61 @@ var swappableFlavors = []liberty.Flavor{
 }
 
 // TestIncrementalMatchesFullAfterSwaps is the core property test: after
-// every randomized batch of cell swaps and reverts, the incremental
-// result must equal a from-scratch Analyze exactly.
+// every randomized batch of cell swaps and reverts, at every shard
+// layout, the incremental result must equal the oracle exactly.
 func TestIncrementalMatchesFullAfterSwaps(t *testing.T) {
 	l := lib(t)
-	d := synthSmall(t)
-	c := cfg(t, 3)
-	inc, err := NewIncremental(d, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := Analyze(d, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireExactMatch(t, d, inc.Result(), full)
-
-	var cands []*netlist.Instance
-	for _, inst := range d.Instances() {
-		if inst.Cell.Kind == liberty.KindComb || inst.Cell.Kind == liberty.KindFF {
-			cands = append(cands, inst)
+	forEachLayout(t, synthSmall, cfg(t, 3), func(t *testing.T, d *netlist.Design, c Config) {
+		inc, err := NewIncremental(d, c)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if len(cands) < 20 {
-		t.Fatalf("only %d swappable instances; circuit too small for the property", len(cands))
-	}
-	rng := rand.New(rand.NewSource(20050307))
-	for round := 0; round < 12; round++ {
-		// A batch of 1..8 random swaps (some rounds degenerate to
-		// no-ops when no variant exists — that exercises the clean path).
-		batch := 1 + rng.Intn(8)
-		swapped := 0
-		for i := 0; i < batch; i++ {
-			inst := cands[rng.Intn(len(cands))]
-			f := swappableFlavors[rng.Intn(len(swappableFlavors))]
-			v := l.Variant(inst.Cell, f)
-			if v == nil || v == inst.Cell {
-				continue
+		requireOracle(t, d, c, inc.Result())
+
+		var cands []*netlist.Instance
+		for _, inst := range d.Instances() {
+			if inst.Cell.Kind == liberty.KindComb || inst.Cell.Kind == liberty.KindFF {
+				cands = append(cands, inst)
 			}
-			if err := d.ReplaceCell(inst, v); err != nil {
+		}
+		if len(cands) < 20 {
+			t.Fatalf("only %d swappable instances; circuit too small for the property", len(cands))
+		}
+		rng := rand.New(rand.NewSource(20050307))
+		for round := 0; round < 12; round++ {
+			// A batch of 1..8 random swaps (some rounds degenerate to
+			// no-ops when no variant exists — that exercises the clean path).
+			batch := 1 + rng.Intn(8)
+			swapped := 0
+			for i := 0; i < batch; i++ {
+				inst := cands[rng.Intn(len(cands))]
+				f := swappableFlavors[rng.Intn(len(swappableFlavors))]
+				v := l.Variant(inst.Cell, f)
+				if v == nil || v == inst.Cell {
+					continue
+				}
+				if err := d.ReplaceCell(inst, v); err != nil {
+					t.Fatal(err)
+				}
+				swapped++
+			}
+			got, err := inc.Update()
+			if err != nil {
 				t.Fatal(err)
 			}
-			swapped++
+			requireOracle(t, d, c, got)
+			if swapped > 0 && got.Revision != d.Revision() {
+				t.Fatalf("round %d: result revision %d, design at %d", round, got.Revision, d.Revision())
+			}
 		}
-		got, err := inc.Update()
-		if err != nil {
-			t.Fatal(err)
+		st := inc.Stats()
+		if st.SwapUpdates == 0 {
+			t.Error("property walk never exercised the incremental swap path")
 		}
-		want, err := Analyze(d, c)
-		if err != nil {
-			t.Fatal(err)
+		if st.FullBuilds != 1 {
+			t.Errorf("swaps alone forced %d full rebuilds, want only the initial one", st.FullBuilds)
 		}
-		requireExactMatch(t, d, got, want)
-		if swapped > 0 && got.Revision != d.Revision() {
-			t.Fatalf("round %d: result revision %d, design at %d", round, got.Revision, d.Revision())
-		}
-	}
-	st := inc.Stats()
-	if st.SwapUpdates == 0 {
-		t.Error("property walk never exercised the incremental swap path")
-	}
-	if st.FullBuilds != 1 {
-		t.Errorf("swaps alone forced %d full rebuilds, want only the initial one", st.FullBuilds)
-	}
+	})
 }
 
 // TestIncrementalDirtyConeIsSparse pins down the point of the engine: a
@@ -205,138 +281,159 @@ func TestIncrementalDirtyConeIsSparse(t *testing.T) {
 
 // TestIncrementalStructuralEdits covers the ECO shape: buffer insertion
 // in front of flop D pins (instance+net adds, sink moves, placement) and
-// instance removal, all while holding exact equality with the oracle.
+// instance removal, all while holding exact equality with the oracle at
+// every shard layout. A Result taken before the edits must follow the
+// recompiled graph.
 func TestIncrementalStructuralEdits(t *testing.T) {
 	l := lib(t)
-	d := synthSmall(t)
-	c := cfg(t, 3)
-	inc, err := NewIncremental(d, c)
-	if err != nil {
-		t.Fatal(err)
-	}
 	po := place.DefaultOptions(sharedProc.RowHeightUm, sharedProc.SitePitchUm)
 	buf := l.Cell("BUF_X1_H")
 	if buf == nil {
 		t.Fatal("no BUF_X1_H in library")
 	}
-	inserted := 0
-	for _, inst := range d.Instances() {
-		if !inst.Cell.IsSequential() || inst.Conns["D"] == nil {
-			continue
-		}
-		b, err := d.InsertBuffer(inst.Conns["D"], buf, []netlist.PinRef{{Inst: inst, Pin: "D"}})
+	forEachLayout(t, synthSmall, cfg(t, 3), func(t *testing.T, d *netlist.Design, c Config) {
+		inc, err := NewIncremental(d, c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		place.PlaceNear(d, b, inst.Pos, po)
-		inserted++
-		if inserted == 3 {
-			break
-		}
-	}
-	if inserted == 0 {
-		t.Fatal("no flop D pins to buffer")
-	}
-	got, err := inc.Update()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Analyze(d, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireExactMatch(t, d, got, want)
-	if inc.Stats().StructuralUpdates != 1 {
-		t.Errorf("structural updates = %d, want 1", inc.Stats().StructuralUpdates)
-	}
-	if inc.Stats().FullBuilds != 1 {
-		t.Errorf("structural edit forced a full rebuild (%d builds); it must stay incremental",
-			inc.Stats().FullBuilds)
-	}
-
-	// Remove one inserted buffer again: disconnect, rewire, delete.
-	var b *netlist.Instance
-	for _, inst := range d.Instances() {
-		if inst.Cell == buf {
-			b = inst
-			break
-		}
-	}
-	in, out := b.Conns["A"], b.Conns["Z"]
-	sink := out.Sinks[0]
-	if err := d.Disconnect(sink.Inst, sink.Pin); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.RemoveInstance(b); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Connect(sink.Inst, sink.Pin, in); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.RemoveNet(out); err != nil {
-		t.Fatal(err)
-	}
-	got, err = inc.Update()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err = Analyze(d, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireExactMatch(t, d, got, want)
-}
-
-// TestIncrementalRandomMixedEdits interleaves swaps, buffer insertions
-// and placement moves in one random walk — the closest approximation of
-// a whole optimization flow hammering one graph.
-func TestIncrementalRandomMixedEdits(t *testing.T) {
-	l := lib(t)
-	d := synthSmall(t)
-	c := cfg(t, 3)
-	inc, err := NewIncremental(d, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	po := place.DefaultOptions(sharedProc.RowHeightUm, sharedProc.SitePitchUm)
-	buf := l.Cell("BUF_X1_L")
-	rng := rand.New(rand.NewSource(42))
-	for round := 0; round < 8; round++ {
-		insts := d.Instances()
-		for i := 0; i < 3; i++ {
-			inst := insts[rng.Intn(len(insts))]
-			switch rng.Intn(3) {
-			case 0: // swap
-				f := swappableFlavors[rng.Intn(len(swappableFlavors))]
-				if v := l.Variant(inst.Cell, f); v != nil && v != inst.Cell {
-					if err := d.ReplaceCell(inst, v); err != nil {
-						t.Fatal(err)
-					}
-				}
-			case 1: // buffer a random sink of the instance's output
-				out := inst.OutputNet()
-				if out == nil || len(out.Sinks) == 0 || out.Sinks[0].Inst == nil {
-					continue
-				}
-				b, err := d.InsertBuffer(out, buf, []netlist.PinRef{out.Sinks[0]})
-				if err != nil {
-					t.Fatal(err)
-				}
-				place.PlaceNear(d, b, inst.Pos, po)
-			case 2: // nudge placement
-				place.PlaceNear(d, inst, inst.Pos, po)
+		live := inc.Result()
+		inserted := 0
+		for _, inst := range d.Instances() {
+			if !inst.Cell.IsSequential() || inst.Conns["D"] == nil {
+				continue
 			}
+			b, err := d.InsertBuffer(inst.Conns["D"], buf, []netlist.PinRef{{Inst: inst, Pin: "D"}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			place.PlaceNear(d, b, inst.Pos, po)
+			inserted++
+			if inserted == 3 {
+				break
+			}
+		}
+		if inserted == 0 {
+			t.Fatal("no flop D pins to buffer")
 		}
 		got, err := inc.Update()
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Analyze(d, c)
+		if got != live {
+			t.Fatal("Update replaced the live Result")
+		}
+		requireOracle(t, d, c, live)
+		if inc.Stats().StructuralUpdates != 1 {
+			t.Errorf("structural updates = %d, want 1", inc.Stats().StructuralUpdates)
+		}
+		if inc.Stats().FullBuilds != 1 {
+			t.Errorf("structural edit forced a full rebuild (%d builds); it must stay incremental",
+				inc.Stats().FullBuilds)
+		}
+
+		// Remove one inserted buffer again: disconnect, rewire, delete.
+		var b *netlist.Instance
+		for _, inst := range d.Instances() {
+			if inst.Cell == buf {
+				b = inst
+				break
+			}
+		}
+		in, out := b.Conns["A"], b.Conns["Z"]
+		sink := out.Sinks[0]
+		if err := d.Disconnect(sink.Inst, sink.Pin); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.RemoveInstance(b); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Connect(sink.Inst, sink.Pin, in); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.RemoveNet(out); err != nil {
+			t.Fatal(err)
+		}
+		got, err = inc.Update()
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireExactMatch(t, d, got, want)
-	}
+		requireOracle(t, d, c, got)
+		if _, _, ok := got.Arrival(out); ok || got.RC(out) != nil {
+			t.Error("a removed net still has timing state")
+		}
+	})
+}
+
+// TestIncrementalRandomMixedEdits interleaves swaps, buffer insertions
+// and placement moves in one random walk — the closest approximation of
+// a whole optimization flow hammering one graph — at every shard layout.
+func TestIncrementalRandomMixedEdits(t *testing.T) {
+	l := lib(t)
+	po := place.DefaultOptions(sharedProc.RowHeightUm, sharedProc.SitePitchUm)
+	buf := l.Cell("BUF_X1_L")
+	forEachLayout(t, synthSmall, cfg(t, 3), func(t *testing.T, d *netlist.Design, c Config) {
+		inc, err := NewIncremental(d, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(42))
+		for round := 0; round < 8; round++ {
+			insts := d.Instances()
+			for i := 0; i < 3; i++ {
+				inst := insts[rng.Intn(len(insts))]
+				switch rng.Intn(3) {
+				case 0: // swap
+					f := swappableFlavors[rng.Intn(len(swappableFlavors))]
+					if v := l.Variant(inst.Cell, f); v != nil && v != inst.Cell {
+						if err := d.ReplaceCell(inst, v); err != nil {
+							t.Fatal(err)
+						}
+					}
+				case 1: // buffer a random sink of the instance's output
+					out := inst.OutputNet()
+					if out == nil || len(out.Sinks) == 0 || out.Sinks[0].Inst == nil {
+						continue
+					}
+					b, err := d.InsertBuffer(out, buf, []netlist.PinRef{out.Sinks[0]})
+					if err != nil {
+						t.Fatal(err)
+					}
+					place.PlaceNear(d, b, inst.Pos, po)
+				case 2: // nudge placement
+					place.PlaceNear(d, inst, inst.Pos, po)
+				}
+			}
+			got, err := inc.Update()
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireOracle(t, d, c, got)
+		}
+	})
+}
+
+// TestIncrementalLoadChangeReseedsDriverFanins: moving the capture flop
+// changes the load on the last inverter of a chain, so the inverter's
+// delay and every required time upstream of it move, while the D net's
+// own required time (a setup endpoint) does not. Only the retime seed of
+// the driver's fanins can carry that change upstream.
+func TestIncrementalLoadChangeReseedsDriverFanins(t *testing.T) {
+	lib(t) // the config's extractor reads the shared process
+	pipe := func(t *testing.T) *netlist.Design { return buildPipe(t, 6, liberty.FlavorLVT) }
+	forEachLayout(t, pipe, cfg(t, 2), func(t *testing.T, d *netlist.Design, c Config) {
+		inc, err := NewIncremental(d, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ff2 := d.Instance("ff2")
+		ff2.Pos.X += 60
+		d.NotePlacement(ff2)
+		got, err := inc.Update()
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireOracle(t, d, c, got)
+	})
 }
 
 // TestIncrementalJournalLossFallsBack proves a bulk edit (or any lost
@@ -365,11 +462,7 @@ func TestIncrementalJournalLossFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Analyze(d, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireExactMatch(t, d, got, want)
+	requireOracle(t, d, c, got)
 	if inc.Stats().FullBuilds != 2 {
 		t.Errorf("full builds = %d, want 2 (initial + fallback)", inc.Stats().FullBuilds)
 	}
@@ -394,59 +487,6 @@ func TestIncrementalNoopUpdateIsFree(t *testing.T) {
 	st := inc.Stats()
 	if st.NoopUpdates != 1 || st.NetsRetimed != 0 {
 		t.Errorf("clean update did work: %+v", st)
-	}
-}
-
-// TestSetPeriodMatchesAnalyze: re-solving one graph at a new period must
-// equal a from-scratch Analyze at that period, exactly.
-func TestSetPeriodMatchesAnalyze(t *testing.T) {
-	d := synthSmall(t)
-	c := cfg(t, 3)
-	inc, err := NewIncremental(d, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, T := range []float64{5, 1.7, 0.9, 3} {
-		got, err := inc.SetPeriod(T)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c2 := c
-		c2.ClockPeriodNs = T
-		want, err := Analyze(d, c2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireExactMatch(t, d, got, want)
-	}
-}
-
-// TestMinPeriodSearchAgreesWithClosedForm: the bisection on one shared
-// graph must land within tolerance of the exact linear-model answer.
-func TestMinPeriodSearchAgreesWithClosedForm(t *testing.T) {
-	d := buildPipe(t, 20, liberty.FlavorLVT)
-	c := cfg(t, 10)
-	exact, err := MinPeriod(d, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const tol = 1e-4
-	search, err := MinPeriodSearch(d, c, tol)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(search-exact) > 2*tol {
-		t.Fatalf("MinPeriodSearch=%v vs MinPeriod=%v (|Δ|=%g > %g)",
-			search, exact, math.Abs(search-exact), 2*tol)
-	}
-	// The search result must itself be feasible.
-	c.ClockPeriodNs = search + tol
-	r, err := Analyze(d, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.WNS < 0 {
-		t.Fatalf("period %v from the search is infeasible: WNS=%v", search, r.WNS)
 	}
 }
 
@@ -502,13 +542,13 @@ func TestWorstPathsAndCriticalsOnDegenerateNets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := r.ArrivalMax[dangling]; ok {
+	if _, _, ok := r.Arrival(dangling); ok {
 		t.Error("a cone fed only by an undriven net must stay unconstrained")
 	}
 	// The floating net has constrained fanout (through g1), so the
 	// backward pass still assigns it a required time; with no arrival its
 	// slack degenerates to that required time rather than +Inf.
-	if _, ok := r.ArrivalMax[floating]; ok {
+	if _, _, ok := r.Arrival(floating); ok {
 		t.Error("an undriven net must not acquire an arrival")
 	}
 	if s := r.Slack(floating); math.IsInf(s, 1) || math.IsNaN(s) {
@@ -539,13 +579,14 @@ func TestWorstPathsAndCriticalsOnDegenerateNets(t *testing.T) {
 		t.Fatal("the constrained gate should be inside a 1e9 margin")
 	}
 
-	// The incremental engine agrees on the degenerate design, including
-	// across a swap of the constant-cone gate.
+	// Analyze and the incremental engine agree with the oracle on the
+	// degenerate design, including across a swap of the constant-cone gate.
+	requireOracle(t, d, cfg(t, 2), r)
 	inc, err := NewIncremental(d, cfg(t, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireExactMatch(t, d, inc.Result(), r)
+	requireOracle(t, d, cfg(t, 2), inc.Result())
 	if err := d.ReplaceCell(g2, l.Cell("INV_X1_H")); err != nil {
 		t.Fatal(err)
 	}
@@ -553,9 +594,5 @@ func TestWorstPathsAndCriticalsOnDegenerateNets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Analyze(d, cfg(t, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireExactMatch(t, d, got, want)
+	requireOracle(t, d, cfg(t, 2), got)
 }

@@ -1,9 +1,8 @@
-// Legacy map-keyed timing pass, retained verbatim as the reference
-// implementation. AnalyzeLegacy walks the design through pointer-and-map
-// state (map[*netlist.Net]float64 per quantity) exactly as the engine did
-// before the flat kernel landed; the differential tests and the
-// large-design benchmarks hold the flat CompiledGraph to bit-identical
-// results against it. It is not used on any hot path.
+// Map-keyed timing pass, kept verbatim as the test oracle. AnalyzeLegacy
+// walks the design through pointer-and-map state (map[*netlist.Net]float64
+// per quantity) exactly as the engine did before the flat kernel landed,
+// and returns its own map-keyed legacyResult. The property tests hold the
+// shard drain to bit-identical results against it, at one shard and at k.
 package sta
 
 import (
@@ -13,11 +12,40 @@ import (
 	"selectivemt/internal/parasitics"
 )
 
+// legacyResult is the oracle's map-keyed analysis result, one map per
+// per-net quantity; legacyView reads a Result into the same shape so the
+// two can be compared.
+type legacyResult struct {
+	Config Config
+
+	ArrivalMax  map[*netlist.Net]float64
+	ArrivalMin  map[*netlist.Net]float64
+	SlewMax     map[*netlist.Net]float64
+	RequiredMax map[*netlist.Net]float64
+	RC          map[*netlist.Net]*parasitics.RCTree
+
+	WNS            float64
+	TNS            float64
+	WorstHold      float64
+	HoldViolations []*netlist.Instance
+	Revision       uint64
+
+	design *netlist.Design
+}
+
+// clkArr returns a flop's clock insertion delay under the result's config.
+func (r *legacyResult) clkArr(inst *netlist.Instance) float64 {
+	if r.Config.ClockArrival != nil {
+		return r.Config.ClockArrival(inst)
+	}
+	return 0
+}
+
 // AnalyzeLegacy runs full setup and hold analysis on the retained
 // map-based reference pass. Results are bit-identical to Analyze; the
 // flat kernel exists because this pass spends its time in hash lookups,
 // pointer chases and per-arc Elmore recomputation.
-func AnalyzeLegacy(d *netlist.Design, cfg Config) (*Result, error) {
+func AnalyzeLegacy(d *netlist.Design, cfg Config) (*legacyResult, error) {
 	cfg, err := normalizeConfig(cfg)
 	if err != nil {
 		return nil, err
@@ -26,7 +54,7 @@ func AnalyzeLegacy(d *netlist.Design, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Result{
+	r := &legacyResult{
 		Config:      cfg,
 		ArrivalMax:  make(map[*netlist.Net]float64, d.NumNets()),
 		ArrivalMin:  make(map[*netlist.Net]float64, d.NumNets()),
@@ -48,7 +76,7 @@ func AnalyzeLegacy(d *netlist.Design, cfg Config) (*Result, error) {
 // portArrival returns the arrival/slew a primary-input port seeds on its
 // net, and ok=false for ports that are not data sources (outputs, the
 // clock).
-func portArrival(r *Result, p *netlist.Port) (arr, slew float64, ok bool) {
+func portArrival(r *legacyResult, p *netlist.Port) (arr, slew float64, ok bool) {
 	if p.Dir != netlist.DirInput || p.Name == r.Config.ClockPort {
 		return 0, 0, false
 	}
@@ -57,7 +85,7 @@ func portArrival(r *Result, p *netlist.Port) (arr, slew float64, ok bool) {
 
 // seqArrival computes a flop's Q arrival and slew from the clock edge.
 // ok=false when the flop has no output net.
-func seqArrival(r *Result, inst *netlist.Instance) (q *netlist.Net, arr, slew float64, ok bool) {
+func seqArrival(r *legacyResult, inst *netlist.Instance) (q *netlist.Net, arr, slew float64, ok bool) {
 	q = inst.OutputNet()
 	if q == nil {
 		return nil, 0, 0, false
@@ -75,7 +103,7 @@ func seqArrival(r *Result, inst *netlist.Instance) (q *netlist.Net, arr, slew fl
 // combArrival computes a combinational instance's output arrival window
 // and worst slew from its (already computed) fanin arrivals. ok=false
 // when the instance has no output net or no constrained fanin.
-func combArrival(r *Result, inst *netlist.Instance) (out *netlist.Net, amax, amin, smax float64, ok bool) {
+func combArrival(r *legacyResult, inst *netlist.Instance) (out *netlist.Net, amax, amin, smax float64, ok bool) {
 	out = inst.OutputNet()
 	if out == nil {
 		return nil, 0, 0, 0, false // switches, holders
@@ -109,7 +137,7 @@ func combArrival(r *Result, inst *netlist.Instance) (out *netlist.Net, amax, ami
 
 // propagateArrival runs the forward pass (max and min together) over the
 // whole design. Sources: primary inputs and flop Q outputs.
-func propagateArrival(r *Result, order []*netlist.Instance) {
+func propagateArrival(r *legacyResult, order []*netlist.Instance) {
 	d := r.design
 	for _, p := range d.Ports() {
 		if arr, slew, ok := portArrival(r, p); ok {
@@ -144,20 +172,20 @@ func propagateArrival(r *Result, order []*netlist.Instance) {
 // outputPortRequired is the required time an output port imposes on its
 // net. Shared by the full backward pass, the incremental recompute and
 // the endpoint checks so the three always agree bit for bit.
-func outputPortRequired(r *Result) float64 {
+func outputPortRequired(r *legacyResult) float64 {
 	return r.Config.ClockPeriodNs - r.Config.OutputDelayNs
 }
 
 // flopSetupRequired is the required time a flop's setup check imposes on
 // its D net.
-func flopSetupRequired(r *Result, inst *netlist.Instance) float64 {
+func flopSetupRequired(r *legacyResult, inst *netlist.Instance) float64 {
 	return r.Config.ClockPeriodNs + r.clkArr(inst) - inst.Cell.SetupNs
 }
 
 // backwardCands visits every required-time candidate a combinational
 // instance pushes onto its fanin nets: req(output) minus the arc delay at
 // the output load minus the input wire delay.
-func backwardCands(r *Result, inst *netlist.Instance, visit func(inNet *netlist.Net, cand float64)) {
+func backwardCands(r *legacyResult, inst *netlist.Instance, visit func(inNet *netlist.Net, cand float64)) {
 	out := inst.OutputNet()
 	if out == nil {
 		return
@@ -181,7 +209,7 @@ func backwardCands(r *Result, inst *netlist.Instance, visit func(inNet *netlist.
 // propagateRequired runs the backward pass: endpoint required times, then
 // propagation against the topological order. RequiredMax must be empty on
 // entry.
-func propagateRequired(r *Result, order []*netlist.Instance) {
+func propagateRequired(r *legacyResult, order []*netlist.Instance) {
 	d := r.design
 	// Initialize endpoint requireds.
 	for _, p := range d.Ports() {
@@ -216,7 +244,7 @@ func propagateRequired(r *Result, order []*netlist.Instance) {
 // violation list from the current arrival maps. It scans endpoints in the
 // design's deterministic iteration order, so repeated recomputation
 // accumulates TNS in exactly the order a from-scratch analysis would.
-func endpointChecks(r *Result) {
+func endpointChecks(r *legacyResult) {
 	d := r.design
 	T := r.Config.ClockPeriodNs
 	r.WNS = math.Inf(1)
@@ -271,7 +299,7 @@ func endpointChecks(r *Result) {
 	}
 }
 
-func setRequired(r *Result, n *netlist.Net, req float64) {
+func setRequired(r *legacyResult, n *netlist.Net, req float64) {
 	if cur, ok := r.RequiredMax[n]; !ok || req < cur {
 		r.RequiredMax[n] = req
 	}

@@ -1,25 +1,31 @@
-// Partition-parallel timing over the flat kernel. A ShardedGraph lays a
-// clustering (internal/partition) over one CompiledGraph: every net is
-// owned by the shard of its driving instance, each shard drains its own
+// The propagator. A ShardedGraph drains arrival and required-time waves
+// over one CompiledGraph, and it is the only code that does: full
+// analysis, the compile cache's refresh and every incremental retime run
+// through it. Every net is owned by one shard, each shard drains its own
 // per-level dirty buckets, and the only cross-shard state is a small
 // interface graph — snapshot arrays of the boundary nets' arrival and
-// required budgets, refreshed at round barriers. Rounds iterate to a
-// fixed point: a shard that changes a boundary net posts the cross-shard
-// consumers to its outbox, the barrier distributes outboxes into the
-// owning shards' queues, and propagation ends when every queue drains
-// with no new posts.
+// required budgets, refreshed at round barriers.
 //
-// Bit-exactness at any worker count falls out of the protocol, not of
-// scheduling luck. Within a round each shard reads its own nets live and
-// every foreign net through the barrier snapshot, so a round's outcome is
-// independent of how shard drains interleave; the barrier replays
-// outboxes in shard-ID order; and the per-net values are pure functions
-// of their fanins on a DAG, so the iteration's unique fixed point is
-// exactly the monolithic kernel's state. The endpoint scan (WNS/TNS/hold
-// — the one order-dependent float accumulation) stays serial in global
-// design order. The property tests in sharded_test.go hold every result
-// to Float64bits equality with the monolithic pass, under randomized
-// cuts and worker counts.
+// By default (Config.Partitions <= 1) there is one shard that owns every
+// net: no clustering, an empty boundary, and one round per direction.
+// Partitions > 1 only sets the shard count: the design is clustered
+// (internal/partition), a net goes to the shard of its driving instance,
+// and rounds iterate to a fixed point — a shard that changes a boundary
+// net posts the cross-shard consumers to its outbox, the barrier
+// distributes outboxes into the owning shards' queues, and propagation
+// ends when every queue drains with no new posts.
+//
+// Bit-exactness at any shard and worker count falls out of the protocol,
+// not of scheduling luck. Within a round each shard reads its own nets
+// live and every foreign net through the barrier snapshot, so a round's
+// outcome is independent of how shard drains interleave; the barrier
+// replays outboxes in shard-ID order; and the per-net values are pure
+// functions of their fanins on a DAG, so the iteration's unique fixed
+// point is the one-shard state. The endpoint scan (WNS/TNS/hold — the one
+// order-dependent float accumulation) stays serial in global design
+// order. The property tests hold every result to Float64bits equality
+// with the map-based oracle in legacy_test.go, at one shard and under
+// randomized cuts and worker counts.
 //
 // Writes never race: a net's arrival/required state is written only by
 // its owner; a comb arc's NLDM memo is written only by the output's owner
@@ -48,8 +54,9 @@ type shard struct {
 
 	nets []int32 // owned net IDs, ascending
 
-	// Per-level dirty buckets (the shard's half of a flatQueue; the
-	// membership marks are shared, see ShardedGraph.arrMark).
+	// Per-level dirty buckets, sized from the level histogram of the
+	// owned nets (the membership marks are shared, see
+	// ShardedGraph.arrMark).
 	arrB [][]int32
 	reqB [][]int32
 
@@ -58,6 +65,8 @@ type shard struct {
 	outArr []int32
 	outReq []int32
 
+	// Nets whose arrival or required time the last propagate changed,
+	// and how many arrivals it recomputed.
 	arrChanged []int32
 	reqChanged []int32
 	retimed    int
@@ -66,7 +75,7 @@ type shard struct {
 	elmoreDelay, elmoreDown []float64
 }
 
-// ShardedGraph is the partition-parallel face of one CompiledGraph.
+// ShardedGraph is the propagating face of one CompiledGraph.
 type ShardedGraph struct {
 	cg     *CompiledGraph
 	shards []shard
@@ -91,68 +100,100 @@ type ShardedGraph struct {
 	arrEpoch uint32
 	reqEpoch uint32
 
-	active    []int32 // scratch: shards with pending work this round
-	rounds    int     // fixed-point rounds of the last propagate (stats)
-	lastDirty int     // shards that recomputed at least one net last propagate
+	active []int32 // scratch: shards with pending work this round
+	rounds int     // rounds of the last propagate, both directions (stats)
 }
 
-// buildSharded clusters the compiled graph's design and assembles the
-// shard structures. cfg.Partitions (>1) picks the cluster count; the
-// unexported cfg.shardAssign hook lets property tests impose arbitrary —
-// including adversarially random — cuts.
+// newTimer compiles the design and lays the shards over it.
+func newTimer(d *netlist.Design, cfg Config) (*ShardedGraph, error) {
+	cg, err := compile(d, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return buildSharded(cg, cfg)
+}
+
+// buildSharded assembles the shard structures over a compiled graph. At
+// Partitions <= 1 that is a single shard owning every net; above it the
+// design is clustered into about that many shards. The unexported
+// cfg.shardAssign hook lets property tests impose arbitrary — including
+// adversarially random — cuts.
 func buildSharded(cg *CompiledGraph, cfg Config) (*ShardedGraph, error) {
-	of := cfg.shardAssign
-	count := cfg.shardCount
+	of, count := cfg.shardAssign, cfg.shardCount
 	if of == nil {
-		cl, err := partition.Cluster(cg.d, partition.Options{Count: cfg.Partitions})
-		if err != nil {
-			return nil, fmt.Errorf("sta: partitioning: %w", err)
-		}
-		of = cl.ShardOf
-		count = cl.Count
-	}
-	if count < 1 {
 		count = 1
+		if cfg.Partitions > 1 {
+			cl, err := partition.Cluster(cg.d, partition.Options{Count: cfg.Partitions})
+			if err != nil {
+				return nil, fmt.Errorf("sta: partitioning: %w", err)
+			}
+			of, count = cl.ShardOf, cl.Count
+		}
 	}
+	count = max(count, 1)
 	sg := &ShardedGraph{cg: cg}
 	nn := len(cg.nets)
 
 	// Net ownership: the driving instance's cluster; port-driven and
 	// undriven nets co-locate with their first instance sink.
 	sg.owner = make([]int32, nn)
-	for i, n := range cg.nets {
-		var inst *netlist.Instance
-		switch cg.drvKind[i] {
-		case drvSeq:
-			inst = cg.seqs[cg.drvIdx[i]].inst
-		case drvComb:
-			inst = cg.combs[cg.drvIdx[i]]
-		default:
-			for _, s := range n.Sinks {
-				if s.Inst != nil {
-					inst = s.Inst
-					break
+	if of != nil {
+		for i, n := range cg.nets {
+			var inst *netlist.Instance
+			switch cg.drvKind[i] {
+			case drvSeq:
+				inst = cg.seqs[cg.drvIdx[i]].inst
+			case drvComb:
+				inst = cg.combs[cg.drvIdx[i]]
+			default:
+				for _, s := range n.Sinks {
+					if s.Inst != nil {
+						inst = s.Inst
+						break
+					}
 				}
 			}
+			k := int32(0)
+			if inst != nil {
+				k = of(inst)
+			}
+			if k < 0 || k >= int32(count) {
+				k = 0
+			}
+			sg.owner[i] = k
 		}
-		k := int32(0)
-		if inst != nil {
-			k = of(inst)
-		}
-		if k < 0 || k >= int32(count) {
-			k = 0
-		}
-		sg.owner[i] = k
 	}
 
+	// Every per-shard list is carved from one slab at a capacity read off
+	// the (shard, level) histogram: a net enters its owner's bucket at its
+	// level at most once per epoch, so the buckets never grow.
 	levels := int(cg.maxLevel) + 1
+	hist := make([]int32, count*levels)
+	for id := 0; id < nn; id++ {
+		hist[int(sg.owner[id])*levels+int(cg.level[id])]++
+	}
+	arrHeads := make([][]int32, count*levels)
+	reqHeads := make([][]int32, count*levels)
+	slab := make([]int32, 5*nn) // nets, two bucket sets, two changed lists
+	netsS, arrS, reqS, arrC, reqC := slab[:nn], slab[nn:2*nn], slab[2*nn:3*nn], slab[3*nn:4*nn], slab[4*nn:]
 	sg.shards = make([]shard, count)
+	off := 0
 	for si := range sg.shards {
 		s := &sg.shards[si]
 		s.id = int32(si)
 		s.label = fmt.Sprintf("shard-%d", si)
-		s.arrB = make([][]int32, levels)
-		s.reqB = make([][]int32, levels)
+		s.arrB = arrHeads[si*levels : (si+1)*levels]
+		s.reqB = reqHeads[si*levels : (si+1)*levels]
+		start := off
+		for l := 0; l < levels; l++ {
+			c := int(hist[si*levels+l])
+			s.arrB[l] = arrS[off : off : off+c]
+			s.reqB[l] = reqS[off : off : off+c]
+			off += c
+		}
+		s.nets = netsS[start:start:off]
+		s.arrChanged = arrC[start:start:off]
+		s.reqChanged = reqC[start:start:off]
 	}
 	for id := int32(0); id < int32(nn); id++ {
 		s := &sg.shards[sg.owner[id]]
@@ -200,7 +241,7 @@ func buildSharded(cg *CompiledGraph, cfg Config) (*ShardedGraph, error) {
 }
 
 // Shards reports the shard count; Boundary the interface-graph size;
-// Rounds the fixed-point rounds of the last propagate.
+// Rounds the rounds of the last propagate, both directions.
 func (sg *ShardedGraph) Shards() int   { return len(sg.shards) }
 func (sg *ShardedGraph) Boundary() int { return len(sg.boundary) }
 func (sg *ShardedGraph) Rounds() int   { return sg.rounds }
@@ -217,8 +258,8 @@ func (sg *ShardedGraph) workers() int {
 	return w
 }
 
-// bump* advance a queue epoch, clearing marks on wraparound exactly like
-// flatQueue.reset.
+// bump* advance a queue epoch, clearing the marks on wraparound (when
+// they would be ambiguous).
 func (sg *ShardedGraph) bumpArr() {
 	sg.arrEpoch++
 	if sg.arrEpoch == 0 {
@@ -255,9 +296,6 @@ func (sg *ShardedGraph) resetAll() {
 		s.arrChanged = s.arrChanged[:0]
 		s.reqChanged = s.reqChanged[:0]
 	}
-	cg := sg.cg
-	cg.arrChanged = cg.arrChanged[:0]
-	cg.reqChanged = cg.reqChanged[:0]
 	sg.rounds = 0
 }
 
@@ -393,9 +431,10 @@ func (sg *ShardedGraph) drainExtract(s *shard) {
 	}
 }
 
-// combWindow is the monolithic combWindow with snapshot reads across the
-// cut: fanins owned by sid read live state, foreign fanins read the
-// barrier snapshot. Identical arithmetic, same arc order.
+// combWindow computes a combinational output's arrival window and worst
+// slew from its fanin state, ok=false when no fanin is constrained.
+// Fanins owned by sid read live state, foreign fanins read the barrier
+// snapshot.
 func (sg *ShardedGraph) combWindow(ci, sid int32) (amax, amin, smax float64, ok bool) {
 	cg := sg.cg
 	load := cg.totalCap[cg.combOut[ci]]
@@ -428,8 +467,8 @@ func (sg *ShardedGraph) combWindow(ci, sid int32) (amax, amin, smax float64, ok 
 	return amax, amin, smax, true
 }
 
-// recomputeArrival mirrors CompiledGraph.recomputeArrival through the
-// sharded combWindow.
+// recomputeArrival redoes one net's arrival window from its driver kind
+// and reports whether presence or value changed.
 func (sg *ShardedGraph) recomputeArrival(id, sid int32) bool {
 	cg := sg.cg
 	var amax, amin, smax float64
@@ -458,10 +497,10 @@ func (sg *ShardedGraph) recomputeArrival(id, sid int32) bool {
 	return true
 }
 
-// recomputeRequired mirrors CompiledGraph.recomputeRequired; foreign
-// consumer outputs read the required snapshot. Arc memos stay
-// single-writer: only arcs with a.in == id are evaluated, and id's owner
-// runs this.
+// recomputeRequired redoes one net's required time from its endpoint and
+// consumer candidates and reports whether it changed; foreign consumer
+// outputs read the required snapshot. Arc memos stay single-writer: only
+// arcs with a.in == id are evaluated, and id's owner runs this.
 func (sg *ShardedGraph) recomputeRequired(id, sid int32) bool {
 	cg := sg.cg
 	req := math.Inf(1)
@@ -469,12 +508,12 @@ func (sg *ShardedGraph) recomputeRequired(id, sid int32) bool {
 	for _, c := range cg.consumers(id) {
 		switch c.kind {
 		case rcOutPort:
-			if r := cg.outputPortRequired(); r < req {
+			if r := cg.cfg.outputRequired(); r < req {
 				req = r
 			}
 			present = true
 		case rcFlopD:
-			if r := cg.flopSetupRequired(&cg.seqs[c.idx]); r < req {
+			if r := cg.cfg.setupRequired(cg.seqs[c.idx].inst); r < req {
 				req = r
 			}
 			present = true
@@ -519,10 +558,12 @@ func (sg *ShardedGraph) recomputeRequired(id, sid int32) bool {
 	return true
 }
 
-// drainArrival walks one shard's forward buckets by ascending level.
-// Changed nets go required-dirty (own queue), their same-shard comb
-// consumers re-queue locally, and cross-shard consumers post to the
-// outbox for the barrier.
+// drainArrival walks one shard's forward buckets by ascending level; a
+// net whose recomputed window is bit-identical stops the wave. Changed
+// nets go required-dirty (own queue), their same-shard comb consumers
+// re-queue locally, and cross-shard consumers post to the outbox for the
+// barrier. A bucket is index-walked because same-epoch pushes can land in
+// it while it drains.
 func (sg *ShardedGraph) drainArrival(s *shard) {
 	cg := sg.cg
 	for lvl := 0; lvl < len(s.arrB); lvl++ {
@@ -631,30 +672,12 @@ func (sg *ShardedGraph) flowRequired(workers int) {
 	}
 }
 
-// mergeChanged folds the per-shard changed lists (and retime counter)
-// into the CompiledGraph's, in shard-ID order, so the map-patching code
-// downstream of a monolithic retime works unchanged.
-func (sg *ShardedGraph) mergeChanged() int {
-	cg := sg.cg
-	retimed := 0
-	sg.lastDirty = 0
-	for si := range sg.shards {
-		s := &sg.shards[si]
-		cg.arrChanged = append(cg.arrChanged, s.arrChanged...)
-		cg.reqChanged = append(cg.reqChanged, s.reqChanged...)
-		if s.retimed > 0 {
-			sg.lastDirty++
-		}
-		retimed += s.retimed
-		s.retimed = 0
-	}
-	return retimed
-}
-
-// seedRetime is the sharded CompiledGraph.seedRetime: re-extract the
-// touched net and seed the invalidated cones into the owning shards'
-// queues. Called serially by the coordinator between rounds, so the
-// direct cross-shard pushes are safe.
+// seedRetime re-extracts one touched net and seeds the cones its new RC
+// invalidates into the owning shards' queues: the net itself both ways,
+// every combinational sink's output forward, and the driver's fanins
+// backward (their required times read both its required time and its
+// load). Called serially by the coordinator between rounds, so the direct
+// cross-shard pushes are safe.
 func (sg *ShardedGraph) seedRetime(id int32) {
 	cg := sg.cg
 	cg.extract(id)
@@ -673,21 +696,51 @@ func (sg *ShardedGraph) seedRetime(id int32) {
 	}
 }
 
-// propagate runs the two fixed points and the serial endpoint scan, then
-// merges the changed lists — the shared tail of every sharded pass.
+// propagate runs the two fixed points and the serial endpoint scan and
+// returns how many arrivals were recomputed — the shared tail of every
+// pass.
 func (sg *ShardedGraph) propagate() int {
 	workers := sg.workers()
 	sg.flowArrival(workers)
 	sg.flowRequired(workers)
 	sg.cg.endpointScan()
-	return sg.mergeChanged()
+	retimed := 0
+	for si := range sg.shards {
+		retimed += sg.shards[si].retimed
+		sg.shards[si].retimed = 0
+	}
+	return retimed
 }
 
-// repropagateAll re-runs the sharded propagate over every net — the
-// cache-hit refresh path, and (on a freshly compiled graph, whose state
-// is zeroed) the full-analysis pass. The interface-graph fixed point and
-// the per-shard drains allocate nothing once warm; the zero-alloc guards
-// in sharded_test.go pin it at one worker.
+// eachChanged calls fn for every net whose arrival the last propagate
+// changed, in shard order, then for every net whose required time it
+// changed.
+func (sg *ShardedGraph) eachChanged(fn func(id int32)) {
+	for si := range sg.shards {
+		for _, id := range sg.shards[si].arrChanged {
+			fn(id)
+		}
+	}
+	for si := range sg.shards {
+		for _, id := range sg.shards[si].reqChanged {
+			fn(id)
+		}
+	}
+}
+
+// changedCount is how many records eachChanged would deliver.
+func (sg *ShardedGraph) changedCount() int {
+	n := 0
+	for si := range sg.shards {
+		n += len(sg.shards[si].arrChanged) + len(sg.shards[si].reqChanged)
+	}
+	return n
+}
+
+// repropagateAll re-runs propagation over every net — the cache-hit
+// refresh path and, on a freshly compiled graph whose state is zeroed,
+// the full-analysis pass. It allocates nothing once warm; the zero-alloc
+// guards pin it at one worker, at one shard and at k.
 func (sg *ShardedGraph) repropagateAll() int {
 	sg.resetAll()
 	for si := range sg.shards {
@@ -701,8 +754,7 @@ func (sg *ShardedGraph) repropagateAll() int {
 }
 
 // runFull extracts every net (fanning out per shard when the extractor
-// supports in-place extraction) and runs the sharded passes — the
-// sharded CompiledGraph.runFull.
+// supports in-place extraction) and propagates from scratch.
 func (sg *ShardedGraph) runFull() {
 	cg := sg.cg
 	workers := sg.workers()

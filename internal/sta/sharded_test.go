@@ -21,18 +21,19 @@ func randomCut(d *netlist.Design, k int, seed int64) func(*netlist.Instance) int
 	return func(inst *netlist.Instance) int32 { return of[inst] }
 }
 
-// TestShardedAnalyzeMatchesMonolithicRandomCuts is the tentpole property:
-// under random partition cuts, at worker counts 1/2/4, the sharded
-// Analyze must reproduce the monolithic flat kernel bit for bit —
-// arrivals, requireds, slews, slacks, endpoint scalars, hold list.
+// TestShardedAnalyzeMatchesMonolithicRandomCuts is the sharding
+// property: under random partition cuts, at worker counts 1/2/4, Analyze
+// must reproduce the map-based oracle bit for bit — arrivals, requireds,
+// slews, slacks, endpoint scalars, hold list. The 1-shard cut runs the
+// same drain with every net owned by shard 0.
 func TestShardedAnalyzeMatchesMonolithicRandomCuts(t *testing.T) {
 	d := synthSmall(t)
 	base := cfg(t, 3)
-	want, err := Analyze(d, base)
+	want, err := AnalyzeLegacy(d, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{2, 3, 7} {
+	for _, shards := range []int{2, 3, 7, 1} {
 		for _, workers := range []int{1, 2, 4} {
 			for seed := int64(1); seed <= 3; seed++ {
 				c := base
@@ -55,11 +56,11 @@ func TestShardedAnalyzeMatchesMonolithicRandomCuts(t *testing.T) {
 // TestShardedAnalyzeClusteredMatchesMonolithic covers the production path
 // (cfg.Partitions drives the cohesion clustering, results flow through
 // the compile cache): first call compiles + shards, second hits the
-// cached sharded graph's refresh path — both must equal monolithic.
+// cached sharded graph's refresh path — both must equal the oracle.
 func TestShardedAnalyzeClusteredMatchesMonolithic(t *testing.T) {
 	d := synthSmall(t)
 	base := cfg(t, 3)
-	want, err := Analyze(d, base)
+	want, err := AnalyzeLegacy(d, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestShardedAnalyzeClusteredMatchesMonolithic(t *testing.T) {
 	// sharded passes under the new config.
 	c2, w2 := c, base
 	c2.ClockPeriodNs, w2.ClockPeriodNs = 5, 5
-	want5, err := Analyze(d, w2)
+	want5, err := AnalyzeLegacy(d, w2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,13 +90,16 @@ func TestShardedAnalyzeClusteredMatchesMonolithic(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireExactMatch(t, d, got5, want5)
+	// The first Result is a private copy: the refresh at 5 ns must not
+	// have moved it.
+	requireExactMatch(t, d, got, want)
 }
 
 // TestShardedIncrementalMatchesFullAfterEdits drives a seeded swap/move
 // walk through the per-partition Incremental path on a random cut: after
-// every batch, the sharded incremental result must equal a monolithic
-// from-scratch Analyze exactly. This is the dual-Vth/ECO workload the
-// per-partition retime exists for.
+// every batch, the sharded incremental result must equal the oracle
+// exactly. This is the dual-Vth/ECO workload the per-partition retime
+// exists for.
 func TestShardedIncrementalMatchesFullAfterEdits(t *testing.T) {
 	l := lib(t)
 	d := synthSmall(t)
@@ -108,14 +112,10 @@ func TestShardedIncrementalMatchesFullAfterEdits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if inc.sg == nil {
-		t.Fatal("sharded config built a monolithic Incremental")
+	if inc.ShardCount() != 5 {
+		t.Fatalf("a 5-shard cut built %d shards", inc.ShardCount())
 	}
-	want, err := Analyze(d, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireExactMatch(t, d, inc.Result(), want)
+	requireOracle(t, d, base, inc.Result())
 
 	var cands []*netlist.Instance
 	for _, inst := range d.Instances() {
@@ -150,11 +150,7 @@ func TestShardedIncrementalMatchesFullAfterEdits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Analyze(d, base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireExactMatch(t, d, got, want)
+		requireOracle(t, d, base, got)
 	}
 }
 
@@ -172,12 +168,12 @@ func TestShardedDirtyShardsOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	sg := inc.sg
-	if sg == nil || len(sg.shards) < 2 {
+	if len(sg.shards) < 2 {
 		t.Fatalf("want >= 2 shards, got %v", sg.Shards())
 	}
-	// Swap one instance back and forth; count how many shards ever see
-	// work. On a cohesive clustering a local swap should touch a strict
-	// subset of shards.
+	// Swap one instance; count how many shards see a change. On a
+	// cohesive clustering a local swap should touch a strict subset of
+	// shards.
 	var inst *netlist.Instance
 	for _, cand := range d.Instances() {
 		if cand.Cell.Kind == liberty.KindComb && l.Variant(cand.Cell, liberty.FlavorHVT) != nil {
@@ -198,21 +194,12 @@ func TestShardedDirtyShardsOnly(t *testing.T) {
 	if err := d.ReplaceCell(inst, v); err != nil {
 		t.Fatal(err)
 	}
-	for si := range sg.shards {
-		sg.shards[si].retimed = 0
-	}
 	if _, err := inc.Update(); err != nil {
 		t.Fatal(err)
 	}
-	// mergeChanged reset the counters; recount via the changed lists'
-	// owners instead: every changed net's owner shard was dirty.
+	// Every changed net's owner shard was dirty.
 	dirty := map[int32]bool{}
-	for _, id := range inc.cg.arrChanged {
-		dirty[sg.owner[id]] = true
-	}
-	for _, id := range inc.cg.reqChanged {
-		dirty[sg.owner[id]] = true
-	}
+	sg.eachChanged(func(id int32) { dirty[sg.owner[id]] = true })
 	if len(dirty) == len(sg.shards) {
 		t.Logf("swap of %s rippled into all %d shards (possible on a tiny design)", inst.Name, len(sg.shards))
 	}
@@ -221,99 +208,28 @@ func TestShardedDirtyShardsOnly(t *testing.T) {
 	}
 }
 
-// TestShardedRepropagateZeroAlloc extends the flat kernel's allocation
-// contract to the sharded path at one worker: a full sharded
-// re-propagation — per-shard drains plus the interface-graph fixed-point
-// iteration — must not touch the heap once warm.
+// TestShardedRepropagateZeroAlloc extends the allocation contract to k
+// shards at one worker: a full re-propagation — per-shard drains plus the
+// interface-graph fixed-point iteration — must not touch the heap once
+// warm.
 func TestShardedRepropagateZeroAlloc(t *testing.T) {
-	d := synthSmall(t)
-	c, err := normalizeConfig(cfg(t, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := cfg(t, 3)
 	c.Partitions = 4
 	c.ShardJobs = 1
-	cg, err := Compile(d, c)
-	if err != nil {
-		t.Fatal(err)
+	sg := warmGraph(t, synthSmall(t), c)
+	if sg.Rounds() <= 2 {
+		t.Fatalf("only %d rounds — the interface iteration isn't exercised", sg.Rounds())
 	}
-	sg, err := buildSharded(cg, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sg.runFull()
-	sg.repropagateAll() // warm every buffer to steady capacity
-	if sg.Rounds() < 2 {
-		t.Fatalf("only %d fixed-point rounds — the interface iteration isn't exercised", sg.Rounds())
-	}
-	if n := testing.AllocsPerRun(10, func() { sg.repropagateAll() }); n != 0 {
-		t.Errorf("sharded repropagateAll allocates %v/run, want 0", n)
-	}
+	requireRepropagateZeroAlloc(t, sg)
 }
 
 // TestShardedRetimeZeroAlloc is the incremental counterpart: seeding a
 // swap's cone into the owning shards and iterating both fixed points
 // (including cross-shard outbox distribution) must run allocation-free.
 func TestShardedRetimeZeroAlloc(t *testing.T) {
-	l := lib(t)
-	d := synthSmall(t)
-	c, err := normalizeConfig(cfg(t, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := cfg(t, 3)
 	c.Partitions = 4
 	c.ShardJobs = 1
-	cg, err := Compile(d, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sg, err := buildSharded(cg, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sg.runFull()
-	var inst *netlist.Instance
-	for _, cand := range d.Instances() {
-		if cand.Cell.Kind != liberty.KindComb {
-			continue
-		}
-		if l.Variant(cand.Cell, liberty.FlavorLVT) != nil && l.Variant(cand.Cell, liberty.FlavorHVT) != nil {
-			inst = cand
-			break
-		}
-	}
-	if inst == nil {
-		t.Fatal("no comb instance with both Vth variants")
-	}
-	ci := cg.combIdx[inst]
-	var touched []int32
-	for _, p := range inst.Cell.Pins {
-		if n := inst.Conns[p.Name]; n != nil {
-			if id, ok := cg.netID[n]; ok {
-				touched = append(touched, id)
-			}
-		}
-	}
-	va := l.Variant(inst.Cell, liberty.FlavorHVT)
-	vb := l.Variant(inst.Cell, liberty.FlavorLVT)
-	k := 0
-	retime := func() {
-		if k&1 == 0 {
-			inst.Cell = va
-		} else {
-			inst.Cell = vb
-		}
-		k++
-		cg.combArcs[ci] = cg.buildArcs(inst, cg.combArcs[ci])
-		sg.resetAll()
-		for _, id := range touched {
-			sg.seedRetime(id)
-		}
-		sg.propagate()
-	}
-	retime()
-	retime() // warm both variants and the changed-list capacities
-	if n := testing.AllocsPerRun(10, retime); n != 0 {
-		t.Errorf("sharded swap retime allocates %v/run, want 0", n)
-	}
+	d := synthSmall(t)
+	requireRetimeZeroAlloc(t, d, warmGraph(t, d, c))
 }

@@ -4,11 +4,13 @@
 // worst-path extraction. Every assignment step of the Selective-MT flow
 // (Dual-Vth, MT selection, switch clustering, ECO) queries this engine.
 //
-// The hot path runs on the flat slice-indexed CompiledGraph (compiled.go);
-// the map-keyed Result here is a thin view materialized from the flat
-// state so downstream consumers (dualvth, eco, mcmm, the pipeline stages)
-// keep their pointer-keyed API. AnalyzeLegacy (legacy.go) retains the
-// original map-based pass as the bit-exactness oracle.
+// There is one engine. A CompiledGraph (compiled.go) holds a design
+// revision as flat, slice-indexed data, and the shard drain (sharded.go)
+// is the only propagator over it: one shard by default, Config.Partitions
+// only sets the shard count. A Result reads the flat per-net state
+// through accessors (Arrival, Slew, Required, RC, Slack). The map-based
+// pass this kernel replaced is kept as the bit-exactness oracle in
+// legacy_test.go.
 package sta
 
 import (
@@ -35,15 +37,15 @@ type Config struct {
 	// ClockSlewNs is the slew at flop clock pins (post-CTS).
 	ClockSlewNs float64
 
-	// Partitions, when > 1, runs Analyze/Incremental on the sharded
-	// kernel: the design is clustered (internal/partition) into about
-	// this many shards and propagation fans out per shard, iterating the
-	// cross-shard interface graph to a fixed point. Results are
-	// bit-identical to the monolithic kernel at any worker count.
+	// Partitions sets the shard count of Analyze/Incremental: at <= 1 one
+	// shard owns the whole design; above it the design is clustered
+	// (internal/partition) into about this many shards, propagation fans
+	// out per shard and the cross-shard interface graph iterates to a
+	// fixed point. Results are bit-identical at any shard and worker count.
 	Partitions int
-	// ShardJobs bounds the sharded kernel's fan-out width (<= 0 means
-	// GOMAXPROCS; always clamped to the shard count). At 1 the sharded
-	// path stays on the calling goroutine and allocates nothing.
+	// ShardJobs bounds the shard fan-out width (<= 0 means GOMAXPROCS;
+	// always clamped to the shard count). At 1 propagation stays on the
+	// calling goroutine and allocates nothing.
 	ShardJobs int
 	// ShardRun, when set, runs a sharded fan-out of `tasks` tasks on an
 	// external scheduler (internal/core wires the flow engine's pool in
@@ -59,20 +61,32 @@ type Config struct {
 	shardCount  int
 }
 
-// Result is a completed timing analysis.
+// clockArrival returns a flop's clock insertion delay (0 under an ideal
+// clock).
+func (c *Config) clockArrival(inst *netlist.Instance) float64 {
+	if c.ClockArrival != nil {
+		return c.ClockArrival(inst)
+	}
+	return 0
+}
+
+// outputRequired is the required time an output port imposes on its net.
+func (c *Config) outputRequired() float64 {
+	return c.ClockPeriodNs - c.OutputDelayNs
+}
+
+// setupRequired is the required time a flop's setup check imposes on its
+// D net.
+func (c *Config) setupRequired(inst *netlist.Instance) float64 {
+	return c.ClockPeriodNs + c.clockArrival(inst) - inst.Cell.SetupNs
+}
+
+// Result is a completed timing analysis. Per-net answers come from the
+// accessors over flat state: a Result from Analyze reads its own copy, and
+// an Incremental's Result reads the timer's current graph, so it follows
+// every Update.
 type Result struct {
 	Config Config
-
-	// ArrivalMax/ArrivalMin are the latest/earliest signal arrivals at
-	// each net's driver output, ns.
-	ArrivalMax map[*netlist.Net]float64
-	ArrivalMin map[*netlist.Net]float64
-	// SlewMax is the worst slew at each net's driver output.
-	SlewMax map[*netlist.Net]float64
-	// RequiredMax is the latest allowed arrival at each net.
-	RequiredMax map[*netlist.Net]float64
-	// RC holds the extracted parasitics used.
-	RC map[*netlist.Net]*parasitics.RCTree
 
 	WNS float64 // worst negative slack (positive = met), setup
 	TNS float64 // total negative slack, setup
@@ -88,19 +102,58 @@ type Result struct {
 	Revision uint64
 
 	design *netlist.Design
+	st     *netState
 }
 
 // Design returns the design the result was computed on.
 func (r *Result) Design() *netlist.Design { return r.design }
 
+// Arrival returns the latest and earliest signal arrival at a net's
+// driver output, ns; ok=false for nets with no constrained arrival.
+func (r *Result) Arrival(n *netlist.Net) (amax, amin float64, ok bool) {
+	id, ok := r.st.netID[n]
+	if !ok || !r.st.hasArr[id] {
+		return 0, 0, false
+	}
+	return r.st.arrMax[id], r.st.arrMin[id], true
+}
+
+// Slew returns the worst slew at a net's driver output (0 for nets with
+// no constrained arrival).
+func (r *Result) Slew(n *netlist.Net) float64 {
+	if id, ok := r.st.netID[n]; ok {
+		return r.st.slewMax[id]
+	}
+	return 0
+}
+
+// Required returns the latest allowed arrival at a net; ok=false for nets
+// with no constrained fanout cone.
+func (r *Result) Required(n *netlist.Net) (float64, bool) {
+	id, ok := r.st.netID[n]
+	if !ok || !r.st.hasReq[id] {
+		return 0, false
+	}
+	return r.st.reqMax[id], true
+}
+
+// RC returns the extracted parasitics of a net (nil for a net the
+// analysis did not cover).
+func (r *Result) RC(n *netlist.Net) *parasitics.RCTree {
+	if id, ok := r.st.netID[n]; ok {
+		return r.st.rc[id]
+	}
+	return nil
+}
+
 // Slack returns the setup slack of a net (required - arrival); +Inf for
 // nets with no constrained fanout cone.
 func (r *Result) Slack(n *netlist.Net) float64 {
-	req, ok := r.RequiredMax[n]
-	if !ok {
+	id, ok := r.st.netID[n]
+	if !ok || !r.st.hasReq[id] {
 		return math.Inf(1)
 	}
-	return req - r.ArrivalMax[n]
+	return r.st.reqMax[id] - r.st.arrMax[id]
 }
 
 // InstSlack returns the setup slack of an instance's output net.
@@ -129,15 +182,15 @@ func normalizeConfig(cfg Config) (Config, error) {
 	return cfg, nil
 }
 
-// Analyze runs full setup and hold analysis on the flat compiled kernel.
-// Results are bit-identical to AnalyzeLegacy.
+// Analyze runs full setup and hold analysis and returns a Result with its
+// own copy of the per-net state.
 //
-// The design is interned once per (revision, clock port, extractor):
-// repeat analyses of an unchanged design — including at a different
-// period, external delays or clock-arrival model — reuse the compiled
-// graph and re-run only the flat numeric passes. Staleness detection
-// rides on the same change-journal revision contract Incremental uses,
-// so out-of-journal mutations need a NoteBulkEdit just as they do there.
+// The design is interned once per (revision, clock port, extractor,
+// partitions): repeat analyses of an unchanged design — including at a
+// different period, external delays or clock-arrival model — reuse the
+// compiled graph and re-run only propagation. Staleness detection rides
+// on the same change-journal revision contract Incremental uses, so
+// out-of-journal mutations need a NoteBulkEdit just as they do there.
 func Analyze(d *netlist.Design, cfg Config) (*Result, error) {
 	cfg, err := normalizeConfig(cfg)
 	if err != nil {
@@ -153,45 +206,29 @@ func Analyze(d *netlist.Design, cfg Config) (*Result, error) {
 	if !hooked {
 		if e := takeCompiled(d, cfg.ClockPort, cfg.Extractor, parts); e != nil {
 			if e.rev == d.Revision() {
-				r := e.refresh(cfg)
+				// Same structure and RC; only the config may differ.
+				e.sg.cg.cfg = cfg
+				e.sg.repropagateAll()
+				r := e.sg.cg.result()
 				storeCompiled(e)
 				return r, nil
 			}
 			// Stale revision: drop the entry and recompile below.
 		}
 	}
-	cg, err := Compile(d, cfg)
+	sg, err := newTimer(d, cfg)
 	if err != nil {
 		return nil, err
 	}
-	var sg *ShardedGraph
-	if parts > 0 || hooked {
-		sg, err = buildSharded(cg, cfg)
-		if err != nil {
-			return nil, err
-		}
-		sg.runFull()
-	} else {
-		cg.runFull()
+	sg.runFull()
+	r := sg.cg.result()
+	if !hooked {
+		storeCompiled(&cacheEntry{
+			d: d, rev: r.Revision, clockPort: cfg.ClockPort,
+			extractor: cfg.Extractor, partitions: parts, sg: sg,
+		})
 	}
-	res := cg.materialize()
-	res.Revision = d.Revision()
-	if hooked {
-		return res, nil
-	}
-	storeCompiled(&cacheEntry{
-		d: d, rev: res.Revision, clockPort: cfg.ClockPort,
-		extractor: cfg.Extractor, partitions: parts, cg: cg, sg: sg, res: res,
-	})
-	return res.snapshot(), nil
-}
-
-// clkArr returns a flop's clock insertion delay under the result's config.
-func (r *Result) clkArr(inst *netlist.Instance) float64 {
-	if r.Config.ClockArrival != nil {
-		return r.Config.ClockArrival(inst)
-	}
-	return 0
+	return r, nil
 }
 
 // CriticalInstances returns the instances whose output slack is below the
@@ -230,19 +267,12 @@ func (r *Result) WorstPaths(k int) []Path {
 		slack float64
 	}
 	var eps []endpoint
-	T := r.Config.ClockPeriodNs
-	clkArr := func(inst *netlist.Instance) float64 {
-		if r.Config.ClockArrival != nil {
-			return r.Config.ClockArrival(inst)
-		}
-		return 0
-	}
 	for _, p := range r.design.Ports() {
 		if p.Dir != netlist.DirOutput {
 			continue
 		}
-		if arr, ok := r.ArrivalMax[p.Net]; ok {
-			eps = append(eps, endpoint{p.Net, T - r.Config.OutputDelayNs - arr})
+		if arr, _, ok := r.Arrival(p.Net); ok {
+			eps = append(eps, endpoint{p.Net, r.Config.outputRequired() - arr})
 		}
 	}
 	for _, inst := range r.design.Instances() {
@@ -250,8 +280,8 @@ func (r *Result) WorstPaths(k int) []Path {
 			continue
 		}
 		if dNet := inst.Conns["D"]; dNet != nil {
-			if arr, ok := r.ArrivalMax[dNet]; ok {
-				eps = append(eps, endpoint{dNet, T + clkArr(inst) - inst.Cell.SetupNs - arr})
+			if arr, _, ok := r.Arrival(dNet); ok {
+				eps = append(eps, endpoint{dNet, r.Config.setupRequired(inst) - arr})
 			}
 		}
 	}
@@ -272,12 +302,13 @@ func (r *Result) backtrack(n *netlist.Net, slack float64) Path {
 	cur := n
 	for steps := 0; steps < 10000; steps++ {
 		drv := cur.Driver.Inst
-		p.Steps = append(p.Steps, PathStep{Inst: drv, Net: cur, ArriveNs: r.ArrivalMax[cur]})
+		arr, _, _ := r.Arrival(cur)
+		p.Steps = append(p.Steps, PathStep{Inst: drv, Net: cur, ArriveNs: arr})
 		if drv == nil || drv.Cell.IsSequential() {
 			break
 		}
 		// Find the input pin that set the max arrival.
-		load := r.RC[cur].TotalCap()
+		load := r.RC(cur).TotalCap()
 		var bestNet *netlist.Net
 		bestErr := math.Inf(1)
 		for _, arc := range drv.Cell.Arcs {
@@ -285,13 +316,12 @@ func (r *Result) backtrack(n *netlist.Net, slack float64) Path {
 			if inNet == nil {
 				continue
 			}
-			inArr, ok := r.ArrivalMax[inNet]
+			inArr, _, ok := r.Arrival(inNet)
 			if !ok {
 				continue
 			}
-			wireMax, _ := sinkWireDelay(r.RC[inNet], inNet, drv, arc.From)
-			cand := inArr + wireMax + arc.WorstDelay(r.SlewMax[inNet], load)
-			if e := math.Abs(cand - r.ArrivalMax[cur]); e < bestErr {
+			cand := inArr + wireDelay(r.RC(inNet), inNet, drv, arc.From) + arc.WorstDelay(r.Slew(inNet), load)
+			if e := math.Abs(cand - arr); e < bestErr {
 				bestErr, bestNet = e, inNet
 			}
 		}
@@ -305,6 +335,16 @@ func (r *Result) backtrack(n *netlist.Net, slack float64) Path {
 		p.Steps[i], p.Steps[j] = p.Steps[j], p.Steps[i]
 	}
 	return p
+}
+
+// wireDelay returns the Elmore delay from a net's driver to one of its
+// sink pins (0 when the pin did not resolve to an RC node).
+func wireDelay(rc *parasitics.RCTree, n *netlist.Net, inst *netlist.Instance, pin string) float64 {
+	i := sinkPos(n, inst, pin)
+	if rc == nil || i < 0 || int(i) >= len(rc.SinkNode) {
+		return 0
+	}
+	return rc.ElmoreDelays()[rc.SinkNode[i]]
 }
 
 // MinPeriod estimates the smallest feasible clock period by analyzing at a

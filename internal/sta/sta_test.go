@@ -106,7 +106,8 @@ func TestAnalyzeBasics(t *testing.T) {
 	// Arrival grows along the chain.
 	q1 := d.NetByName("q1")
 	dIn := d.Instance("ff2").Conns["D"]
-	if !(r.ArrivalMax[dIn] > r.ArrivalMax[q1]) {
+	aq, _, _ := r.Arrival(q1)
+	if ad, _, _ := r.Arrival(dIn); !(ad > aq) {
 		t.Error("arrival does not accumulate along the chain")
 	}
 }

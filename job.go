@@ -49,9 +49,9 @@ type JobSpec struct {
 	// this inrush limit — for the improved technique when selected,
 	// otherwise the first selected technique that built clusters.
 	InrushLimitMA float64 `json:"inrush_limit_ma,omitempty"`
-	// Partitions, when > 1, runs the job's timing analyses on the
-	// partition-parallel sharded kernel (bit-identical results; see
-	// Config.Partitions). 0 or 1 means monolithic.
+	// Partitions, when > 1, clusters the job's timing analyses into about
+	// this many shards (bit-identical results; see Config.Partitions).
+	// 0 or 1 means one shard.
 	Partitions int `json:"partitions,omitempty"`
 	// ShardJobs bounds the sharded kernel's fan-out width per design
 	// (<= 0 means GOMAXPROCS). Only meaningful with Partitions > 1.

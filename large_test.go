@@ -112,28 +112,16 @@ func TestLargeSwapPassRetimesIncrementally(t *testing.T) {
 	}
 }
 
-// BenchmarkLargeFullFlat times repeated full analysis of the 100k tier on
-// the flat kernel. Steady state is the point: the compile cache makes
-// every iteration after the first re-run only the flat numeric passes,
-// which is what the optimization loops actually pay. Compare against
-// BenchmarkLargeFullLegacy; recorded numbers live in BENCH_sta_pr6.json.
+// BenchmarkLargeFullFlat times repeated full analysis of the 100k tier at
+// the default one shard. Steady state is the point: the compile cache
+// makes every iteration after the first re-run only propagation and the
+// copy of the per-net state, which is what the optimization loops
+// actually pay. Recorded numbers live in BENCH_sta_pr6.json.
 func BenchmarkLargeFullFlat(b *testing.B) {
 	d, stCfg, _ := largeTimingSetup(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sta.Analyze(d, stCfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkLargeFullLegacy is the map-based oracle on the same design —
-// the baseline the flat kernel's speedup is measured against.
-func BenchmarkLargeFullLegacy(b *testing.B) {
-	d, stCfg, _ := largeTimingSetup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sta.AnalyzeLegacy(d, stCfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -198,7 +186,7 @@ func BenchmarkLargeActivity(b *testing.B) {
 }
 
 // benchFullSharded times steady-state full analysis through the sharded
-// kernel at worker counts 1/2/4. The w1 number against the monolithic
+// kernel at worker counts 1/2/4. The w1 number against the one-shard
 // Full benchmark of the same tier is the protocol-overhead measurement
 // (the acceptance bar is <= 10% on the 100k tier); w2/w4 show the
 // fan-out scaling. All worker counts share one cached sharded graph —
