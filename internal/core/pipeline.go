@@ -14,6 +14,7 @@ import (
 	"selectivemt/internal/netlist"
 	"selectivemt/internal/parasitics"
 	"selectivemt/internal/power"
+	"selectivemt/internal/sta"
 	"selectivemt/internal/vgnd"
 )
 
@@ -75,10 +76,27 @@ func (s *FlowState) SetGating(gated func(*netlist.Instance) bool, holderOn func(
 // when a shared cache is attached), and standby leakage under the
 // technique's gating once known.
 func (s *FlowState) StageVitals(name string) *flow.StageReport {
+	return s.vitals(name, nil)
+}
+
+// vitals is StageVitals for a stage that already holds pre-route timing
+// of the design: while that timing is current — an analysis of this
+// design object at its present change-journal revision — its WNS is
+// reported instead of fingerprinting and re-analyzing the design. The
+// assign stages pass the incremental timer's final result, which ran
+// under the very pre-route config built here and equals a fresh
+// analysis bit for bit; anything stale or missing (a strategy that
+// edits after its last update, or returns no timing) falls back to
+// the analysis.
+func (s *FlowState) vitals(name string, pre *sta.Result) *flow.StageReport {
 	sr := &flow.StageReport{Name: name, AreaUm2: s.Design.TotalArea()}
-	pre := s.Config.staConfig(&parasitics.EstimateExtractor{Proc: s.Config.Proc}, nil)
-	if ts, err := s.Config.analyzePre(s.Design, pre); err == nil {
-		sr.WNSNs = ts.WNSNs
+	if pre != nil && pre.Design() == s.Design && pre.Revision == s.Design.Revision() {
+		sr.WNSNs = pre.WNS
+	} else {
+		cfg := s.Config.staConfig(&parasitics.EstimateExtractor{Proc: s.Config.Proc}, nil)
+		if ts, err := s.Config.analyzePre(s.Design, cfg); err == nil {
+			sr.WNSNs = ts.WNSNs
+		}
 	}
 	if rep, err := power.Standby(s.Design, power.StandbyOptions{
 		Inputs: s.Config.StandbyInputs, Gated: s.Result.gatedFn, HolderOn: s.Result.holderFn,
@@ -115,7 +133,7 @@ func stageDualVthAssign() Stage {
 		}
 		s.Result.AssignReports = append(s.Result.AssignReports,
 			assignReport(StageNameDualVthAssign, r))
-		return s.StageVitals(StageNameDualVthAssign), nil
+		return s.vitals(StageNameDualVthAssign, r.Timing), nil
 	})
 }
 
@@ -130,7 +148,7 @@ func stageAssignMixed(name string, flavor liberty.Flavor) Stage {
 		}
 		s.Result.AssignReports = append(s.Result.AssignReports, assignReport(name, r))
 		s.SetGating(IsGatedMT, HolderOn)
-		return s.StageVitals(name), nil
+		return s.vitals(name, r.Timing), nil
 	})
 }
 

@@ -13,11 +13,16 @@ import (
 // AnalysisCache memoizes the deterministic per-design analyses the flow
 // repeats on identical inputs: the pre-route STA summary and the
 // minimum-period probe. Entries are keyed by the design's content
-// fingerprint plus the analysis parameters, so a clone (or a re-run of
-// the same circuit in a batch or benchmark) hits the cache even though
-// every run works on its own Design instance. Activity estimation is not
-// cached: the compiled simulator computes it faster than a hit could
-// fingerprint the design and replay the statistics onto its nets.
+// fingerprint (netlist.Design.Fingerprint: SHA-256 over names, cells,
+// connectivity and the exact bits of every coordinate) plus the analysis
+// parameters, so a clone (or a re-run of the same circuit in a batch or
+// benchmark) hits the cache even though every run works on its own
+// Design instance, while a move of any size misses. Every lookup
+// recomputes the fingerprint, so stages that already hold current timing
+// of the design (the assign stages) report it without consulting the
+// cache. Activity estimation is not cached: within one flow every
+// estimate runs on a different design state, so only repeated identical
+// designs could hit.
 //
 // The cache is safe for concurrent use and deduplicates in-flight
 // computations: when two workers ask for the same key at once, one

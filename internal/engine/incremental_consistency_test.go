@@ -159,3 +159,70 @@ func TestAnalyzePreSkipsClockArrival(t *testing.T) {
 		t.Errorf("skewed-clock calls hit the cache %d times", hits)
 	}
 }
+
+// TestAnalyzePreSeesSubNanometreMoves: the pre-route key hashes placement
+// as exact bits, so moving the worst path's cells by 0.3 nm makes a new
+// design to the cache. The cached summary must be recomputed and agree
+// with a fresh analysis, not replay the WNS from before the move.
+func TestAnalyzePreSeesSubNanometreMoves(t *testing.T) {
+	proc := tech.Default130()
+	l, err := liberty.Generate(proc, liberty.DefaultBuildOptions(proc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		spec gen.CircuitSpec
+	}{{"small", gen.SmallTest()}, {"a", gen.CircuitA()}} {
+		t.Run(c.name, func(t *testing.T) {
+			d, err := synth.Map(c.spec.Module, l, synth.DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := place.Place(d, place.DefaultOptions(proc.RowHeightUm, proc.SitePitchUm)); err != nil {
+				t.Fatal(err)
+			}
+			cfg := sta.Config{
+				ClockPeriodNs: 2,
+				ClockPort:     "clk",
+				Extractor:     &parasitics.EstimateExtractor{Proc: proc},
+			}
+			cache := NewAnalysisCache()
+			if _, err := cache.AnalyzePre(d, cfg); err != nil {
+				t.Fatal(err)
+			}
+			before, err := sta.Analyze(d, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			paths := before.WorstPaths(1)
+			if len(paths) == 0 {
+				t.Fatal("no worst path")
+			}
+			moved := 0
+			for _, st := range paths[0].Steps {
+				if st.Inst == nil {
+					continue
+				}
+				st.Inst.Pos.X += 3e-4
+				d.NotePlacement(st.Inst)
+				moved++
+			}
+			got, err := cache.AnalyzePre(d, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := sta.Analyze(d, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(fresh.WNS) == math.Float64bits(before.WNS) {
+				t.Fatalf("moving %d worst-path cells by 0.3 nm left WNS at %v; the test needs a move that shows", moved, before.WNS)
+			}
+			if math.Float64bits(got.WNSNs) != math.Float64bits(fresh.WNS) {
+				t.Errorf("after moving %d worst-path cells by 0.3 nm the cache returned WNS %v, a fresh analysis %v",
+					moved, got.WNSNs, fresh.WNS)
+			}
+		})
+	}
+}

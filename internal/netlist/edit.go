@@ -14,15 +14,20 @@ func (d *Design) ReplaceCell(inst *Instance, newCell *liberty.Cell) error {
 	if newCell == nil {
 		return fmt.Errorf("netlist: ReplaceCell(%s): nil cell", inst.Name)
 	}
-	for pin := range inst.Conns {
-		op := inst.Cell.Pin(pin)
-		np := newCell.Pin(pin)
+	// Connect only accepts pins the cell declares, and every swap keeps
+	// them declared, so the cell's pin list covers the connections and
+	// fixes which violation is reported first.
+	for _, op := range inst.Cell.Pins {
+		if inst.Conns[op.Name] == nil {
+			continue
+		}
+		np := newCell.Pin(op.Name)
 		if np == nil {
 			return fmt.Errorf("netlist: ReplaceCell(%s): new cell %s lacks connected pin %q",
-				inst.Name, newCell.Name, pin)
+				inst.Name, newCell.Name, op.Name)
 		}
-		if op != nil && op.Dir != np.Dir {
-			return fmt.Errorf("netlist: ReplaceCell(%s): pin %q direction differs", inst.Name, pin)
+		if op.Dir != np.Dir {
+			return fmt.Errorf("netlist: ReplaceCell(%s): pin %q direction differs", inst.Name, op.Name)
 		}
 	}
 	old := inst.Cell

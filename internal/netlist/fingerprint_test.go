@@ -45,3 +45,35 @@ func TestFingerprintSeesMutations(t *testing.T) {
 		t.Error("identical rebuild should reproduce the fingerprint")
 	}
 }
+
+// TestFingerprintSeesSubNanometreMoves: coordinates are hashed as exact
+// float64 bits, so nudging an instance, a port or the core region by
+// 0.1 nm (1e-4 µm) is a different design to the analysis cache. A
+// rendering rounded to 1 nm would not see any of these moves.
+func TestFingerprintSeesSubNanometreMoves(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		nudge func(d *Design)
+	}{
+		{"instance", func(d *Design) {
+			inst := d.Instance("u_inv")
+			inst.Pos.X += 1e-4
+			d.NotePlacement(inst)
+		}},
+		{"port", func(d *Design) { d.PortByName("in").Pos.Y += 1e-4 }},
+		{"core", func(d *Design) { d.Core.Hi.X += 1e-4 }},
+	} {
+		d, inv, nd := buildChain(t)
+		d.Core = geom.RectOf(0, 0, 20, 10)
+		inv.Pos, inv.Placed = geom.Point{X: 4, Y: 5}, true
+		nd.Pos, nd.Placed = geom.Point{X: 12, Y: 5}, true
+		for i, p := range d.Ports() {
+			p.Pos, p.Placed = geom.Point{X: 0, Y: float64(2 + 3*i)}, true
+		}
+		fp := d.Fingerprint()
+		tc.nudge(d)
+		if d.Fingerprint() == fp {
+			t.Errorf("%s nudged by 1e-4 µm kept the fingerprint", tc.name)
+		}
+	}
+}

@@ -124,19 +124,20 @@ func TestJournalRemoveInstanceEmitsDisconnects(t *testing.T) {
 	if !ok {
 		t.Fatal("history lost")
 	}
-	// Two disconnects (A, ZN) in some order plus the removal.
+	// Two disconnects in the cell's pin order (A, then ZN) plus the
+	// removal, identically on every run.
 	if len(delta) != 3 || delta[2].Kind != ChangeInstanceRemoved {
 		t.Fatalf("bad removal journal: %+v", delta)
 	}
-	nets := map[string]bool{}
+	var got []string
 	for _, ch := range delta[:2] {
 		if ch.Kind != ChangeDisconnected || ch.Inst != i2 {
 			t.Fatalf("bad disconnect entry: %+v", ch)
 		}
-		nets[ch.Net.Name] = true
+		got = append(got, ch.Pin+"/"+ch.Net.Name)
 	}
-	if !nets["mid"] || !nets["out"] {
-		t.Fatalf("disconnect entries name wrong nets: %v", nets)
+	if fmt.Sprint(got) != "[A/mid ZN/out]" {
+		t.Fatalf("disconnect entries = %v, want [A/mid ZN/out]", got)
 	}
 }
 

@@ -319,22 +319,19 @@ func (d *Design) RemoveInstance(inst *Instance) error {
 	if d.insts[inst.Name] != inst {
 		return fmt.Errorf("netlist: instance %q not in design", inst.Name)
 	}
-	for pin := range clonePinSet(inst.Conns) {
-		if err := d.Disconnect(inst, pin); err != nil {
+	// Disconnect in the cell's pin order so the journal lists the
+	// disconnects identically on every run.
+	for _, p := range inst.Cell.Pins {
+		if inst.Conns[p.Name] == nil {
+			continue
+		}
+		if err := d.Disconnect(inst, p.Name); err != nil {
 			return err
 		}
 	}
 	delete(d.insts, inst.Name)
 	d.record(Change{Kind: ChangeInstanceRemoved, Inst: inst})
 	return nil
-}
-
-func clonePinSet(m map[string]*Net) map[string]bool {
-	out := make(map[string]bool, len(m))
-	for k := range m {
-		out[k] = true
-	}
-	return out
 }
 
 // RemoveNet deletes an unconnected net.

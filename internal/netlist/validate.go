@@ -2,6 +2,7 @@ package netlist
 
 import (
 	"fmt"
+	"sort"
 
 	"selectivemt/internal/liberty"
 )
@@ -24,8 +25,18 @@ type ValidateOptions struct {
 //
 // It returns the first violation found.
 func (d *Design) Validate(opts ValidateOptions) error {
+	var pins []string
 	for _, inst := range d.Instances() {
-		for pin, net := range inst.Conns {
+		// Walk the connections in sorted pin order so the same violation
+		// is reported first on every run; the map may hold pins the cell
+		// lacks, so the cell's own pin list would not cover it.
+		pins = pins[:0]
+		for pin := range inst.Conns { // rangemap:ok sorted before use
+			pins = append(pins, pin)
+		}
+		sort.Strings(pins)
+		for _, pin := range pins {
+			net := inst.Conns[pin]
 			if d.nets[net.Name] != net {
 				return fmt.Errorf("netlist: %s.%s connects to stale net %q", inst.Name, pin, net.Name)
 			}

@@ -16,7 +16,7 @@
 //
 // Usage:
 //
-//	go run ./tools/rangemap internal/sta internal/dualvth internal/assign internal/core internal/partition internal/sim internal/power
+//	go run ./tools/rangemap internal/sta internal/dualvth internal/assign internal/core internal/partition internal/sim internal/power internal/netlist internal/engine
 //
 // Package arguments are directories relative to the module root (or
 // "." for the root package). Exit status 1 when any unsuppressed map
