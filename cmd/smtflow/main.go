@@ -44,7 +44,7 @@ func main() {
 	sdcIn := flag.String("sdc", "", "SDC constraints for -verilog input")
 	technique := flag.String("technique", "improved", "improved, conventional, dual, all, or a registered pipeline name")
 	jobs := flag.Int("jobs", 0, "max concurrent technique jobs (0 = GOMAXPROCS)")
-	partitions := flag.Int("partitions", 0, "timing shards per analysis (<= 1 = one shard; results are bit-identical)")
+	partitions := flag.Int("partitions", 0, "timing shards per analysis (<= 1 = one shard; timing and greedy results are bit-identical, sensitivity commits one lane per shard so its result follows the count)")
 	shardJobs := flag.Int("shard-jobs", 0, "max concurrent timing shards when -partitions > 1 (0 = GOMAXPROCS)")
 	assignJobs := flag.Int("assign-jobs", 0, "max concurrent assignment lanes for the sensitivity strategy when -partitions > 1 (0 = GOMAXPROCS)")
 	strategy := flag.String("strategy", "", "Vth-assignment strategy: greedy (paper default) or sensitivity (leakage-per-slack LUT ordering)")

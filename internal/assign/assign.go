@@ -4,16 +4,19 @@
 // alternate policies drop in as registrations instead of surgery.
 //
 // A Strategy drives one Problem (a swap domain — flavor assignment or
-// drive resizing) on an incremental timer. Two builtins ship:
+// drive resizing) on an incremental timer, always through Run, which
+// validates the Options and enforces the Result contract. Two builtins
+// ship:
 //
 //   - "greedy": the paper's slack-ordered pass — most-slack-first
 //     commits under a locally estimated delay budget, full critical
 //     reverts when over-committed. Byte-identical by construction to
 //     the pre-refactor dualvth loops (oracle-enforced).
-//   - "sensitivity": candidates ordered by leakage-saved per slack
+//   - "sensitivity": candidates ordered by leakage saved per slack
 //     consumed using a per-(cell, flavor) leakage LUT built once per
-//     library, commits in batches with incremental re-timing between
-//     batches, and a revert pass driven by worst-slack contribution.
+//     library, committed from per-shard lanes in adaptive batches with
+//     incremental re-timing between batches, and unwound worst slack
+//     first when a batch overshoots (lanes.go).
 //
 // Future strategies (simulated annealing, ILP relaxations, cluster
 // sizing) register themselves the same way.
@@ -22,6 +25,7 @@ package assign
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -34,36 +38,46 @@ import (
 // DefaultStrategy names the strategy an empty selection resolves to.
 const DefaultStrategy = "greedy"
 
-// DefaultBatchSize is the sensitivity strategy's commit batch when
-// Options.BatchSize is zero: enough swaps to amortize an incremental
-// re-time, few enough that stale-slack overcommit stays shallow.
-const DefaultBatchSize = 64
+// Named errors. Parse rejects unregistered names; Validate (and so Run)
+// rejects nonsensical options, wrapped with the offending value, instead
+// of silently substituting defaults.
+var (
+	// ErrUnknownStrategy reports a strategy name with no registration,
+	// or a nil Strategy handed to Run.
+	ErrUnknownStrategy = errors.New("assign: unknown strategy")
+	// ErrNonPositivePasses rejects MaxPasses <= 0.
+	ErrNonPositivePasses = errors.New("assign: MaxPasses must be positive")
+	// ErrNonPositiveSafety rejects SafetyFactor <= 0 (or NaN).
+	ErrNonPositiveSafety = errors.New("assign: SafetyFactor must be positive")
+	// ErrNonPositiveBatch rejects BatchSize <= 0.
+	ErrNonPositiveBatch = errors.New("assign: BatchSize must be positive")
+	// ErrBadSlackMargin rejects a negative or non-finite slack margin.
+	ErrBadSlackMargin = errors.New("assign: SlackMarginNs must be finite and non-negative")
+	// ErrNegativeWorkers rejects Workers < 0.
+	ErrNegativeWorkers = errors.New("assign: Workers must be >= 0")
+)
 
-// ErrUnknownStrategy reports a strategy name with no registration.
-var ErrUnknownStrategy = errors.New("assign: unknown strategy")
-
-// Options tunes an assignment run. The zero value of every field means
-// its documented default; negative values are rejected by the callers'
-// validation (see dualvth.Options), not silently replaced.
+// Options tunes an assignment run. The zero value is deliberately
+// invalid: callers state their knobs or start from DefaultOptions, and
+// Run rejects anything Validate does.
 type Options struct {
 	// SlackMarginNs is the slack every committed move must preserve.
 	SlackMarginNs float64
-	// MaxPasses bounds the re-time/commit/revert iterations (0 = 12).
+	// MaxPasses bounds the re-time/commit/revert iterations.
 	MaxPasses int
 	// SwapFlops allows DFF Vth moves too (flavor problems only).
 	SwapFlops bool
 	// SafetyFactor scales the locally estimated delay increase before
-	// comparing against slack (0 = 1.5; covers path reconvergence).
+	// comparing against slack (covers path reconvergence).
 	SafetyFactor float64
-	// BatchSize bounds how many moves the sensitivity strategy commits
-	// between incremental re-timings (0 = DefaultBatchSize). The greedy
-	// strategy commits a whole pass at once and ignores it. The lane
-	// engine treats it as the initial and minimum adaptive batch.
+	// BatchSize is the sensitivity strategy's initial and minimum
+	// adaptive commit batch, and its unwind batch. Greedy commits a
+	// whole pass at once and ignores it, but it must still be positive.
 	BatchSize int
-	// Workers bounds the lane engine's fan-out width when the strategy
-	// runs on a partitioned timer (<= 0 means GOMAXPROCS, capped at the
-	// shard count). It only changes scheduling, never results: the lane
-	// engine is bit-exact at any worker count.
+	// Workers bounds the sensitivity lane fan-out width (0 means
+	// GOMAXPROCS; always capped at the timer's shard count). It only
+	// changes scheduling, never results: the lane engine is bit-exact
+	// at any worker count.
 	Workers int
 	// Run, when set, executes a lane fan-out of `tasks` tasks on an
 	// external scheduler (internal/core wires the flow engine's pool
@@ -72,19 +86,36 @@ type Options struct {
 	Run func(tasks, workers int, run func(task int))
 }
 
-// withDefaults resolves the zero-value knobs. It mirrors the defaults
-// the pre-refactor loops applied, so greedy stays byte-identical.
-func (o Options) withDefaults() Options {
-	if o.MaxPasses <= 0 {
-		o.MaxPasses = 12
+// DefaultOptions returns the options used in the experiments.
+func DefaultOptions() Options {
+	return Options{
+		MaxPasses:    12,
+		SwapFlops:    true,
+		SafetyFactor: 1.5,
+		// Enough swaps to amortize an incremental re-time, few enough
+		// that stale-slack overcommit stays shallow.
+		BatchSize: 64,
 	}
-	if o.SafetyFactor <= 0 {
-		o.SafetyFactor = 1.5
+}
+
+// Validate rejects nonsensical option values with the named errors.
+func (o Options) Validate() error {
+	if o.MaxPasses <= 0 {
+		return fmt.Errorf("%w, got %d", ErrNonPositivePasses, o.MaxPasses)
+	}
+	if math.IsNaN(o.SafetyFactor) || o.SafetyFactor <= 0 {
+		return fmt.Errorf("%w, got %v", ErrNonPositiveSafety, o.SafetyFactor)
 	}
 	if o.BatchSize <= 0 {
-		o.BatchSize = DefaultBatchSize
+		return fmt.Errorf("%w, got %d", ErrNonPositiveBatch, o.BatchSize)
 	}
-	return o
+	if math.IsNaN(o.SlackMarginNs) || math.IsInf(o.SlackMarginNs, 0) || o.SlackMarginNs < 0 {
+		return fmt.Errorf("%w, got %v", ErrBadSlackMargin, o.SlackMarginNs)
+	}
+	if o.Workers < 0 {
+		return fmt.Errorf("%w, got %d", ErrNegativeWorkers, o.Workers)
+	}
+	return nil
 }
 
 // Move is one candidate cell rebind: an instance and the variant a
@@ -155,16 +186,44 @@ type Result struct {
 	Timing *sta.Result
 	// Phases breaks the run's wall-clock down by phase.
 	Phases PhaseTimes
-	// Workers is the effective lane fan-out the run used (1 for the
-	// serial engine or a monolithic timer).
+	// Workers is the effective lane fan-out the run used (greedy and
+	// one-shard timers run one).
 	Workers int
 }
 
 // Strategy drives the select/commit/revert loop of one Problem on an
 // incremental timer until convergence or the pass budget runs out.
+// Callers go through Run, so implementations see validated Options.
 type Strategy interface {
 	Name() string
 	Run(inc *sta.Incremental, p Problem, opts Options) (*Result, error)
+}
+
+// Run is the one way to call a strategy. It validates opts, runs s on
+// p and enforces the result contract: the Result is non-nil and its
+// Timing is the analysis of the design as s left it. A strategy that
+// returns no timing, or timing older than its last edit, costs one
+// more incremental update here instead of a nil or stale read later.
+func Run(s Strategy, inc *sta.Incremental, p Problem, opts Options) (*Result, error) {
+	if s == nil {
+		return nil, fmt.Errorf("%w: nil strategy", ErrUnknownStrategy)
+	}
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
+	r, err := s.Run(inc, p, opts)
+	if err != nil {
+		return nil, err
+	}
+	if r == nil {
+		return nil, fmt.Errorf("assign: strategy %q returned no result", s.Name())
+	}
+	if r.Timing == nil || r.Timing.Revision != inc.Design().Revision() {
+		if r.Timing, err = inc.Update(); err != nil {
+			return nil, err
+		}
+	}
+	return r, nil
 }
 
 // registry is the process-wide strategy table. The builtins register

@@ -3,11 +3,11 @@ package assign_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
 	"selectivemt/internal/assign"
-	"selectivemt/internal/dualvth"
 	"selectivemt/internal/gen"
 	"selectivemt/internal/liberty"
 	"selectivemt/internal/netlist"
@@ -73,6 +73,167 @@ func prepRandom(t *testing.T, seed int64, gates int, slack float64) (*netlist.De
 	}
 	cfg.ClockPeriodNs = pmin * slack
 	return d, cfg
+}
+
+// runHVT runs the named strategy through assign.Run over the Dual-Vth
+// flavor problem on d (LVT to HVT, unwinding to LVT).
+func runHVT(t testing.TB, d *netlist.Design, cfg sta.Config, name string, opts assign.Options) *assign.Result {
+	t.Helper()
+	s, err := assign.Parse(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc, err := sta.NewIncremental(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := assign.Run(s, inc, assign.NewFlavorProblem(d, liberty.FlavorHVT, liberty.FlavorLVT, opts), opts)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return res
+}
+
+// TestOptionsValidate: nonsensical option combinations are rejected
+// with named errors instead of being silently replaced with defaults
+// inside the hot loop. The strategy rows check the name a Vth stage
+// resolves with Parse.
+func TestOptionsValidate(t *testing.T) {
+	cases := []struct {
+		name     string
+		strategy string
+		mutate   func(*assign.Options)
+		wantErr  error // nil means the selection must validate
+	}{
+		{"defaults", "", func(o *assign.Options) {}, nil},
+		{"explicit greedy", "greedy", func(o *assign.Options) {}, nil},
+		{"sensitivity", "sensitivity", func(o *assign.Options) {}, nil},
+		{"case-insensitive strategy", "  Greedy ", func(o *assign.Options) {}, nil},
+		{"unknown strategy", "annealing", func(o *assign.Options) {}, assign.ErrUnknownStrategy},
+		{"zero margin ok", "", func(o *assign.Options) { o.SlackMarginNs = 0 }, nil},
+		{"zero value invalid", "", func(o *assign.Options) { *o = assign.Options{} }, assign.ErrNonPositivePasses},
+		{"zero passes", "", func(o *assign.Options) { o.MaxPasses = 0 }, assign.ErrNonPositivePasses},
+		{"negative passes", "", func(o *assign.Options) { o.MaxPasses = -3 }, assign.ErrNonPositivePasses},
+		{"zero safety", "", func(o *assign.Options) { o.SafetyFactor = 0 }, assign.ErrNonPositiveSafety},
+		{"negative safety", "", func(o *assign.Options) { o.SafetyFactor = -1.5 }, assign.ErrNonPositiveSafety},
+		{"NaN safety", "", func(o *assign.Options) { o.SafetyFactor = math.NaN() }, assign.ErrNonPositiveSafety},
+		{"workers ok", "", func(o *assign.Options) { o.Workers = 4 }, nil},
+		{"negative workers", "", func(o *assign.Options) { o.Workers = -1 }, assign.ErrNegativeWorkers},
+		{"zero batch", "", func(o *assign.Options) { o.BatchSize = 0 }, assign.ErrNonPositiveBatch},
+		{"negative batch", "", func(o *assign.Options) { o.BatchSize = -8 }, assign.ErrNonPositiveBatch},
+		{"negative margin", "", func(o *assign.Options) { o.SlackMarginNs = -0.1 }, assign.ErrBadSlackMargin},
+		{"NaN margin", "", func(o *assign.Options) { o.SlackMarginNs = math.NaN() }, assign.ErrBadSlackMargin},
+		{"infinite margin", "", func(o *assign.Options) { o.SlackMarginNs = math.Inf(1) }, assign.ErrBadSlackMargin},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			o := assign.DefaultOptions()
+			tc.mutate(&o)
+			_, err := assign.Parse(tc.strategy)
+			if err == nil {
+				err = o.Validate()
+			}
+			if tc.wantErr == nil {
+				if err != nil {
+					t.Fatalf("Validate() = %v, want nil", err)
+				}
+				return
+			}
+			if !errors.Is(err, tc.wantErr) {
+				t.Fatalf("Validate() = %v, want errors.Is(..., %v)", err, tc.wantErr)
+			}
+		})
+	}
+}
+
+// TestRunRejectsInvalidOptions: Run is the only guard between options
+// and a strategy. Zero-valued options must come back as the named
+// error for both builtins, before the strategy runs (a zero BatchSize
+// would otherwise stall the lane engine: every lane's quota is 0).
+func TestRunRejectsInvalidOptions(t *testing.T) {
+	d, cfg := prepRandom(t, 5, 60, 1.2)
+	inc, err := sta.NewIncremental(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rev := d.Revision()
+	noBatch := assign.DefaultOptions()
+	noBatch.BatchSize = 0
+	for _, name := range []string{"greedy", "sensitivity"} {
+		s, err := assign.Parse(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			opts assign.Options
+			want error
+		}{
+			{assign.Options{}, assign.ErrNonPositivePasses},
+			{noBatch, assign.ErrNonPositiveBatch},
+		} {
+			p := assign.NewFlavorProblem(d, liberty.FlavorHVT, liberty.FlavorLVT, tc.opts)
+			if _, err := assign.Run(s, inc, p, tc.opts); !errors.Is(err, tc.want) {
+				t.Errorf("%s: Run(%+v) = %v, want %v", name, tc.opts, err, tc.want)
+			}
+		}
+	}
+	if _, err := assign.Run(nil, inc, nil, assign.DefaultOptions()); !errors.Is(err, assign.ErrUnknownStrategy) {
+		t.Errorf("Run(nil strategy) = %v, want ErrUnknownStrategy", err)
+	}
+	if d.Revision() != rev {
+		t.Error("a rejected Run edited the design")
+	}
+}
+
+// contractBreaker returns what Run must repair: no result at all, or a
+// result with no timing after committing one move.
+type contractBreaker struct{ nilResult bool }
+
+func (contractBreaker) Name() string { return "contract-breaker" }
+
+func (c contractBreaker) Run(inc *sta.Incremental, p assign.Problem, opts assign.Options) (*assign.Result, error) {
+	if c.nilResult {
+		return nil, nil
+	}
+	timing, err := inc.Update()
+	if err != nil {
+		return nil, err
+	}
+	moves := p.Candidates(timing, nil)
+	if len(moves) == 0 {
+		return nil, errors.New("no candidate to commit")
+	}
+	return &assign.Result{Commits: 1}, p.Apply(moves[0])
+}
+
+// TestRunEnforcesResultContract: a nil result with a nil error becomes
+// an error, and missing timing is replaced by an analysis of the design
+// as the strategy left it.
+func TestRunEnforcesResultContract(t *testing.T) {
+	d, cfg := prepRandom(t, 9, 60, 1.2)
+	opts := assign.DefaultOptions()
+	inc, err := sta.NewIncremental(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := assign.NewFlavorProblem(d, liberty.FlavorHVT, liberty.FlavorLVT, opts)
+	if _, err := assign.Run(contractBreaker{nilResult: true}, inc, p, opts); err == nil {
+		t.Error("Run accepted a nil result with a nil error")
+	}
+	res, err := assign.Run(contractBreaker{}, inc, p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Timing == nil || res.Timing.Revision != d.Revision() {
+		t.Fatal("Run returned missing or stale timing")
+	}
+	fresh, err := sta.Analyze(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(res.Timing.WNS) != math.Float64bits(fresh.WNS) {
+		t.Errorf("repaired timing WNS %v, fresh analysis %v", res.Timing.WNS, fresh.WNS)
+	}
 }
 
 func TestParseAndNames(t *testing.T) {
@@ -193,15 +354,9 @@ func TestSensitivityNeverWorseTimingThanGreedy(t *testing.T) {
 			base, cfg := prepRandom(t, seed, 160, slack)
 			before := power.ActiveLeakage(base)
 
-			run := func(strategy string) (*dualvth.Result, *netlist.Design) {
+			run := func(strategy string) (*assign.Result, *netlist.Design) {
 				d := base.Clone()
-				opts := dualvth.DefaultOptions()
-				opts.Strategy = strategy
-				res, err := dualvth.Assign(d, cfg, opts)
-				if err != nil {
-					t.Fatalf("seed %d slack %v %s: %v", seed, slack, strategy, err)
-				}
-				return res, d
+				return runHVT(t, d, cfg, strategy, assign.DefaultOptions()), d
 			}
 			g, gd := run("greedy")
 			s, sd := run("sensitivity")
@@ -210,19 +365,19 @@ func TestSensitivityNeverWorseTimingThanGreedy(t *testing.T) {
 				t.Errorf("seed %d slack %v: greedy clean (WNS %v) but sensitivity violating (WNS %v)",
 					seed, slack, g.Timing.WNS, s.Timing.WNS)
 			}
-			for name, res := range map[string]*dualvth.Result{"greedy": g, "sensitivity": s} {
-				if res.Swapped+res.Kept == 0 {
+			for name, res := range map[string]*assign.Result{"greedy": g, "sensitivity": s} {
+				if res.Moved+res.Kept == 0 {
 					t.Errorf("seed %d slack %v %s: empty tally", seed, slack, name)
 				}
-				if res.Commits < res.Swapped {
+				if res.Commits < res.Moved {
 					t.Errorf("seed %d slack %v %s: %d commits below net %d swaps",
-						seed, slack, name, res.Commits, res.Swapped)
+						seed, slack, name, res.Commits, res.Moved)
 				}
 			}
-			if gl := power.ActiveLeakage(gd); g.Swapped > 0 && !(gl < before) {
+			if gl := power.ActiveLeakage(gd); g.Moved > 0 && !(gl < before) {
 				t.Errorf("seed %d slack %v: greedy did not reduce leakage (%v → %v)", seed, slack, before, gl)
 			}
-			if sl := power.ActiveLeakage(sd); s.Swapped > 0 && !(sl < before) {
+			if sl := power.ActiveLeakage(sd); s.Moved > 0 && !(sl < before) {
 				t.Errorf("seed %d slack %v: sensitivity did not reduce leakage (%v → %v)", seed, slack, before, sl)
 			}
 		}
@@ -235,35 +390,34 @@ func TestSensitivityNeverWorseTimingThanGreedy(t *testing.T) {
 // clock.
 func TestSensitivityBatchSizeOne(t *testing.T) {
 	d, cfg := prepRandom(t, 11, 120, 1.25)
-	opts := dualvth.DefaultOptions()
-	opts.Strategy = "sensitivity"
+	opts := assign.DefaultOptions()
 	opts.BatchSize = 1
-	res, err := dualvth.Assign(d, cfg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runHVT(t, d, cfg, "sensitivity", opts)
 	if res.Timing.WNS < 0 {
 		t.Fatalf("batch-1 sensitivity broke timing: WNS %v", res.Timing.WNS)
 	}
-	if res.Swapped == 0 {
+	if res.Moved == 0 {
 		t.Fatal("batch-1 sensitivity swapped nothing at a relaxed clock")
 	}
 }
 
 // TestSizingProblemGreedy sanity-checks the generic loop over the
-// sizing domain through the public wrapper: drives only step down when
-// timing allows, and the design never ends violating at a loose clock.
+// sizing domain: drives only step down when timing allows, and the
+// design never ends violating at a loose clock.
 func TestSizingProblemGreedy(t *testing.T) {
 	d, cfg := prepRandom(t, 3, 140, 1.3)
-	opts := dualvth.DefaultOptions()
-	if _, err := dualvth.Assign(d, cfg, opts); err != nil {
-		t.Fatal(err)
-	}
-	n, err := dualvth.RecoverSizing(d, cfg, opts)
+	opts := assign.DefaultOptions()
+	runHVT(t, d, cfg, "greedy", opts)
+	inc, err := sta.NewIncremental(d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n < 0 {
+	greedy, _ := assign.Lookup("greedy")
+	r, err := assign.Run(greedy, inc, assign.NewSizingProblem(d, opts), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := r.Commits - r.Reverts; n < 0 {
 		t.Fatalf("net downsizes negative: %d", n)
 	}
 	timing, err := sta.Analyze(d, cfg)

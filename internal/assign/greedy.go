@@ -21,7 +21,6 @@ type greedy struct{}
 func (greedy) Name() string { return "greedy" }
 
 func (greedy) Run(inc *sta.Incremental, p Problem, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
 	res := &Result{Workers: 1}
 	for pass := 0; pass < opts.MaxPasses; pass++ {
 		res.Passes = pass + 1

@@ -14,10 +14,9 @@ import (
 	"selectivemt/internal/sta"
 )
 
-// lanes.go is the shard-parallel sensitivity engine: when the
-// incremental timer runs partitioned (Config.Partitions > 1), the
-// sensitivity strategy trades its serial sorted pass for per-shard
-// commit lanes over the same clustering the timer shards by.
+// laneEngine is the sensitivity strategy's engine: one commit lane per
+// timer shard, over the same clustering the timer shards by. A
+// one-shard timer is one lane with no boundary nets, fanned out inline.
 //
 // The engine is deterministic by construction at any worker count:
 //
@@ -31,8 +30,7 @@ import (
 //     keeps lanes from jointly overdrawing slack on an interface net
 //     they share (the same safety-scaled charge greedy levies per
 //     output cone, restricted to cross-shard nets; interior moves are
-//     covered by the one-batch-stale guard plus the post-pass unwind,
-//     exactly like the serial engine).
+//     covered by the one-batch-stale guard plus the post-pass unwind).
 //   - Re-timing between batches runs the timer's own dirty-shard path:
 //     only shards that absorbed commits re-propagate, and the change
 //     journal feeds lazy re-scoring — an entry is re-scored at pop
@@ -99,9 +97,9 @@ type laneEntry struct {
 }
 
 // entryAbove reports whether entry a outranks b: higher
-// leakage-per-slack priority first, then more slack (the serial tie
-// rule), then enumeration order — a strict total order, so each heap
-// pops a unique sequence regardless of how it was built.
+// leakage-per-slack priority first, then more slack (greedy's order),
+// then enumeration order — a strict total order, so each heap pops a
+// unique sequence regardless of how it was built.
 func entryAbove(a, b *laneEntry) bool {
 	pa, pb := priority(a.m), priority(b.m)
 	if pa != pb {
@@ -148,9 +146,7 @@ func (l *lane) pop() laneEntry {
 
 // movesBySlackAsc is a concrete stable-sort order (worst slack first)
 // so steady-state unwinds sort without the sort.SliceStable closure
-// allocations. Stable sorting yields the same permutation regardless
-// of algorithm, so this is byte-equivalent to the serial engine's
-// SliceStable call.
+// allocations.
 type movesBySlackAsc struct{ moves []Move }
 
 func (s *movesBySlackAsc) Len() int           { return len(s.moves) }
@@ -179,7 +175,7 @@ func laneWorkers(opts Options, shards int) int {
 	return w
 }
 
-func runLanes(inc *sta.Incremental, p Problem, opts Options) (*Result, error) {
+func newLaneEngine(inc *sta.Incremental, p Problem, opts Options) *laneEngine {
 	shards := inc.ShardCount()
 	e := &laneEngine{
 		inc:   inc,
@@ -196,11 +192,12 @@ func runLanes(inc *sta.Incremental, p Problem, opts Options) (*Result, error) {
 		e.lanes[i].scoreLb = pprof.Labels("assign_phase", "score", "assign_shard", id)
 		e.lanes[i].commitLb = pprof.Labels("assign_phase", "commit", "assign_shard", id)
 	}
-	return e.run()
+	return e
 }
 
-// run is the same pass/unwind skeleton as the serial engine; only the
-// inside of a pass differs.
+// run alternates passes and unwinds: a fresh analysis below the margin
+// unwinds, otherwise a pass commits. It stops when a pass commits
+// nothing, an unwind reverts nothing or the pass budget runs out.
 func (e *laneEngine) run() (*Result, error) {
 	res := e.res
 	for pass := 0; pass < e.opts.MaxPasses; pass++ {
@@ -227,8 +224,9 @@ func (e *laneEngine) run() (*Result, error) {
 			break
 		}
 	}
-	// Final guard, as in the serial engine: never end with a setup
-	// violation an unwind could have cleared.
+	// Final guard: never end with a setup violation an unwind could
+	// have cleared. This pins the "never worse than greedy at equal
+	// timing-cleanliness" property.
 	timing, err := e.retime()
 	if err != nil {
 		return res, err
@@ -296,10 +294,10 @@ func (e *laneEngine) staleEpoch(inst *netlist.Instance) uint32 {
 }
 
 // pass runs one full lane pass: score and bucket every candidate once,
-// then drain the lanes batch by batch until no entries remain. Like
-// the serial pass, a WNS dip does not stop the drain — stale entries
-// re-score against the dip and fail the fresh-slack guard — it only
-// collapses the adaptive batch so overshoot stays shallow.
+// then drain the lanes batch by batch until no entries remain. A WNS
+// dip does not stop the drain — stale entries re-score against the dip
+// and fail the fresh-slack guard — it only collapses the adaptive
+// batch so overshoot stays shallow.
 func (e *laneEngine) pass(timing *sta.Result) (int, error) {
 	e.score(timing)
 	committed := 0
@@ -354,7 +352,7 @@ func (e *laneEngine) scoreLanes(timing *sta.Result) {
 		l := &e.lanes[e.inc.ShardOf(all[i].Inst)]
 		l.entries = append(l.entries, laneEntry{m: all[i], seq: int32(i), epoch: e.epoch})
 	}
-	// The serial path stays closure-free: a literal handed to fanOut
+	// The one-worker path stays closure-free: a literal handed to fanOut
 	// escapes (heap-allocates) even when it ends up running inline.
 	if e.collectActive() {
 		e.fanOut(len(e.active), func(k int) {
@@ -505,9 +503,8 @@ func (e *laneEngine) commitLanes(timing *sta.Result) (int, error) {
 
 // propose pops a lane's best entries up to its quota. Stale entries
 // (their instance's timing moved since scoring) re-score in place and
-// re-seat before competing again; fresh entries either pass the serial
-// engine's fresh-slack guard and become proposals, or drop for the
-// pass exactly as a guarded skip would in the serial loop.
+// re-seat before competing again; fresh entries either pass the
+// fresh-slack guard and become proposals, or drop for the pass.
 func (e *laneEngine) propose(l *lane, timing *sta.Result) {
 	l.prop = l.prop[:0]
 	for len(l.entries) > 0 && len(l.prop) < l.quota {
@@ -519,6 +516,11 @@ func (e *laneEngine) propose(l *lane, timing *sta.Result) {
 			continue
 		}
 		m := l.pop().m
+		// Fresh slack against the raw delay estimate. Greedy needs its
+		// safety factor because every move in a pass reads pass-start
+		// slack; here staleness is at most one batch and the unwind
+		// catches overshoot, so padding the guard as well would freeze
+		// marginal cells greedy profitably swaps.
 		if m.SlackNs-m.DeltaNs <= e.opts.SlackMarginNs {
 			continue
 		}
@@ -529,11 +531,11 @@ func (e *laneEngine) propose(l *lane, timing *sta.Result) {
 // admit charges a proposal against the batch's boundary-slack budget.
 // Interior moves (touching no cross-shard net) pass free — their
 // interactions are intra-shard, covered by the one-batch-stale guard
-// and the post-pass unwind exactly as in the serial engine. A move
-// touching boundary nets must fit under the worst already-charged
-// budget of those nets, then charges its safety-scaled delay to each:
-// two lanes sharing an interface net cannot see each other's commits
-// until the next re-time, so the batch pre-books the slack it spends.
+// and the post-pass unwind. A move touching boundary nets must fit
+// under the worst already-charged budget of those nets, then charges
+// its safety-scaled delay to each: two lanes sharing an interface net
+// cannot see each other's commits until the next re-time, so the batch
+// pre-books the slack it spends.
 func (e *laneEngine) admit(m Move) bool {
 	used := 0.0
 	boundary := false
@@ -583,9 +585,9 @@ func (e *laneEngine) shrinkBatch() {
 	e.batch = b
 }
 
-// unwind mirrors the serial engine's revert loop: worst slack first,
-// one BatchSize batch at a time, re-timing in between, until the
-// margin holds or nothing revertable remains. Reverting always resets
+// unwind reverts worst slack first, one BatchSize batch at a time,
+// re-timing in between, until the margin holds or nothing revertable
+// remains, and returns the number reverted. Reverting always resets
 // the adaptive batch — a violation just cost re-times, so the next
 // growth run starts conservative again.
 func (e *laneEngine) unwind(timing *sta.Result) (int, error) {
@@ -609,8 +611,8 @@ func (e *laneEngine) unwind(timing *sta.Result) (int, error) {
 }
 
 // selectReverts enumerates and orders one unwind batch: revert
-// candidates worst slack first (the concrete stable sorter — the same
-// permutation sort.SliceStable would yield), truncated to BatchSize.
+// candidates worst slack first (stable, so ties keep the problem's
+// critical order), truncated to BatchSize.
 // (Bigger unwind chunks measure as a wash: they revert moves a re-time
 // would have cleared, and the re-commit churn eats the saved re-times.)
 func (e *laneEngine) selectReverts(timing *sta.Result) ([]Move, error) {

@@ -12,7 +12,6 @@ import (
 
 	"selectivemt/internal/gen"
 	"selectivemt/internal/liberty"
-	"selectivemt/internal/netlist"
 	"selectivemt/internal/parasitics"
 	"selectivemt/internal/place"
 	"selectivemt/internal/sta"
@@ -75,24 +74,9 @@ func laneFixture(t *testing.T, partitions int, slack float64) (*laneEngine, *sta
 	if inc.ShardCount() < 2 {
 		t.Fatalf("fixture wanted a partitioned timer, got %d shards", inc.ShardCount())
 	}
-	opts := Options{
-		SlackMarginNs: 0,
-		MaxPasses:     12,
-		SwapFlops:     true,
-		SafetyFactor:  1.5,
-		BatchSize:     DefaultBatchSize,
-		Workers:       1,
-	}
-	e := &laneEngine{
-		inc:   inc,
-		p:     NewFlavorProblem(d, liberty.FlavorHVT, liberty.FlavorLVT, opts),
-		opts:  opts,
-		res:   &Result{Workers: 1},
-		lanes: make([]lane, inc.ShardCount()),
-		dirty: make(map[*netlist.Instance]uint32),
-		bound: make(map[*netlist.Net]float64),
-		batch: opts.BatchSize,
-	}
+	opts := DefaultOptions()
+	opts.Workers = 1
+	e := newLaneEngine(inc, NewFlavorProblem(d, liberty.FlavorHVT, liberty.FlavorLVT, opts), opts)
 	timing, err := e.retime()
 	if err != nil {
 		t.Fatal(err)

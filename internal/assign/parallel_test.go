@@ -1,28 +1,18 @@
 package assign_test
 
-// PR 10 determinism contracts for the shard-parallel sensitivity
-// engine:
-//
-//   - TestLaneDeterminismAcrossWorkers: on a partitioned timer, the
-//     lane engine yields byte-identical netlists and bit-identical
-//     metrics at every worker count — parallelism only changes
-//     scheduling, never results.
-//   - TestSerialSensitivityOracle: on a monolithic timer the strategy
-//     still runs PR 9's serial loop decision-for-decision; an inline
-//     verbatim copy of that loop is the oracle.
+// The determinism contract for the sensitivity lane engine: at any
+// shard count, it yields byte-identical netlists and bit-identical
+// metrics at every worker count — parallelism only changes scheduling,
+// never results.
 
 import (
 	"bytes"
 	"math"
-	"sort"
 	"testing"
 
 	"selectivemt/internal/assign"
-	"selectivemt/internal/dualvth"
-	"selectivemt/internal/liberty"
 	"selectivemt/internal/netlist"
 	"selectivemt/internal/power"
-	"selectivemt/internal/sta"
 	"selectivemt/internal/verilog"
 )
 
@@ -36,8 +26,9 @@ func netlistBytes(t *testing.T, d *netlist.Design) []byte {
 }
 
 // TestLaneDeterminismAcrossWorkers runs the sensitivity strategy over
-// randomized circuits and partition counts (adversarial cuts: prime
-// shard counts leave unbalanced lanes and plenty of boundary nets) at
+// randomized circuits and partition counts (one shard, and adversarial
+// cuts: prime shard counts leave unbalanced lanes and plenty of
+// boundary nets) at
 // assign-jobs 1, 2 and 4, and demands the outcome of every wider run be
 // indistinguishable from the single-worker one: same netlist bytes,
 // Float64bits-equal WNS/TNS/leakage, identical pass/commit/revert
@@ -49,6 +40,7 @@ func TestLaneDeterminismAcrossWorkers(t *testing.T) {
 		slack      float64
 		partitions int
 	}{
+		{3, 1.07, 1},
 		{3, 1.07, 2},
 		{3, 1.07, 5},
 		{19, 1.3, 3},
@@ -60,7 +52,7 @@ func TestLaneDeterminismAcrossWorkers(t *testing.T) {
 
 		type outcome struct {
 			bytes   []byte
-			res     *dualvth.Result
+			res     *assign.Result
 			leakMW  float64
 			wns     uint64
 			tns     uint64
@@ -68,13 +60,9 @@ func TestLaneDeterminismAcrossWorkers(t *testing.T) {
 		}
 		run := func(jobs int) outcome {
 			d := base.Clone()
-			opts := dualvth.DefaultOptions()
-			opts.Strategy = "sensitivity"
-			opts.AssignJobs = jobs
-			res, err := dualvth.Assign(d, cfg, opts)
-			if err != nil {
-				t.Fatalf("seed %d parts %d jobs %d: %v", tc.seed, tc.partitions, jobs, err)
-			}
+			opts := assign.DefaultOptions()
+			opts.Workers = jobs
+			res := runHVT(t, d, cfg, "sensitivity", opts)
 			leak := power.ActiveLeakage(d)
 			return outcome{
 				bytes:   netlistBytes(t, d),
@@ -91,7 +79,7 @@ func TestLaneDeterminismAcrossWorkers(t *testing.T) {
 			t.Errorf("seed %d parts %d: lane engine ended violating at a relaxed clock (WNS %v)",
 				tc.seed, tc.partitions, ref.res.Timing.WNS)
 		}
-		if ref.res.Swapped == 0 {
+		if ref.res.Moved == 0 {
 			t.Errorf("seed %d parts %d: lane engine swapped nothing", tc.seed, tc.partitions)
 		}
 		for _, jobs := range []int{2, 4} {
@@ -113,174 +101,11 @@ func TestLaneDeterminismAcrossWorkers(t *testing.T) {
 			if got.res.Passes != ref.res.Passes ||
 				got.res.Commits != ref.res.Commits ||
 				got.res.Reverts != ref.res.Reverts ||
-				got.res.Swapped != ref.res.Swapped ||
+				got.res.Moved != ref.res.Moved ||
 				got.res.Kept != ref.res.Kept {
 				t.Errorf("seed %d parts %d jobs %d: counters differ: %+v vs %+v",
 					tc.seed, tc.partitions, jobs, got.res, ref.res)
 			}
-		}
-	}
-}
-
-// oracleOutcome mirrors the counters the strategy reports.
-type oracleOutcome struct {
-	passes, commits, reverts, moved, kept int
-	timing                                *sta.Result
-}
-
-// oracleSensitivity is PR 9's serial sensitivity loop, copied verbatim
-// (modulo the buffered Candidates/RevertCandidates signatures): one
-// priority-sorted pass committed in BatchSize batches with incremental
-// re-times in between, worst-first batch unwinds on violation, and the
-// final guard unwind. The production serial path must match it
-// decision for decision.
-func oracleSensitivity(t *testing.T, inc *sta.Incremental, p assign.Problem, opts assign.Options) oracleOutcome {
-	t.Helper()
-	const epsNs = 1e-6
-	var res oracleOutcome
-	priority := func(m assign.Move) float64 { return m.LeakSavedMW / math.Max(m.DeltaNs, epsNs) }
-	retime := func() *sta.Result {
-		timing, err := inc.Update()
-		if err != nil {
-			t.Fatal(err)
-		}
-		res.timing = timing
-		return timing
-	}
-	revertWorst := func(timing *sta.Result) int {
-		moves, err := p.RevertCandidates(timing, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sort.SliceStable(moves, func(i, j int) bool { return moves[i].SlackNs < moves[j].SlackNs })
-		if len(moves) > opts.BatchSize {
-			moves = moves[:opts.BatchSize]
-		}
-		for _, m := range moves {
-			if err := p.Apply(m); err != nil {
-				t.Fatal(err)
-			}
-		}
-		res.reverts += len(moves)
-		return len(moves)
-	}
-	unwind := func(timing *sta.Result) int {
-		total := 0
-		for timing.WNS < opts.SlackMarginNs {
-			reverted := revertWorst(timing)
-			if reverted == 0 {
-				break
-			}
-			total += reverted
-			timing = retime()
-		}
-		return total
-	}
-	pass := func(timing *sta.Result) int {
-		moves := p.Candidates(timing, nil)
-		sort.SliceStable(moves, func(i, j int) bool {
-			pi, pj := priority(moves[i]), priority(moves[j])
-			if pi != pj {
-				return pi > pj
-			}
-			return moves[i].SlackNs > moves[j].SlackNs
-		})
-		committed, inBatch := 0, 0
-		for _, m := range moves {
-			if timing.InstSlack(m.Inst)-m.DeltaNs <= opts.SlackMarginNs {
-				continue
-			}
-			if err := p.Apply(m); err != nil {
-				t.Fatal(err)
-			}
-			committed++
-			inBatch++
-			if inBatch < opts.BatchSize {
-				continue
-			}
-			inBatch = 0
-			timing = retime()
-		}
-		res.commits += committed
-		return committed
-	}
-	for i := 0; i < opts.MaxPasses; i++ {
-		res.passes = i + 1
-		timing := retime()
-		if timing.WNS < opts.SlackMarginNs {
-			if unwind(timing) == 0 {
-				break
-			}
-			continue
-		}
-		if pass(timing) == 0 {
-			break
-		}
-	}
-	timing := retime()
-	if timing.WNS < opts.SlackMarginNs {
-		unwind(timing)
-	}
-	res.moved, res.kept = p.Tally()
-	return res
-}
-
-// TestSerialSensitivityOracle pins the monolithic-timer path of the
-// sensitivity strategy to PR 9's committed behavior: same netlist
-// bytes, same counters, bit-identical WNS.
-func TestSerialSensitivityOracle(t *testing.T) {
-	cases := []struct {
-		seed  int64
-		slack float64
-	}{
-		{5, 1.05},
-		{21, 1.3},
-	}
-	for _, tc := range cases {
-		base, cfg := prepRandom(t, tc.seed, 150, tc.slack)
-		opts := assign.Options{
-			SlackMarginNs: 0,
-			MaxPasses:     12,
-			SwapFlops:     true,
-			SafetyFactor:  1.5,
-			BatchSize:     assign.DefaultBatchSize,
-		}
-
-		cur := base.Clone()
-		inc, err := sta.NewIncremental(cur, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		strat, err := assign.Parse("sensitivity")
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := strat.Run(inc, assign.NewFlavorProblem(cur, liberty.FlavorHVT, liberty.FlavorLVT, opts), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		ref := base.Clone()
-		rinc, err := sta.NewIncremental(ref, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := oracleSensitivity(t, rinc, assign.NewFlavorProblem(ref, liberty.FlavorHVT, liberty.FlavorLVT, opts), opts)
-
-		if !bytes.Equal(netlistBytes(t, cur), netlistBytes(t, ref)) {
-			t.Errorf("seed %d slack %v: serial sensitivity diverged from the PR 9 oracle netlist", tc.seed, tc.slack)
-		}
-		if res.Passes != want.passes || res.Commits != want.commits || res.Reverts != want.reverts ||
-			res.Moved != want.moved || res.Kept != want.kept {
-			t.Errorf("seed %d slack %v: counters diverged: got passes=%d commits=%d reverts=%d moved=%d kept=%d, want %d/%d/%d/%d/%d",
-				tc.seed, tc.slack, res.Passes, res.Commits, res.Reverts, res.Moved, res.Kept,
-				want.passes, want.commits, want.reverts, want.moved, want.kept)
-		}
-		if math.Float64bits(res.Timing.WNS) != math.Float64bits(want.timing.WNS) {
-			t.Errorf("seed %d slack %v: WNS bits diverged (%v vs %v)", tc.seed, tc.slack, res.Timing.WNS, want.timing.WNS)
-		}
-		if res.Workers != 1 {
-			t.Errorf("seed %d slack %v: serial path reported Workers=%d", tc.seed, tc.slack, res.Workers)
 		}
 	}
 }

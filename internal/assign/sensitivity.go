@@ -1,11 +1,7 @@
 package assign
 
 import (
-	"context"
 	"math"
-	"runtime/pprof"
-	"sort"
-	"time"
 
 	"selectivemt/internal/sta"
 )
@@ -22,223 +18,26 @@ const sensEpsNs = 1e-6
 // whole pass stale; a local WNS dip therefore does not end the pass —
 // the fresh-slack guard keeps further commits off the violating paths
 // while the rest of the design keeps absorbing moves. Violations are
-// unwound batch-by-batch (worst slack first, re-timing in between)
+// unwound batch by batch (worst slack first, re-timing in between)
 // until the margin holds, so a dip costs its offenders, not the pass.
 // The same unwind runs as the final guard — sensitivity never ends
 // with a setup violation the greedy policy would have avoided.
 //
-// On a partitioned timer (Config.Partitions > 1) the strategy runs the
-// shard-parallel lane engine (lanes.go) instead of this serial loop:
-// per-shard candidate heaps, dirty-shard re-times and adaptive batches.
-// The gate is the timer's shard count — never the worker count — so a
-// given (design, partitions) pair yields one answer at any Workers
-// setting; the lane engine is itself bit-exact across worker counts.
+// The engine is the lane engine (lanes.go) at every shard count: one
+// commit lane per timer shard, so a one-shard timer is one lane with
+// no boundary nets. The lane schedule follows the shard count, so a
+// different partitioning may commit a different (equally
+// violation-free) set; the worker count never changes the answer.
 type sensitivity struct{}
 
 func (sensitivity) Name() string { return "sensitivity" }
 
 func (sensitivity) Run(inc *sta.Incremental, p Problem, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
-	if inc.ShardCount() > 1 {
-		return runLanes(inc, p, opts)
-	}
-	s := &serialSens{inc: inc, p: p, opts: opts, res: &Result{Workers: 1}}
-	return s.run()
-}
-
-// serialSens is the monolithic-timer sensitivity loop — PR 9's
-// committed behavior, verbatim (regression-pinned by
-// TestSerialSensitivityOracle), plus phase timing, pprof labels and
-// buffer reuse, none of which change a single decision.
-type serialSens struct {
-	inc  *sta.Incremental
-	p    Problem
-	opts Options
-	res  *Result
-	cand []Move // candidate enumeration buffer, reused across passes
-	rev  []Move // revert enumeration buffer, reused across batches
-}
-
-func (s *serialSens) run() (*Result, error) {
-	res := s.res
-	for pass := 0; pass < s.opts.MaxPasses; pass++ {
-		res.Passes = pass + 1
-		timing, err := s.retime()
-		if err != nil {
-			return res, err
-		}
-		if timing.WNS < s.opts.SlackMarginNs {
-			reverted, err := s.unwind(timing)
-			if err != nil {
-				return res, err
-			}
-			if reverted == 0 {
-				break
-			}
-			continue
-		}
-		committed, err := s.pass(timing)
-		if err != nil {
-			return res, err
-		}
-		if committed == 0 {
-			break
-		}
-	}
-	// Final guard: keep unwinding until the margin holds or no movable
-	// instance remains on a violating path. This is what pins the
-	// "never worse than greedy at equal timing-cleanliness" property.
-	timing, err := s.retime()
-	if err != nil {
-		return res, err
-	}
-	if timing.WNS < s.opts.SlackMarginNs {
-		if _, err := s.unwind(timing); err != nil {
-			return res, err
-		}
-	}
-	res.Moved, res.Kept = s.p.Tally()
-	return res, nil
-}
-
-// retime runs one incremental update under the retime phase label and
-// accounts its wall-clock, publishing the fresh analysis on success.
-func (s *serialSens) retime() (*sta.Result, error) {
-	start := time.Now()
-	var timing *sta.Result
-	var err error
-	pprof.Do(context.Background(), phaseLabels("retime"), func(context.Context) {
-		timing, err = s.inc.Update()
-	})
-	s.res.Phases.RetimeNs += time.Since(start).Nanoseconds()
-	if err != nil {
-		return nil, err
-	}
-	s.res.Timing = timing
-	return timing, nil
-}
-
-// pass commits one priority-ordered pass in batches, re-timing
-// incrementally between batches so later commits see slack the earlier
-// batches actually consumed. A WNS dip does not stop the pass:
-// instances on the violating paths fail the fresh-slack guard and are
-// skipped, everything else keeps committing, and the caller's unwind
-// gives back the offenders afterwards.
-func (s *serialSens) pass(timing *sta.Result) (int, error) {
-	start := time.Now()
-	var moves []Move
-	pprof.Do(context.Background(), phaseLabels("score"), func(context.Context) {
-		moves = s.p.Candidates(timing, s.cand[:0])
-		s.cand = moves
-		sort.SliceStable(moves, func(i, j int) bool {
-			pi := priority(moves[i])
-			pj := priority(moves[j])
-			if pi != pj {
-				return pi > pj
-			}
-			// Ties (e.g. no leakage data): most slack first, like greedy.
-			return moves[i].SlackNs > moves[j].SlackNs
-		})
-	})
-	s.res.Phases.ScoreNs += time.Since(start).Nanoseconds()
-
-	committed, inBatch := 0, 0
-	seg := time.Now()
-	for _, m := range moves {
-		// Fresh slack from the latest batch re-time, against the raw
-		// delay estimate. Greedy needs its safety factor because every
-		// move in a pass reads pass-start slack; here staleness is at
-		// most one batch, and overshoot is caught by the post-pass
-		// unwind — padding the guard as well would freeze marginal
-		// cells greedy profitably swaps.
-		if timing.InstSlack(m.Inst)-m.DeltaNs <= s.opts.SlackMarginNs {
-			continue
-		}
-		if err := s.p.Apply(m); err != nil {
-			s.res.Phases.CommitNs += time.Since(seg).Nanoseconds()
-			s.res.Commits += committed
-			return committed, err
-		}
-		committed++
-		inBatch++
-		if inBatch < s.opts.BatchSize {
-			continue
-		}
-		inBatch = 0
-		s.res.Phases.CommitNs += time.Since(seg).Nanoseconds()
-		t, err := s.retime()
-		if err != nil {
-			s.res.Commits += committed
-			return committed, err
-		}
-		timing = t
-		seg = time.Now()
-	}
-	s.res.Phases.CommitNs += time.Since(seg).Nanoseconds()
-	s.res.Commits += committed
-	return committed, nil
+	return newLaneEngine(inc, p, opts).run()
 }
 
 // priority is leakage saved per slack consumed. Moves with no modeled
 // delay cost rank by raw saving against the epsilon floor.
 func priority(m Move) float64 {
 	return m.LeakSavedMW / math.Max(m.DeltaNs, sensEpsNs)
-}
-
-// unwind reverts batch by batch — worst slack first, re-timing between
-// batches — until the margin holds or no revertable instance remains
-// on a violating path. It returns the number of instances reverted.
-func (s *serialSens) unwind(timing *sta.Result) (int, error) {
-	total := 0
-	for timing.WNS < s.opts.SlackMarginNs {
-		reverted, err := s.revertWorst(timing)
-		if err != nil {
-			return total, err
-		}
-		if reverted == 0 {
-			break
-		}
-		total += reverted
-		timing, err = s.retime()
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
-}
-
-// revertWorst unwinds up to one batch of revert candidates, worst
-// slack first, so the deepest violators give back their gain before
-// anything marginal does.
-func (s *serialSens) revertWorst(timing *sta.Result) (int, error) {
-	start := time.Now()
-	var moves []Move
-	var err error
-	pprof.Do(context.Background(), phaseLabels("unwind"), func(context.Context) {
-		moves, err = s.p.RevertCandidates(timing, s.rev[:0])
-		s.rev = moves // keep the enumeration's capacity for reuse
-		if err != nil {
-			return
-		}
-		sort.SliceStable(moves, func(i, j int) bool { return moves[i].SlackNs < moves[j].SlackNs })
-		if len(moves) > s.opts.BatchSize {
-			moves = moves[:s.opts.BatchSize]
-		}
-	})
-	if err != nil {
-		s.res.Phases.UnwindNs += time.Since(start).Nanoseconds()
-		return 0, err
-	}
-	reverted := 0
-	for _, m := range moves {
-		if err := s.p.Apply(m); err != nil {
-			s.res.Phases.UnwindNs += time.Since(start).Nanoseconds()
-			s.res.Reverts += reverted
-			return reverted, err
-		}
-		reverted++
-	}
-	s.res.Phases.UnwindNs += time.Since(start).Nanoseconds()
-	s.res.Reverts += reverted
-	return reverted, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"selectivemt/internal/assign"
 	"selectivemt/internal/dualvth"
 	"selectivemt/internal/liberty"
 	"selectivemt/internal/netlist"
@@ -22,9 +23,10 @@ func TestRecoverSizingSavesAreaAndLeakage(t *testing.T) {
 	areaBefore := d.TotalArea()
 	leakBefore := power.ActiveLeakage(d)
 	cfg := p.cfg.staConfig(&parasitics.EstimateExtractor{Proc: p.cfg.Proc}, nil)
-	opts := dualvth.DefaultOptions()
+	greedy, _ := assign.Lookup("greedy")
+	opts := assign.DefaultOptions()
 	opts.SlackMarginNs = 0.02 * p.cfg.ClockPeriodNs
-	n, err := dualvth.RecoverSizing(d, cfg, opts)
+	n, err := dualvth.RecoverSizing(d, cfg, greedy, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,9 +201,10 @@ func TestDriveSizingLadder(t *testing.T) {
 	// with a huge margin so nothing is eligible.
 	c := d.Clone()
 	cfg := p.cfg.staConfig(&parasitics.EstimateExtractor{Proc: p.cfg.Proc}, nil)
-	opts := dualvth.DefaultOptions()
+	greedy, _ := assign.Lookup("greedy")
+	opts := assign.DefaultOptions()
 	opts.SlackMarginNs = p.cfg.ClockPeriodNs // nothing has this much slack
-	n, err := dualvth.RecoverSizing(c, cfg, opts)
+	n, err := dualvth.RecoverSizing(c, cfg, greedy, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

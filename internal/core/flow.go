@@ -6,7 +6,6 @@ import (
 
 	"selectivemt/internal/assign"
 	"selectivemt/internal/cts"
-	"selectivemt/internal/dualvth"
 	"selectivemt/internal/eco"
 	"selectivemt/internal/engine"
 	"selectivemt/internal/flow"
@@ -34,17 +33,16 @@ type Config struct {
 	ClockPeriodNs float64 // 0 → ClockSlack × post-synthesis minimum period
 	ClockSlack    float64 // default 1.1
 
-	Rules      vgnd.Rules
-	PlaceOpts  place.Options
-	CTSOpts    cts.Options
-	AssignOpts dualvth.Options
-	ECOOpts    eco.Options
+	Rules     vgnd.Rules
+	PlaceOpts place.Options
+	CTSOpts   cts.Options
+	ECOOpts   eco.Options
 
 	// Strategy names the Vth-assignment strategy every Dual-Vth/SMT
 	// stage runs with ("greedy", "sensitivity", or any registered
-	// assign.Strategy). Empty means AssignOpts.Strategy, which itself
-	// defaults to greedy — the paper's policy. AssignOpts.Strategy, when
-	// set explicitly, wins over this field.
+	// assign.Strategy). Empty means greedy — the paper's policy. The
+	// stages run it with assign.DefaultOptions, a slack reserve of 4% of
+	// the clock period and AssignJobs lanes (see Config.assignment).
 	Strategy string
 
 	MTEMaxFanout   int
@@ -76,21 +74,20 @@ type Config struct {
 	// Partitions, when > 1, sets the shard count of every timing analysis
 	// in the flow: the netlist is clustered into about this many shards
 	// and per-shard propagation fans out on the engine pool. Timing
-	// results are bit-identical to one shard at any worker count. The
-	// sensitivity assignment strategy additionally switches to its
-	// shard-parallel lane engine on a partitioned timer — a different
-	// (equally valid, violation-free) commit schedule than the serial
-	// loop, itself bit-exact across worker counts. Greedy is unaffected.
-	// 0 or 1 means one shard and the serial loop.
+	// results are bit-identical to one shard at any worker count, and
+	// so is greedy assignment. The sensitivity strategy runs one commit
+	// lane per shard, so its result follows the shard count: a
+	// different (equally violation-free) commit schedule per count,
+	// bit-exact across worker counts. 0 or 1 means one shard.
 	Partitions int
 	// ShardJobs bounds the sharded kernel's per-design fan-out width
 	// (<= 0 means GOMAXPROCS). Independent of SignoffJobs: corners fan
 	// out across designs, shards fan out inside one design.
 	ShardJobs int
-	// AssignJobs bounds the assignment lane engine's fan-out width
-	// (<= 0 means GOMAXPROCS, capped at the shard count). Only the
-	// sensitivity strategy on a partitioned timer fans out; the knob
-	// never changes results, only scheduling.
+	// AssignJobs bounds the sensitivity strategy's lane fan-out width
+	// (<= 0 means GOMAXPROCS, capped at the shard count, so only a
+	// partitioned timer fans out). It never changes results, only
+	// scheduling.
 	AssignJobs int
 }
 
@@ -110,7 +107,6 @@ func DefaultConfig(proc *tech.Process, lib *liberty.Library) *Config {
 		Rules:          vgnd.DefaultRules(proc, lib),
 		PlaceOpts:      po,
 		CTSOpts:        cts.DefaultOptions(proc),
-		AssignOpts:     dualvth.DefaultOptions(),
 		ECOOpts:        eco.DefaultOptions(po),
 		MTEMaxFanout:   16,
 		ActivityCycles: 96,
@@ -179,37 +175,21 @@ func (c *Config) minPeriod(d *netlist.Design, cfg sta.Config) (float64, error) {
 	return sta.MinPeriod(d, cfg)
 }
 
-// assignOpts returns the assignment options with a slack reserve for what
-// the pre-route estimate cannot see (post-route wire RC, clock skew): the
-// assignment must not consume every picosecond of the budget.
-func (c *Config) assignOpts() dualvth.Options {
-	o := c.AssignOpts
-	if o.SlackMarginNs == 0 {
-		o.SlackMarginNs = 0.04 * c.ClockPeriodNs
+// assignment resolves Strategy and the options every Vth stage runs
+// with: the defaults, plus a slack reserve for what the pre-route
+// estimate cannot see (post-route wire RC, clock skew) — the assignment
+// must not consume every picosecond of the budget — and the lane
+// fan-out on the engine pool.
+func (c *Config) assignment() (assign.Strategy, assign.Options, error) {
+	s, err := assign.Parse(c.Strategy)
+	if err != nil {
+		return nil, assign.Options{}, err
 	}
-	if o.Strategy == "" {
-		o.Strategy = c.Strategy
-	}
-	// Hand-built configs may leave AssignOpts zero: resolve the
-	// documented defaults here, because dualvth itself now rejects
-	// unspecified knobs instead of silently substituting them.
-	def := dualvth.DefaultOptions()
-	if o.MaxPasses == 0 {
-		o.MaxPasses = def.MaxPasses
-	}
-	if o.SafetyFactor == 0 {
-		o.SafetyFactor = def.SafetyFactor
-	}
-	if o.BatchSize == 0 {
-		o.BatchSize = def.BatchSize
-	}
-	if o.AssignJobs == 0 && c.AssignJobs > 0 {
-		o.AssignJobs = c.AssignJobs
-	}
-	if o.Run == nil {
-		o.Run = shardRun // lane fan-outs share the engine pool
-	}
-	return o
+	o := assign.DefaultOptions()
+	o.SlackMarginNs = 0.04 * c.ClockPeriodNs
+	o.Workers = max(c.AssignJobs, 0)
+	o.Run = shardRun
+	return s, o, nil
 }
 
 // StageReport records one flow stage's vitals (the pass manager's
@@ -228,9 +208,9 @@ type AssignPhaseReport struct {
 	Phases  assign.PhaseTimes
 }
 
-// assignReport converts one dualvth outcome into the stage-attributed
-// phase report TechniqueResult carries.
-func assignReport(stage string, r *dualvth.Result) AssignPhaseReport {
+// assignReport converts one assignment outcome into the
+// stage-attributed phase report TechniqueResult carries.
+func assignReport(stage string, r *assign.Result) AssignPhaseReport {
 	return AssignPhaseReport{
 		Stage:   stage,
 		Workers: r.Workers,

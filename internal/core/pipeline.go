@@ -85,9 +85,8 @@ func (s *FlowState) StageVitals(name string) *flow.StageReport {
 // reported instead of fingerprinting and re-analyzing the design. The
 // assign stages pass the incremental timer's final result, which ran
 // under the very pre-route config built here and equals a fresh
-// analysis bit for bit; anything stale or missing (a strategy that
-// edits after its last update, or returns no timing) falls back to
-// the analysis.
+// analysis bit for bit (assign.Run re-times a strategy that returns
+// stale or no timing); anything else falls back to the analysis.
 func (s *FlowState) vitals(name string, pre *sta.Result) *flow.StageReport {
 	sr := &flow.StageReport{Name: name, AreaUm2: s.Design.TotalArea()}
 	if pre != nil && pre.Design() == s.Design && pre.Revision == s.Design.Revision() {
@@ -126,8 +125,12 @@ const (
 // non-critical cells to high-Vth under the pre-route timing budget.
 func stageDualVthAssign() Stage {
 	return NewStage(StageNameDualVthAssign, func(_ context.Context, s *FlowState) (*flow.StageReport, error) {
+		strat, opts, err := s.Config.assignment()
+		if err != nil {
+			return nil, err
+		}
 		pre := s.Config.staConfig(&parasitics.EstimateExtractor{Proc: s.Config.Proc}, nil)
-		r, err := dualvth.Assign(s.Design, pre, s.Config.assignOpts())
+		r, err := dualvth.Assign(s.Design, pre, strat, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -141,8 +144,12 @@ func stageDualVthAssign() Stage {
 // flavor on critical paths and installs the MT gating predicates.
 func stageAssignMixed(name string, flavor liberty.Flavor) Stage {
 	return NewStage(name, func(_ context.Context, s *FlowState) (*flow.StageReport, error) {
+		strat, opts, err := s.Config.assignment()
+		if err != nil {
+			return nil, err
+		}
 		pre := s.Config.staConfig(&parasitics.EstimateExtractor{Proc: s.Config.Proc}, nil)
-		r, err := dualvth.AssignMixed(s.Design, pre, s.Config.assignOpts(), flavor)
+		r, err := dualvth.AssignMixed(s.Design, pre, strat, opts, flavor)
 		if err != nil {
 			return nil, err
 		}

@@ -127,8 +127,9 @@ var (
 )
 
 // TestAssignStageVitalsFallBack: when a registered strategy leaves timing
-// that is stale (an edit after its last update) or missing, the assign
-// stage must analyze the design itself and still report the fresh WNS.
+// that is stale (an edit after its last update) or missing, assign.Run
+// re-times the design and every assign stage still reports the fresh
+// WNS — AssignMixed's LVT fallback included, which reads that timing.
 func TestAssignStageVitalsFallBack(t *testing.T) {
 	registerStale.Do(func() {
 		for _, s := range []assign.Strategy{staleMove, staleNil} {
@@ -150,9 +151,9 @@ func TestAssignStageVitalsFallBack(t *testing.T) {
 	}{
 		{staleMove, StageNameDualVthAssign},
 		{staleMove, StageNameAssignNoVGND},
-		// AssignMixed reads the strategy's timing for its LVT fallback,
-		// so a nil timing is only survivable on the Dual-Vth stage.
 		{staleNil, StageNameDualVthAssign},
+		{staleNil, StageNameAssignEmbedded},
+		{staleNil, StageNameAssignNoVGND},
 	} {
 		run := *cfg
 		run.Strategy = tc.strategy.name

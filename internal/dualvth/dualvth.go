@@ -1,21 +1,16 @@
-// Package dualvth implements the baseline the paper compares against: the
-// Dual-Vth assignment of Wei et al. (CICC 2000) — start all low-Vth, then
-// move cells with positive slack to high-Vth, re-timing between passes
-// and reverting any swap batch that breaks the clock. The same engine,
-// pointed at MT variants instead of HVT ones, performs stage 2 of the
-// paper's Fig. 4 flow (see internal/core).
-//
-// The selection/revert policy itself lives in internal/assign: this
-// package validates the run, builds the flavor-swap Problem and hands it
-// to the configured assign.Strategy — "greedy" (the paper's slack-ordered
-// pass, the default) or "sensitivity" (leakage-per-slack ordering off the
-// library LUT, batched commits).
+// Package dualvth is the paper's Vth-assignment policy on top of the
+// strategy subsystem (internal/assign): the Dual-Vth baseline of Wei et
+// al. (CICC 2000) — start all low-Vth, move cells with slack to
+// high-Vth — the stage-2 assignment of the paper's Fig. 4 flow with its
+// plain-LVT fallback for cells that miss timing even as MT-cells, and
+// the sizing recovery of Wei et al.'s simultaneous assignment and
+// sizing. Callers pass a resolved assign.Strategy and assign.Options;
+// every strategy call goes through assign.Run.
 package dualvth
 
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"selectivemt/internal/assign"
 	"selectivemt/internal/liberty"
@@ -24,8 +19,8 @@ import (
 )
 
 // Named validation errors. Assign, AssignMixed and RecoverSizing reject
-// nonsensical inputs with these (wrapped with the offending value)
-// instead of silently substituting defaults.
+// a missing design or library and an unknown MT flavor with these;
+// options fail with assign's named errors.
 var (
 	// ErrNilDesign rejects a nil design.
 	ErrNilDesign = errors.New("dualvth: nil design")
@@ -34,177 +29,45 @@ var (
 	// ErrUnknownFlavor rejects an AssignMixed target that is not one of
 	// the MT flavors (conventional, no-VGND-opt, VGND-opt).
 	ErrUnknownFlavor = errors.New("dualvth: unknown MT flavor")
-	// ErrNonPositivePasses rejects MaxPasses <= 0.
-	ErrNonPositivePasses = errors.New("dualvth: MaxPasses must be positive")
-	// ErrNonPositiveSafety rejects SafetyFactor <= 0 (or NaN).
-	ErrNonPositiveSafety = errors.New("dualvth: SafetyFactor must be positive")
-	// ErrNonPositiveBatch rejects BatchSize <= 0.
-	ErrNonPositiveBatch = errors.New("dualvth: BatchSize must be positive")
-	// ErrBadSlackMargin rejects a negative or non-finite slack margin.
-	ErrBadSlackMargin = errors.New("dualvth: SlackMarginNs must be finite and non-negative")
-	// ErrNegativeAssignJobs rejects AssignJobs < 0.
-	ErrNegativeAssignJobs = errors.New("dualvth: AssignJobs must be >= 0")
 )
 
-// Options tunes the assignment loop.
-type Options struct {
-	// SlackMarginNs is the slack every swap must preserve.
-	SlackMarginNs float64
-	// MaxPasses bounds the re-time/swap iterations.
-	MaxPasses int
-	// SwapFlops allows DFF Vth swaps too (the usual practice).
-	SwapFlops bool
-	// SafetyFactor scales the locally estimated delay increase before
-	// comparing against slack (covers path reconvergence).
-	SafetyFactor float64
-	// Strategy names the assign.Strategy driving the loop: "greedy"
-	// (the paper's slack-ordered pass), "sensitivity" (leakage-per-slack
-	// ordering with batched commits), or any registered custom strategy.
-	// Empty selects assign.DefaultStrategy.
-	Strategy string
-	// BatchSize bounds how many swaps the sensitivity strategy commits
-	// between incremental re-timings. Greedy ignores it (one batch per
-	// pass) but it must still be positive. The sensitivity lane engine
-	// (partitioned timers) treats it as the initial and minimum
-	// adaptive batch.
-	BatchSize int
-	// AssignJobs bounds the lane fan-out width when the sensitivity
-	// strategy runs on a partitioned timer (0 = all CPUs, capped at the
-	// shard count). It only changes scheduling, never results.
-	AssignJobs int
-	// Run, when set, executes lane fan-outs on an external scheduler
-	// (internal/core wires the flow engine's pool here). Nil uses the
-	// strategy's internal worker group.
-	Run func(tasks, workers int, run func(task int))
-}
-
-// DefaultOptions returns the options used in the experiments.
-func DefaultOptions() Options {
-	return Options{
-		SlackMarginNs: 0.0,
-		MaxPasses:     12,
-		SwapFlops:     true,
-		SafetyFactor:  1.5,
-		BatchSize:     assign.DefaultBatchSize,
-	}
-}
-
-// Validate rejects nonsensical option combinations with the package's
-// named errors. The zero value of Options is deliberately invalid:
-// callers state their knobs (or take DefaultOptions) rather than lean
-// on silent substitution inside the hot loop.
-func (o Options) Validate() error {
-	if o.MaxPasses <= 0 {
-		return fmt.Errorf("%w, got %d", ErrNonPositivePasses, o.MaxPasses)
-	}
-	if math.IsNaN(o.SafetyFactor) || o.SafetyFactor <= 0 {
-		return fmt.Errorf("%w, got %v", ErrNonPositiveSafety, o.SafetyFactor)
-	}
-	if o.BatchSize <= 0 {
-		return fmt.Errorf("%w, got %d", ErrNonPositiveBatch, o.BatchSize)
-	}
-	if math.IsNaN(o.SlackMarginNs) || math.IsInf(o.SlackMarginNs, 0) || o.SlackMarginNs < 0 {
-		return fmt.Errorf("%w, got %v", ErrBadSlackMargin, o.SlackMarginNs)
-	}
-	if o.AssignJobs < 0 {
-		return fmt.Errorf("%w, got %d", ErrNegativeAssignJobs, o.AssignJobs)
-	}
-	if _, err := assign.Parse(o.Strategy); err != nil {
-		return err
-	}
-	return nil
-}
-
-// assignOptions converts to the strategy subsystem's option set.
-func (o Options) assignOptions() assign.Options {
-	return assign.Options{
-		SlackMarginNs: o.SlackMarginNs,
-		MaxPasses:     o.MaxPasses,
-		SwapFlops:     o.SwapFlops,
-		SafetyFactor:  o.SafetyFactor,
-		BatchSize:     o.BatchSize,
-		Workers:       o.AssignJobs,
-		Run:           o.Run,
-	}
-}
-
-// Result reports the assignment outcome.
-type Result struct {
-	Swapped int // cells ending at high Vth
-	Kept    int // cells kept low Vth
-	Passes  int
-	// Commits/Reverts count the individual moves the strategy made and
-	// unwound — the loop's work, not the net population change.
-	Commits int
-	Reverts int
-	Timing  *sta.Result
-	// Phases breaks the strategy's wall-clock down by phase and Workers
-	// is the effective lane fan-out it used (1 on the serial paths).
-	Phases  assign.PhaseTimes
-	Workers int
-}
-
-// validateRun checks the design and options and resolves the strategy.
-func validateRun(d *netlist.Design, opts Options) (assign.Strategy, error) {
+// check rejects a run before any timing work or netlist edit, so a
+// refused AssignMixed leaves the design as it was. (assign.Run
+// validates the options again; it cannot run before the MT
+// pre-conversion.)
+func check(d *netlist.Design, opts assign.Options) error {
 	if d == nil {
-		return nil, ErrNilDesign
+		return ErrNilDesign
 	}
 	if d.Lib == nil {
-		return nil, ErrNilLibrary
+		return ErrNilLibrary
 	}
-	if err := opts.Validate(); err != nil {
-		return nil, err
-	}
-	return assign.Parse(opts.Strategy)
+	return opts.Validate()
 }
 
-// Assign converts as many cells as possible to the target flavor without
-// violating timing. The target is FlavorHVT for the Dual-Vth baseline; the
-// SMT flow passes the same engine different targets per criticality class.
-func Assign(d *netlist.Design, cfg sta.Config, opts Options) (*Result, error) {
-	strat, err := validateRun(d, opts)
-	if err != nil {
+// Assign converts as many cells as possible to high Vth without
+// violating timing, unwinding over-committed cells to low Vth.
+func Assign(d *netlist.Design, cfg sta.Config, s assign.Strategy, opts assign.Options) (*assign.Result, error) {
+	if err := check(d, opts); err != nil {
 		return nil, err
 	}
 	inc, err := sta.NewIncremental(d, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return runFlavor(d, inc, strat, opts, liberty.FlavorHVT, liberty.FlavorLVT)
-}
-
-// runFlavor drives the strategy over the flavor-swap problem: move cells
-// to target; when over-committed, unwind critical cells to revertTo (LVT
-// for the baseline; the MT flavor in the SMT flows, so criticals stay
-// gateable rather than leaky).
-func runFlavor(d *netlist.Design, inc *sta.Incremental, strat assign.Strategy,
-	opts Options, target, revertTo liberty.Flavor) (*Result, error) {
-	ao := opts.assignOptions()
-	r, err := strat.Run(inc, assign.NewFlavorProblem(d, target, revertTo, ao), ao)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Swapped: r.Moved,
-		Kept:    r.Kept,
-		Passes:  r.Passes,
-		Commits: r.Commits,
-		Reverts: r.Reverts,
-		Timing:  r.Timing,
-		Phases:  r.Phases,
-		Workers: r.Workers,
-	}, nil
+	return assign.Run(s, inc, assign.NewFlavorProblem(d, liberty.FlavorHVT, liberty.FlavorLVT, opts), opts)
 }
 
 // AssignMixed performs the SMT stage-2 assignment of Fig. 4: every
 // combinational cell starts as an MT-cell (so timing already carries the
 // VGND-bounce derate), then cells with slack move to HVT — "replacing
 // low-Vth cells by high-Vth cells and MT-cells with the timing
-// specification satisfied". Cells that cannot meet timing even as MT-cells
-// fall back to plain LVT (they stay un-gated), which real flows also do.
-func AssignMixed(d *netlist.Design, cfg sta.Config, opts Options, mtFlavor liberty.Flavor) (*Result, error) {
-	strat, err := validateRun(d, opts)
-	if err != nil {
+// specification satisfied". Over-committed cells unwind to the MT
+// flavor, so criticals stay gateable rather than leaky. Cells that
+// cannot meet timing even as MT-cells fall back to plain LVT (they stay
+// un-gated), which real flows also do.
+func AssignMixed(d *netlist.Design, cfg sta.Config, s assign.Strategy, opts assign.Options, mtFlavor liberty.Flavor) (*assign.Result, error) {
+	if err := check(d, opts); err != nil {
 		return nil, err
 	}
 	switch mtFlavor {
@@ -228,7 +91,7 @@ func AssignMixed(d *netlist.Design, cfg sta.Config, opts Options, mtFlavor liber
 	if err != nil {
 		return nil, err
 	}
-	res, err := runFlavor(d, inc, strat, opts, liberty.FlavorHVT, mtFlavor)
+	res, err := assign.Run(s, inc, assign.NewFlavorProblem(d, liberty.FlavorHVT, mtFlavor, opts), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -237,7 +100,7 @@ func AssignMixed(d *netlist.Design, cfg sta.Config, opts Options, mtFlavor liber
 	// machinery does the rebinding; the pass loop stays here because its
 	// stop condition (margin met or pass budget spent) is this flow's
 	// policy, not the strategy's.
-	lvt := assign.NewFlavorProblem(d, liberty.FlavorHVT, liberty.FlavorLVT, opts.assignOptions())
+	lvt := assign.NewFlavorProblem(d, liberty.FlavorHVT, liberty.FlavorLVT, opts)
 	timing := res.Timing
 	for pass := 0; timing.WNS < opts.SlackMarginNs && pass < opts.MaxPasses; pass++ {
 		moves, err := lvt.RevertCandidates(timing, nil)
@@ -260,8 +123,32 @@ func AssignMixed(d *netlist.Design, cfg sta.Config, opts Options, mtFlavor liber
 		res.Timing = timing
 	}
 	// The revert loop rebinds cells after the strategy tallied its
-	// counts: recount so Swapped/Kept describe the design actually
+	// counts: recount so Moved/Kept describe the design actually
 	// returned, not the pre-revert one.
-	res.Swapped, res.Kept = lvt.Tally()
+	res.Moved, res.Kept = lvt.Tally()
 	return res, nil
+}
+
+// RecoverSizing downsizes over-provisioned drivers after Vth assignment —
+// the "gate-sizing" half of Wei et al.'s simultaneous dual-Vth assignment
+// and gate sizing. Cells whose slack comfortably exceeds the margin are
+// stepped down one drive strength at a time (X4→X2→X1), which saves both
+// area and leakage (narrower devices) without touching logic.
+//
+// The strategy re-times between passes and reverts over-eager
+// downsizing the same way the Vth loop does. Returns the net number of
+// cells downsized (commits minus upsizing reverts).
+func RecoverSizing(d *netlist.Design, cfg sta.Config, s assign.Strategy, opts assign.Options) (int, error) {
+	if err := check(d, opts); err != nil {
+		return 0, err
+	}
+	inc, err := sta.NewIncremental(d, cfg)
+	if err != nil {
+		return 0, err
+	}
+	r, err := assign.Run(s, inc, assign.NewSizingProblem(d, opts), opts)
+	if err != nil {
+		return 0, err
+	}
+	return r.Commits - r.Reverts, nil
 }

@@ -3,6 +3,7 @@ package dualvth
 import (
 	"testing"
 
+	"selectivemt/internal/assign"
 	"selectivemt/internal/gen"
 	"selectivemt/internal/liberty"
 	"selectivemt/internal/netlist"
@@ -18,6 +19,8 @@ import (
 var (
 	sharedLib  *liberty.Library
 	sharedProc *tech.Process
+	// greedy is the paper's strategy, the one these tests run.
+	greedy, _ = assign.Lookup("greedy")
 )
 
 func lib(t *testing.T) *liberty.Library {
@@ -61,29 +64,29 @@ func prepDesign(t *testing.T, slack float64) (*netlist.Design, sta.Config) {
 
 func TestAssignMeetsTiming(t *testing.T) {
 	d, cfg := prepDesign(t, 1.2)
-	res, err := Assign(d, cfg, DefaultOptions())
+	res, err := Assign(d, cfg, greedy, assign.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Timing.WNS < 0 {
 		t.Fatalf("assignment broke timing: WNS=%v", res.Timing.WNS)
 	}
-	if res.Swapped == 0 {
+	if res.Moved == 0 {
 		t.Error("nothing swapped to HVT at a relaxed clock")
 	}
 	if res.Kept == 0 {
 		t.Error("everything swapped — the critical paths should have stayed LVT")
 	}
 	fl := d.CountByFlavor()
-	if fl[liberty.FlavorHVT] != res.Swapped {
-		t.Errorf("flavor count %d != reported %d", fl[liberty.FlavorHVT], res.Swapped)
+	if fl[liberty.FlavorHVT] != res.Moved {
+		t.Errorf("flavor count %d != reported %d", fl[liberty.FlavorHVT], res.Moved)
 	}
 }
 
 func TestAssignReducesLeakage(t *testing.T) {
 	d, cfg := prepDesign(t, 1.25)
 	before := power.ActiveLeakage(d)
-	if _, err := Assign(d, cfg, DefaultOptions()); err != nil {
+	if _, err := Assign(d, cfg, greedy, assign.DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
 	after := power.ActiveLeakage(d)
@@ -95,11 +98,11 @@ func TestAssignReducesLeakage(t *testing.T) {
 func TestTighterClockKeepsMoreLVT(t *testing.T) {
 	dTight, cfgTight := prepDesign(t, 1.03)
 	dLoose, cfgLoose := prepDesign(t, 1.6)
-	rTight, err := Assign(dTight, cfgTight, DefaultOptions())
+	rTight, err := Assign(dTight, cfgTight, greedy, assign.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rLoose, err := Assign(dLoose, cfgLoose, DefaultOptions())
+	rLoose, err := Assign(dLoose, cfgLoose, greedy, assign.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +115,7 @@ func TestTighterClockKeepsMoreLVT(t *testing.T) {
 func TestAssignPreservesFunction(t *testing.T) {
 	d, cfg := prepDesign(t, 1.2)
 	ref := d.Clone()
-	if _, err := Assign(d, cfg, DefaultOptions()); err != nil {
+	if _, err := Assign(d, cfg, greedy, assign.DefaultOptions()); err != nil {
 		t.Fatal(err)
 	}
 	eq, why, err := sim.Equivalent(ref, d, 40, 99)
@@ -126,7 +129,7 @@ func TestAssignPreservesFunction(t *testing.T) {
 
 func TestAssignMixedProducesMTCells(t *testing.T) {
 	d, cfg := prepDesign(t, 1.15)
-	res, err := AssignMixed(d, cfg, DefaultOptions(), liberty.FlavorMTNoVGND)
+	res, err := AssignMixed(d, cfg, greedy, assign.DefaultOptions(), liberty.FlavorMTNoVGND)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +158,7 @@ func TestAssignMixedProducesMTCells(t *testing.T) {
 func TestAssignMixedEquivalence(t *testing.T) {
 	d, cfg := prepDesign(t, 1.15)
 	ref := d.Clone()
-	if _, err := AssignMixed(d, cfg, DefaultOptions(), liberty.FlavorMTNoVGND); err != nil {
+	if _, err := AssignMixed(d, cfg, greedy, assign.DefaultOptions(), liberty.FlavorMTNoVGND); err != nil {
 		t.Fatal(err)
 	}
 	eq, why, err := sim.Equivalent(ref, d, 40, 123)
@@ -169,12 +172,12 @@ func TestAssignMixedEquivalence(t *testing.T) {
 
 func TestImpossibleClockStillTerminates(t *testing.T) {
 	d, cfg := prepDesign(t, 0.5) // infeasible period
-	res, err := Assign(d, cfg, DefaultOptions())
+	res, err := Assign(d, cfg, greedy, assign.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Nothing (or almost nothing) should be swapped; all cells LVT.
-	if res.Swapped > d.NumInstances()/10 {
-		t.Errorf("infeasible clock still swapped %d cells", res.Swapped)
+	if res.Moved > d.NumInstances()/10 {
+		t.Errorf("infeasible clock still swapped %d cells", res.Moved)
 	}
 }

@@ -14,12 +14,13 @@ import (
 	"sort"
 	"testing"
 
+	"selectivemt/internal/assign"
 	"selectivemt/internal/liberty"
 	"selectivemt/internal/netlist"
 	"selectivemt/internal/sta"
 )
 
-func legacyCountAssigned(d *netlist.Design, opts Options, target liberty.Flavor) (swapped, kept int) {
+func legacyCountAssigned(d *netlist.Design, opts assign.Options, target liberty.Flavor) (swapped, kept int) {
 	for _, inst := range d.Instances() {
 		if !legacySwappable(inst, opts) {
 			continue
@@ -33,7 +34,7 @@ func legacyCountAssigned(d *netlist.Design, opts Options, target liberty.Flavor)
 	return swapped, kept
 }
 
-func legacySwappable(inst *netlist.Instance, opts Options) bool {
+func legacySwappable(inst *netlist.Instance, opts assign.Options) bool {
 	switch inst.Cell.Kind {
 	case liberty.KindComb:
 		return true
@@ -44,7 +45,7 @@ func legacySwappable(inst *netlist.Instance, opts Options) bool {
 }
 
 // legacySwapPass tentatively swaps positive-slack cells to the target flavor.
-func legacySwapPass(d *netlist.Design, timing *sta.Result, opts Options, target liberty.Flavor) (int, error) {
+func legacySwapPass(d *netlist.Design, timing *sta.Result, opts assign.Options, target liberty.Flavor) (int, error) {
 	type cand struct {
 		inst  *netlist.Instance
 		slack float64
@@ -131,7 +132,7 @@ func legacyDelayDelta(inst *netlist.Instance, v *liberty.Cell, timing *sta.Resul
 
 // legacyRevertCritical moves swapped cells on violating paths back to
 // revertTo (flops, which have no MT variants, revert to LVT).
-func legacyRevertCritical(d *netlist.Design, timing *sta.Result, opts Options,
+func legacyRevertCritical(d *netlist.Design, timing *sta.Result, opts assign.Options,
 	revertTo liberty.Flavor) (int, error) {
 	reverted := 0
 	for _, inst := range timing.CriticalInstances(opts.SlackMarginNs) {
@@ -160,8 +161,8 @@ func legacyRevertCritical(d *netlist.Design, timing *sta.Result, opts Options,
 // legacyAssignFlavor is the pre-refactor incremental assignment loop,
 // verbatim: greedily move cells to target; when over-committed revert
 // critical cells to revertTo.
-func legacyAssignFlavor(t *testing.T, d *netlist.Design, inc *sta.Incremental, opts Options,
-	target, revertTo liberty.Flavor) *Result {
+func legacyAssignFlavor(t *testing.T, d *netlist.Design, inc *sta.Incremental, opts assign.Options,
+	target, revertTo liberty.Flavor) *assign.Result {
 	t.Helper()
 	if opts.MaxPasses <= 0 {
 		opts.MaxPasses = 12
@@ -169,7 +170,7 @@ func legacyAssignFlavor(t *testing.T, d *netlist.Design, inc *sta.Incremental, o
 	if opts.SafetyFactor <= 0 {
 		opts.SafetyFactor = 1.5
 	}
-	res := &Result{}
+	res := &assign.Result{}
 	for pass := 0; pass < opts.MaxPasses; pass++ {
 		res.Passes = pass + 1
 		timing, err := inc.Update()
@@ -210,7 +211,7 @@ func legacyAssignFlavor(t *testing.T, d *netlist.Design, inc *sta.Incremental, o
 		}
 		res.Timing = timing
 	}
-	res.Swapped, res.Kept = legacyCountAssigned(d, opts, target)
+	res.Moved, res.Kept = legacyCountAssigned(d, opts, target)
 	return res
 }
 
@@ -236,7 +237,7 @@ func legacyDriveStep(lib *liberty.Library, c *liberty.Cell, dir int) *liberty.Ce
 }
 
 // legacyResizeCritical upsizes critical combinational cells one step.
-func legacyResizeCritical(d *netlist.Design, timing *sta.Result, opts Options) (int, error) {
+func legacyResizeCritical(d *netlist.Design, timing *sta.Result, opts assign.Options) (int, error) {
 	n := 0
 	for _, inst := range timing.CriticalInstances(opts.SlackMarginNs) {
 		if inst.Cell.Kind != liberty.KindComb {
@@ -255,7 +256,7 @@ func legacyResizeCritical(d *netlist.Design, timing *sta.Result, opts Options) (
 }
 
 // legacyRecoverSizing is the pre-refactor sizing-recovery loop, verbatim.
-func legacyRecoverSizing(t *testing.T, d *netlist.Design, cfg sta.Config, opts Options) int {
+func legacyRecoverSizing(t *testing.T, d *netlist.Design, cfg sta.Config, opts assign.Options) int {
 	t.Helper()
 	if opts.MaxPasses <= 0 {
 		opts.MaxPasses = 12

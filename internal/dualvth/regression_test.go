@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"selectivemt/internal/assign"
 	"selectivemt/internal/liberty"
 	"selectivemt/internal/netlist"
 	"selectivemt/internal/sta"
@@ -15,8 +16,8 @@ import (
 // verbatim as a test oracle: a fresh full sta.Analyze before every pass
 // and for the final verification. The production assignFlavor must make
 // bit-identical decisions while re-timing only dirty cones.
-func referenceAssignFlavor(t *testing.T, d *netlist.Design, cfg sta.Config, opts Options,
-	target, revertTo liberty.Flavor) *Result {
+func referenceAssignFlavor(t *testing.T, d *netlist.Design, cfg sta.Config, opts assign.Options,
+	target, revertTo liberty.Flavor) *assign.Result {
 	t.Helper()
 	if opts.MaxPasses <= 0 {
 		opts.MaxPasses = 12
@@ -24,7 +25,7 @@ func referenceAssignFlavor(t *testing.T, d *netlist.Design, cfg sta.Config, opts
 	if opts.SafetyFactor <= 0 {
 		opts.SafetyFactor = 1.5
 	}
-	res := &Result{}
+	res := &assign.Result{}
 	for pass := 0; pass < opts.MaxPasses; pass++ {
 		res.Passes = pass + 1
 		timing, err := sta.Analyze(d, cfg)
@@ -65,7 +66,7 @@ func referenceAssignFlavor(t *testing.T, d *netlist.Design, cfg sta.Config, opts
 		}
 		res.Timing = timing
 	}
-	res.Swapped, res.Kept = legacyCountAssigned(d, opts, target)
+	res.Moved, res.Kept = legacyCountAssigned(d, opts, target)
 	return res
 }
 
@@ -86,16 +87,16 @@ func TestAssignMatchesFullReanalysisOracle(t *testing.T) {
 		base, cfg := prepDesign(t, slack)
 		dRef := base.Clone()
 		dInc := base.Clone()
-		opts := DefaultOptions()
+		opts := assign.DefaultOptions()
 
 		want := referenceAssignFlavor(t, dRef, cfg, opts, liberty.FlavorHVT, liberty.FlavorLVT)
-		got, err := Assign(dInc, cfg, opts)
+		got, err := Assign(dInc, cfg, greedy, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Swapped != want.Swapped || got.Kept != want.Kept || got.Passes != want.Passes {
+		if got.Moved != want.Moved || got.Kept != want.Kept || got.Passes != want.Passes {
 			t.Errorf("slack %v: swapped/kept/passes %d/%d/%d incremental vs %d/%d/%d reference",
-				slack, got.Swapped, got.Kept, got.Passes, want.Swapped, want.Kept, want.Passes)
+				slack, got.Moved, got.Kept, got.Passes, want.Moved, want.Kept, want.Passes)
 		}
 		if math.Float64bits(got.Timing.WNS) != math.Float64bits(want.Timing.WNS) ||
 			math.Float64bits(got.Timing.TNS) != math.Float64bits(want.Timing.TNS) {
@@ -117,7 +118,7 @@ func TestAssignMixedMatchesFullReanalysisOracle(t *testing.T) {
 		base, cfg := prepDesign(t, slack)
 		dRef := base.Clone()
 		dInc := base.Clone()
-		opts := DefaultOptions()
+		opts := assign.DefaultOptions()
 
 		// Reference: pre-convert, then the oracle loop, then the
 		// last-resort reverts with full re-analysis.
@@ -146,15 +147,15 @@ func TestAssignMixedMatchesFullReanalysisOracle(t *testing.T) {
 			}
 			want.Timing = timing
 		}
-		want.Swapped, want.Kept = legacyCountAssigned(dRef, opts, liberty.FlavorHVT)
+		want.Moved, want.Kept = legacyCountAssigned(dRef, opts, liberty.FlavorHVT)
 
-		got, err := AssignMixed(dInc, cfg, opts, liberty.FlavorMTNoVGND)
+		got, err := AssignMixed(dInc, cfg, greedy, opts, liberty.FlavorMTNoVGND)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Swapped != want.Swapped || got.Kept != want.Kept {
+		if got.Moved != want.Moved || got.Kept != want.Kept {
 			t.Errorf("slack %v: swapped/kept %d/%d incremental vs %d/%d reference",
-				slack, got.Swapped, got.Kept, want.Swapped, want.Kept)
+				slack, got.Moved, got.Kept, want.Moved, want.Kept)
 		}
 		if math.Float64bits(got.Timing.WNS) != math.Float64bits(want.Timing.WNS) {
 			t.Errorf("slack %v: WNS %v incremental vs %v reference",
@@ -179,8 +180,8 @@ func TestAssignMixedCountsFreshAfterReverts(t *testing.T) {
 	// A clock right at the LVT minimum period: the MT derate alone breaks
 	// it, so the revert loop must fire.
 	d, cfg := prepDesign(t, 1.0)
-	opts := DefaultOptions()
-	res, err := AssignMixed(d, cfg, opts, liberty.FlavorMTNoVGND)
+	opts := assign.DefaultOptions()
+	res, err := AssignMixed(d, cfg, greedy, opts, liberty.FlavorMTNoVGND)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,9 +195,9 @@ func TestAssignMixedCountsFreshAfterReverts(t *testing.T) {
 		t.Skip("revert loop did not fire at this clock; regression target not reachable")
 	}
 	swapped, kept := legacyCountAssigned(d, opts, liberty.FlavorHVT)
-	if res.Swapped != swapped || res.Kept != kept {
+	if res.Moved != swapped || res.Kept != kept {
 		t.Fatalf("returned tallies %d/%d do not match the final design %d/%d "+
-			"(stale counts from before the revert loop)", res.Swapped, res.Kept, swapped, kept)
+			"(stale counts from before the revert loop)", res.Moved, res.Kept, swapped, kept)
 	}
 	if res.Kept == 0 {
 		t.Error("reverted LVT cells must appear in Kept")
@@ -212,20 +213,20 @@ func TestGreedyStrategyMatchesLegacyLoop(t *testing.T) {
 		base, cfg := prepDesign(t, slack)
 		dLegacy := base.Clone()
 		dNew := base.Clone()
-		opts := DefaultOptions()
+		opts := assign.DefaultOptions()
 
 		inc, err := sta.NewIncremental(dLegacy, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := legacyAssignFlavor(t, dLegacy, inc, opts, liberty.FlavorHVT, liberty.FlavorLVT)
-		got, err := Assign(dNew, cfg, opts)
+		got, err := Assign(dNew, cfg, greedy, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Swapped != want.Swapped || got.Kept != want.Kept || got.Passes != want.Passes {
+		if got.Moved != want.Moved || got.Kept != want.Kept || got.Passes != want.Passes {
 			t.Errorf("slack %v: swapped/kept/passes %d/%d/%d strategy vs %d/%d/%d legacy",
-				slack, got.Swapped, got.Kept, got.Passes, want.Swapped, want.Kept, want.Passes)
+				slack, got.Moved, got.Kept, got.Passes, want.Moved, want.Kept, want.Passes)
 		}
 		if math.Float64bits(got.Timing.WNS) != math.Float64bits(want.Timing.WNS) ||
 			math.Float64bits(got.Timing.TNS) != math.Float64bits(want.Timing.TNS) {
@@ -246,19 +247,19 @@ func TestRecoverSizingMatchesLegacyLoop(t *testing.T) {
 		base, cfg := prepDesign(t, slack)
 		dLegacy := base.Clone()
 		dNew := base.Clone()
-		opts := DefaultOptions()
+		opts := assign.DefaultOptions()
 
 		// Sizing runs after Vth assignment in the flow; mirror that so
 		// the drive ladder has something to recover.
-		if _, err := Assign(dLegacy, cfg, opts); err != nil {
+		if _, err := Assign(dLegacy, cfg, greedy, opts); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Assign(dNew, cfg, opts); err != nil {
+		if _, err := Assign(dNew, cfg, greedy, opts); err != nil {
 			t.Fatal(err)
 		}
 
 		want := legacyRecoverSizing(t, dLegacy, cfg, opts)
-		got, err := RecoverSizing(dNew, cfg, opts)
+		got, err := RecoverSizing(dNew, cfg, greedy, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -41,7 +41,8 @@ type Options struct {
 	MaxJobs int
 	// Partitions is the default timing-shard count applied to job specs
 	// that leave it unset (a spec's own value wins). <= 1 keeps one
-	// shard; results are bit-identical either way.
+	// shard. Timing and greedy results are bit-identical either way; the
+	// sensitivity strategy's follow the shard count.
 	Partitions int
 	// ShardJobs bounds per-shard fan-out when partitioned timing is on;
 	// same spec-wins default rule as Partitions. <= 0 means GOMAXPROCS.

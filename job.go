@@ -50,8 +50,10 @@ type JobSpec struct {
 	// otherwise the first selected technique that built clusters.
 	InrushLimitMA float64 `json:"inrush_limit_ma,omitempty"`
 	// Partitions, when > 1, clusters the job's timing analyses into about
-	// this many shards (bit-identical results; see Config.Partitions).
-	// 0 or 1 means one shard.
+	// this many shards. Timing and greedy results are bit-identical; the
+	// sensitivity strategy commits one lane per shard, so its result
+	// follows the shard count (see Config.Partitions). 0 or 1 means one
+	// shard.
 	Partitions int `json:"partitions,omitempty"`
 	// ShardJobs bounds the sharded kernel's fan-out width per design
 	// (<= 0 means GOMAXPROCS). Only meaningful with Partitions > 1.

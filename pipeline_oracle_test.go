@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"selectivemt/internal/assign"
 	"selectivemt/internal/core"
 	"selectivemt/internal/cts"
 	"selectivemt/internal/dualvth"
@@ -53,14 +54,16 @@ func legacyStaConfig(cfg *Config, ex parasitics.Extractor, clk func(*netlist.Ins
 	}
 }
 
-// legacyAssignOpts replicates Config.assignOpts.
-func legacyAssignOpts(cfg *Config) dualvth.Options {
-	o := cfg.AssignOpts
-	if o.SlackMarginNs == 0 {
-		o.SlackMarginNs = 0.04 * cfg.ClockPeriodNs
-	}
+// legacyAssignOpts replicates the options the assign stages resolve:
+// the defaults with a slack reserve of 4% of the clock period.
+func legacyAssignOpts(cfg *Config) assign.Options {
+	o := assign.DefaultOptions()
+	o.SlackMarginNs = 0.04 * cfg.ClockPeriodNs
 	return o
 }
+
+// legacyGreedy is the strategy the pre-refactor runners hardwired.
+var legacyGreedy, _ = assign.Lookup("greedy")
 
 // legacyStage replicates TechniqueResult.stage: area, best-effort
 // pre-route WNS, leakage under the technique's gating.
@@ -127,7 +130,7 @@ func legacyDualVth(t *testing.T, base *netlist.Design, cfg *Config) *legacyResul
 	d := base.Clone()
 	res := &legacyResult{}
 	pre := legacyStaConfig(cfg, &parasitics.EstimateExtractor{Proc: cfg.Proc}, nil)
-	if _, err := dualvth.Assign(d, pre, legacyAssignOpts(cfg)); err != nil {
+	if _, err := dualvth.Assign(d, pre, legacyGreedy, legacyAssignOpts(cfg)); err != nil {
 		t.Fatal(err)
 	}
 	legacyStage(d, cfg, res, "dual-vth assignment")
@@ -144,7 +147,7 @@ func legacyConventional(t *testing.T, base *netlist.Design, cfg *Config) *legacy
 	d := base.Clone()
 	res := &legacyResult{}
 	pre := legacyStaConfig(cfg, &parasitics.EstimateExtractor{Proc: cfg.Proc}, nil)
-	if _, err := dualvth.AssignMixed(d, pre, legacyAssignOpts(cfg), liberty.FlavorMTConv); err != nil {
+	if _, err := dualvth.AssignMixed(d, pre, legacyGreedy, legacyAssignOpts(cfg), liberty.FlavorMTConv); err != nil {
 		t.Fatal(err)
 	}
 	res.gated, res.holderOn = core.IsGatedMT, core.HolderOn
@@ -183,7 +186,7 @@ func legacyImproved(t *testing.T, base *netlist.Design, cfg *Config) *legacyResu
 	snap := func() { res.snapshots = append(res.snapshots, snapshotVerilog(t, d)) }
 	pre := legacyStaConfig(cfg, &parasitics.EstimateExtractor{Proc: cfg.Proc}, nil)
 
-	if _, err := dualvth.AssignMixed(d, pre, legacyAssignOpts(cfg), liberty.FlavorMTNoVGND); err != nil {
+	if _, err := dualvth.AssignMixed(d, pre, legacyGreedy, legacyAssignOpts(cfg), liberty.FlavorMTNoVGND); err != nil {
 		t.Fatal(err)
 	}
 	res.gated, res.holderOn = core.IsGatedMT, core.HolderOn
