@@ -184,6 +184,9 @@ type Result struct {
 	Commits, Reverts int
 	// Timing is the final verified analysis.
 	Timing *sta.Result
+	// Timer is the incremental timer the run re-timed (Timing is its
+	// live result). The caller may keep updating it past the run.
+	Timer *sta.Incremental
 	// Phases breaks the run's wall-clock down by phase.
 	Phases PhaseTimes
 	// Workers is the effective lane fan-out the run used (greedy and
@@ -200,10 +203,11 @@ type Strategy interface {
 }
 
 // Run is the one way to call a strategy. It validates opts, runs s on
-// p and enforces the result contract: the Result is non-nil and its
-// Timing is the analysis of the design as s left it. A strategy that
-// returns no timing, or timing older than its last edit, costs one
-// more incremental update here instead of a nil or stale read later.
+// p and enforces the result contract: the Result is non-nil, its Timing
+// is the analysis of the design as s left it, and its Timer is inc. A
+// strategy that returns no timing, or timing older than its last edit,
+// costs one more incremental update here instead of a nil or stale read
+// later.
 func Run(s Strategy, inc *sta.Incremental, p Problem, opts Options) (*Result, error) {
 	if s == nil {
 		return nil, fmt.Errorf("%w: nil strategy", ErrUnknownStrategy)
@@ -223,6 +227,7 @@ func Run(s Strategy, inc *sta.Incremental, p Problem, opts Options) (*Result, er
 			return nil, err
 		}
 	}
+	r.Timer = inc
 	return r, nil
 }
 

@@ -51,10 +51,10 @@ type Config struct {
 	// StandbyInputs is the primary-input vector held in standby.
 	StandbyInputs map[string]logic.Value
 
-	// Cache, when set, memoizes deterministic per-design analyses
-	// (pre-route STA, the min-period probe) across
-	// techniques, circuits and repeated runs. Safe to share between
-	// concurrent flows; nil disables caching.
+	// Cache, when set, memoizes deterministic per-design analyses (the
+	// min-period probe, the corner sign-off) across techniques, circuits
+	// and repeated runs. Safe to share between concurrent flows; nil
+	// disables caching.
 	Cache *engine.AnalysisCache
 
 	// Corners, when non-empty, turns on multi-corner sign-off: each
@@ -153,17 +153,22 @@ func (c *Config) estimateActivity(d *netlist.Design) (*sim.Activity, error) {
 	return sim.EstimateActivity(d, c.ActivityCycles, c.Seed)
 }
 
-// analyzePre runs pre-route STA (estimate extractor, no clock-arrival
-// override), through the shared cache when one is attached.
-func (c *Config) analyzePre(d *netlist.Design, cfg sta.Config) (engine.TimingSummary, error) {
-	if c.Cache != nil {
-		return c.Cache.AnalyzePre(d, cfg)
+// preRoute is the pre-route timing config: estimate extraction and an
+// ideal clock.
+func (c *Config) preRoute() sta.Config {
+	return c.staConfig(&parasitics.EstimateExtractor{Proc: c.Proc}, nil)
+}
+
+// postRoute is the post-route timing config: Steiner extraction with the
+// VGND nets routed as trunks, and the clock arrivals of a CTS result
+// (zero before CTS).
+func (c *Config) postRoute(ctsRes *cts.Result) sta.Config {
+	ctsArr := func(*netlist.Instance) float64 { return 0 }
+	if ctsRes != nil {
+		ctsArr = ctsRes.Arrival
 	}
-	t, err := sta.Analyze(d, cfg)
-	if err != nil {
-		return engine.TimingSummary{}, err
-	}
-	return engine.TimingSummary{WNSNs: t.WNS, TNSNs: t.TNS, WorstHoldNs: t.WorstHold}, nil
+	return c.staConfig(&parasitics.SteinerExtractor{Proc: c.Proc,
+		TrunkNets: func(n *netlist.Net) bool { return n.IsVGND }}, ctsArr)
 }
 
 // minPeriod runs the pre-route minimum-period probe, through the shared
@@ -273,10 +278,6 @@ type TechniqueResult struct {
 	// gating predicates used for standby measurement (set per technique).
 	gatedFn  func(*netlist.Instance) bool
 	holderFn func(*netlist.Net) bool
-	// ecoTiming is the post-route analysis the hold ECO finished with;
-	// measure reuses it (instead of re-analyzing) while the design
-	// revision proves the netlist untouched since.
-	ecoTiming *sta.Result
 }
 
 // PrepareBase maps a generic module with low-Vth cells and places it —
@@ -296,7 +297,7 @@ func PrepareBase(mod *gen.Module, cfg *Config) (*netlist.Design, error) {
 		if slack <= 0 {
 			slack = 1.1
 		}
-		probe := cfg.staConfig(&parasitics.EstimateExtractor{Proc: cfg.Proc}, nil)
+		probe := cfg.preRoute()
 		probe.ClockPeriodNs = 1000
 		pmin, err := cfg.minPeriod(d, probe)
 		if err != nil {
@@ -330,29 +331,15 @@ func RunImprovedSMT(base *netlist.Design, cfg *Config) (*TechniqueResult, error)
 	return RunRegistered(context.Background(), "Improved-SMT", base, cfg, nil)
 }
 
-// measure computes the final area/leakage/timing numbers. When the hold
-// ECO's final analysis is still current — same design object, unchanged
-// change-journal revision, and an analysis config matching the post-route
-// one this function builds — it is reused instead of re-running a full
-// post-route STA. (The config check covers the scalar fields and the
-// extractor's type and process; the clock-arrival closure cannot be
-// compared, which the hold-ECO stage — the sole ecoTiming writer —
-// guarantees by construction.)
-func measure(d *netlist.Design, cfg *Config, res *TechniqueResult) error {
-	ctsArr := func(*netlist.Instance) float64 { return 0 }
-	if res.CTS != nil {
-		ctsArr = res.CTS.Arrival
-	}
-	post := cfg.staConfig(&parasitics.SteinerExtractor{Proc: cfg.Proc,
-		TrunkNets: func(n *netlist.Net) bool { return n.IsVGND }}, ctsArr)
-	timing := res.ecoTiming
-	if timing == nil || timing.Design() != d || timing.Revision != d.Revision() ||
-		!configCompatible(timing.Config, post) {
-		var err error
-		timing, err = sta.Analyze(d, post)
-		if err != nil {
-			return err
-		}
+// measure computes the final area/leakage/timing numbers, the timing
+// from the carried post-route timer (the hold ECO's, updated through
+// any edit since).
+func (s *FlowState) measure() error {
+	d, cfg, res := s.Design, s.Config, s.Result
+	post := cfg.postRoute(res.CTS)
+	timing, err := s.post.timing(d, post, res.CTS)
+	if err != nil {
+		return err
 	}
 	res.WNSNs = timing.WNS
 	res.WorstHoldNs = timing.WorstHold
@@ -380,25 +367,6 @@ func measure(d *netlist.Design, cfg *Config, res *TechniqueResult) error {
 	res.DynamicMW = dyn
 	res.Counts = countPopulation(d, res.Counts)
 	return nil
-}
-
-// configCompatible reports whether a prior analysis ran under a config
-// whose observable scalar fields and extractor (type + process) match the
-// one measure would use. prior comes back from sta.Analyze normalized, so
-// slew fields are compared only when the fresh config pins them.
-func configCompatible(prior, fresh sta.Config) bool {
-	se, ok := prior.Extractor.(*parasitics.SteinerExtractor)
-	if !ok {
-		return false
-	}
-	fe := fresh.Extractor.(*parasitics.SteinerExtractor)
-	return se.Proc == fe.Proc &&
-		prior.ClockPeriodNs == fresh.ClockPeriodNs &&
-		prior.ClockPort == fresh.ClockPort &&
-		prior.InputDelayNs == fresh.InputDelayNs &&
-		prior.OutputDelayNs == fresh.OutputDelayNs &&
-		(fresh.InputSlewNs <= 0 || prior.InputSlewNs == fresh.InputSlewNs) &&
-		(fresh.ClockSlewNs <= 0 || prior.ClockSlewNs == fresh.ClockSlewNs)
 }
 
 func countPopulation(d *netlist.Design, prev Counts) Counts {

@@ -55,6 +55,58 @@ type FlowState struct {
 	// cur carries the MT-cell current maps from the switch-structure
 	// stage to the post-route re-optimization stage.
 	cur currents
+
+	// pre and post are the flow's timers, carried from stage to stage
+	// and updated through the design's change journal instead of
+	// re-analyzing it: pre-route timing (the assigner's own timer, read
+	// by every stage's vitals) and post-route timing (built by the hold
+	// ECO, read by measure). Each is built on first use; RunPipeline
+	// drops both when the pipeline ends.
+	pre, post carriedTimer
+}
+
+// carriedTimer is an incremental timer the flow keeps across stages,
+// with what it was built from.
+type carriedTimer struct {
+	inc *sta.Incremental
+	cfg sta.Config
+	cts *cts.Result // post-route: the CTS result whose arrivals cfg reads
+}
+
+// timing brings the timer up to date with d and returns its live result.
+// A timer built for another design, CTS result or config is replaced by
+// a fresh one: a custom stage may change the config between stages.
+func (t *carriedTimer) timing(d *netlist.Design, cfg sta.Config, ctsRes *cts.Result) (*sta.Result, error) {
+	if t.inc != nil && t.inc.Design() == d && t.cts == ctsRes && sameTimerConfig(t.cfg, cfg) {
+		return t.inc.Update()
+	}
+	inc, err := sta.NewIncremental(d, cfg)
+	if err != nil {
+		return nil, err
+	}
+	*t = carriedTimer{inc: inc, cfg: cfg, cts: ctsRes}
+	return inc.Result(), nil
+}
+
+// sameTimerConfig reports whether two timing configs built by this
+// package describe the same analysis: equal scalar fields and an
+// extractor of the same type and process. Extractors and clock-arrival
+// closures are built fresh per call, so they cannot be compared by
+// identity; a post-route timer pins its arrivals by its CTS result.
+func sameTimerConfig(a, b sta.Config) bool {
+	sameEx := false
+	switch ea := a.Extractor.(type) {
+	case *parasitics.EstimateExtractor:
+		eb, ok := b.Extractor.(*parasitics.EstimateExtractor)
+		sameEx = ok && ea.Proc == eb.Proc
+	case *parasitics.SteinerExtractor:
+		eb, ok := b.Extractor.(*parasitics.SteinerExtractor)
+		sameEx = ok && ea.Proc == eb.Proc
+	}
+	return sameEx && a.ClockPeriodNs == b.ClockPeriodNs && a.ClockPort == b.ClockPort &&
+		a.InputDelayNs == b.InputDelayNs && a.OutputDelayNs == b.OutputDelayNs &&
+		a.InputSlewNs == b.InputSlewNs && a.ClockSlewNs == b.ClockSlewNs &&
+		a.Partitions == b.Partitions && a.ShardJobs == b.ShardJobs
 }
 
 // FlowVitals implements flow.Measurable: the pipeline diffs it across
@@ -72,30 +124,13 @@ func (s *FlowState) SetGating(gated func(*netlist.Instance) bool, holderOn func(
 }
 
 // StageVitals builds a stage report with the design's current vitals:
-// area, best-effort WNS using the cheap pre-route extractor (cached
-// when a shared cache is attached), and standby leakage under the
-// technique's gating once known.
+// area, best-effort WNS from the carried pre-route timer (the estimate
+// extractor, an ideal clock), and standby leakage under the technique's
+// gating once known.
 func (s *FlowState) StageVitals(name string) *flow.StageReport {
-	return s.vitals(name, nil)
-}
-
-// vitals is StageVitals for a stage that already holds pre-route timing
-// of the design: while that timing is current — an analysis of this
-// design object at its present change-journal revision — its WNS is
-// reported instead of fingerprinting and re-analyzing the design. The
-// assign stages pass the incremental timer's final result, which ran
-// under the very pre-route config built here and equals a fresh
-// analysis bit for bit (assign.Run re-times a strategy that returns
-// stale or no timing); anything else falls back to the analysis.
-func (s *FlowState) vitals(name string, pre *sta.Result) *flow.StageReport {
 	sr := &flow.StageReport{Name: name, AreaUm2: s.Design.TotalArea()}
-	if pre != nil && pre.Design() == s.Design && pre.Revision == s.Design.Revision() {
-		sr.WNSNs = pre.WNS
-	} else {
-		cfg := s.Config.staConfig(&parasitics.EstimateExtractor{Proc: s.Config.Proc}, nil)
-		if ts, err := s.Config.analyzePre(s.Design, cfg); err == nil {
-			sr.WNSNs = ts.WNSNs
-		}
+	if t, err := s.pre.timing(s.Design, s.Config.preRoute(), nil); err == nil {
+		sr.WNSNs = t.WNS
 	}
 	if rep, err := power.Standby(s.Design, power.StandbyOptions{
 		Inputs: s.Config.StandbyInputs, Gated: s.Result.gatedFn, HolderOn: s.Result.holderFn,
@@ -129,14 +164,15 @@ func stageDualVthAssign() Stage {
 		if err != nil {
 			return nil, err
 		}
-		pre := s.Config.staConfig(&parasitics.EstimateExtractor{Proc: s.Config.Proc}, nil)
+		pre := s.Config.preRoute()
 		r, err := dualvth.Assign(s.Design, pre, strat, opts)
 		if err != nil {
 			return nil, err
 		}
+		s.pre = carriedTimer{inc: r.Timer, cfg: pre}
 		s.Result.AssignReports = append(s.Result.AssignReports,
 			assignReport(StageNameDualVthAssign, r))
-		return s.vitals(StageNameDualVthAssign, r.Timing), nil
+		return s.StageVitals(StageNameDualVthAssign), nil
 	})
 }
 
@@ -148,14 +184,15 @@ func stageAssignMixed(name string, flavor liberty.Flavor) Stage {
 		if err != nil {
 			return nil, err
 		}
-		pre := s.Config.staConfig(&parasitics.EstimateExtractor{Proc: s.Config.Proc}, nil)
+		pre := s.Config.preRoute()
 		r, err := dualvth.AssignMixed(s.Design, pre, strat, opts, flavor)
 		if err != nil {
 			return nil, err
 		}
+		s.pre = carriedTimer{inc: r.Timer, cfg: pre}
 		s.Result.AssignReports = append(s.Result.AssignReports, assignReport(name, r))
 		s.SetGating(IsGatedMT, HolderOn)
-		return s.vitals(name, r.Timing), nil
+		return s.StageVitals(name), nil
 	})
 }
 
@@ -251,22 +288,18 @@ func stageCTS() Stage {
 	})
 }
 
-// stageHoldECO fixes post-route hold violations and keeps the ECO's
-// final timing for measure to reuse.
+// stageHoldECO fixes post-route hold violations on the post-route timer,
+// which it keeps for measure.
 func stageHoldECO() Stage {
 	return NewStage(StageNameHoldECO, func(_ context.Context, s *FlowState) (*flow.StageReport, error) {
-		ctsArr := func(*netlist.Instance) float64 { return 0 }
-		if s.Result.CTS != nil {
-			ctsArr = s.Result.CTS.Arrival
+		if _, err := s.post.timing(s.Design, s.Config.postRoute(s.Result.CTS), s.Result.CTS); err != nil {
+			return nil, err
 		}
-		post := s.Config.staConfig(&parasitics.SteinerExtractor{Proc: s.Config.Proc,
-			TrunkNets: func(n *netlist.Net) bool { return n.IsVGND }}, ctsArr)
-		ecoRes, err := eco.FixHold(s.Design, post, s.Config.ECOOpts)
+		ecoRes, err := eco.FixHoldWith(s.post.inc, s.Config.ECOOpts)
 		if err != nil {
 			return nil, err
 		}
 		s.Result.Counts.HoldBuffers = ecoRes.BuffersInserted
-		s.Result.ecoTiming = ecoRes.Timing
 		rep := s.StageVitals(StageNameHoldECO)
 		rep.Inserted = ecoRes.BuffersInserted
 		return rep, nil
@@ -278,7 +311,7 @@ func stageHoldECO() Stage {
 // technique's stage list.
 func stageMeasure() Stage {
 	return NewStage(StageNameMeasure, func(_ context.Context, s *FlowState) (*flow.StageReport, error) {
-		return nil, measure(s.Design, s.Config, s.Result)
+		return nil, s.measure()
 	})
 }
 
@@ -292,7 +325,7 @@ func stageReoptimize() Stage {
 		}
 		s.Result.ReoptResized = resized
 		rep := s.StageVitals(StageNameReoptimize)
-		if err := measure(s.Design, s.Config, s.Result); err != nil {
+		if err := s.measure(); err != nil {
 			return nil, err
 		}
 		for _, cl := range s.Result.Clusters {
@@ -407,10 +440,9 @@ func RunPipeline(ctx context.Context, p *Pipeline, base *netlist.Design, cfg *Co
 	st := &FlowState{Design: d, Config: &runCfg, Result: res}
 	reports, err := p.Run(ctx, st, flow.RunOptions{Observer: obs})
 	res.Stages = reports
-	// Measurement is over either way: release the ECO's timing maps so
-	// no pipeline — however composed — retains a whole-design STA
-	// result inside its TechniqueResult.
-	res.ecoTiming = nil
+	// The flow is over either way: drop its timers, so no stage that
+	// kept the state can hold a whole-design timing graph past the run.
+	st.pre, st.post = carriedTimer{}, carriedTimer{}
 	if err != nil {
 		return nil, err
 	}

@@ -10,6 +10,7 @@ import (
 
 	"selectivemt/internal/assign"
 	"selectivemt/internal/engine"
+	"selectivemt/internal/flow"
 	"selectivemt/internal/gen"
 	"selectivemt/internal/liberty"
 	"selectivemt/internal/netlist"
@@ -165,6 +166,84 @@ func TestAssignStageVitalsFallBack(t *testing.T) {
 		if !tc.strategy.dropTiming && tc.stage == StageNameDualVthAssign && tc.strategy.staleWNS == want {
 			t.Errorf("%s on %s: the late swap left WNS at %v; the stale timing is indistinguishable",
 				tc.strategy.name, tc.stage, want)
+		}
+	}
+}
+
+// TestCarriedTimersMatchFreshAnalysis: the stage vitals and the final
+// measurement read the timers the flow carries from stage to stage
+// instead of re-analyzing. For every technique on SmallTest, Circuit A
+// and Circuit B, at one shard and four, every stage's WNS must equal a
+// fresh pre-route analysis of the design that stage left, the final WNS
+// and worst hold a fresh post-route analysis of the finished design, bit
+// for bit; each carried timer must compile once; and a bare FlowState
+// over the finished design must report the same pre-route WNS.
+func TestCarriedTimersMatchFreshAnalysis(t *testing.T) {
+	l := lib(t)
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, c := range []struct {
+		name string
+		spec gen.CircuitSpec
+	}{{"small", gen.SmallTest()}, {"a", gen.CircuitA()}, {"b", gen.CircuitB()}} {
+		cfg := DefaultConfig(sharedProc, l)
+		cfg.ClockSlack = c.spec.ClockSlack
+		base, err := PrepareBase(c.spec.Module, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, technique := range []string{"Dual-Vth", "Conventional-SMT", "Improved-SMT"} {
+			for _, parts := range []int{0, 4} {
+				name := fmt.Sprintf("%s/%s/partitions=%d", c.name, technique, parts)
+				run := *cfg
+				run.Partitions = parts
+				p, ok := LookupPipeline(technique)
+				if !ok {
+					t.Fatalf("no pipeline %q", technique)
+				}
+				// After every stage, analyze the design it left from
+				// scratch; at the end, read the carried timers' counters.
+				fresh := map[string]float64{}
+				var builds [2]int
+				var stages []Stage
+				for _, st := range p.Stages() {
+					stages = append(stages, st, NewStage("check", func(_ context.Context, s *FlowState) (*flow.StageReport, error) {
+						r, err := sta.Analyze(s.Design, s.Config.preRoute())
+						if err != nil {
+							return nil, err
+						}
+						fresh[st.Name()] = r.WNS
+						return nil, nil
+					}))
+				}
+				stages = append(stages, NewStage("timers", func(_ context.Context, s *FlowState) (*flow.StageReport, error) {
+					builds = [2]int{s.pre.inc.Stats().FullBuilds, s.post.inc.Stats().FullBuilds}
+					return nil, nil
+				}))
+				res, err := RunPipeline(context.Background(), NewPipeline(technique, stages...), base, &run, nil)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				for _, sr := range res.Stages {
+					if want, ok := fresh[sr.Name]; !ok || !same(sr.WNSNs, want) {
+						t.Errorf("%s: stage %q WNS %v, fresh pre-route analysis %v", name, sr.Name, sr.WNSNs, want)
+					}
+				}
+				post, err := sta.Analyze(res.Design, run.postRoute(res.CTS))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !same(res.WNSNs, post.WNS) || !same(res.WorstHoldNs, post.WorstHold) {
+					t.Errorf("%s: final WNS %v worst hold %v, fresh post-route analysis %v and %v",
+						name, res.WNSNs, res.WorstHoldNs, post.WNS, post.WorstHold)
+				}
+				if builds != [2]int{1, 1} {
+					t.Errorf("%s: the pre-route and post-route timers compiled %d and %d times, want once each", name, builds[0], builds[1])
+				}
+				bare := (&FlowState{Design: res.Design, Config: &run, Result: res}).StageVitals("probe")
+				if want := freshPreWNS(t, res, &run); !same(bare.WNSNs, want) {
+					t.Errorf("%s: a bare FlowState reports WNS %v, fresh pre-route analysis %v", name, bare.WNSNs, want)
+				}
+			}
 		}
 	}
 }

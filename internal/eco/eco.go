@@ -44,27 +44,12 @@ type Result struct {
 	Insertions      []Insertion
 }
 
-// FixHold inserts delay buffers at violating flop D inputs until hold is
-// clean or MaxPasses is exhausted. Buffers are placed next to the flop so
-// the added wire does not disturb setup estimates elsewhere.
-func FixHold(d *netlist.Design, cfg sta.Config, opts Options) (*Result, error) {
-	if d.Lib.Cell(opts.BufName) == nil {
-		// Fail on the cheap lookup before paying for the full analysis.
-		return nil, fmt.Errorf("eco: library lacks %q", opts.BufName)
-	}
-	// One persistent timing graph for the whole loop: each pass re-times
-	// only the endpoints whose D nets grew padding, not the whole design.
-	inc, err := sta.NewIncremental(d, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return FixHoldWith(inc, opts)
-}
-
-// FixHoldWith runs the hold-fix loop on an already built timing graph —
-// the caller keeps the (updated) graph for later queries, which is how a
-// multi-corner session fixes hold at one corner without discarding that
-// corner's persistent timer.
+// FixHoldWith inserts delay buffers at violating flop D inputs until hold
+// is clean or MaxPasses is exhausted. Buffers are placed next to the flop
+// so the added wire does not disturb setup estimates elsewhere. It runs
+// on the caller's timing graph, which follows the padding at retime cost
+// and stays with the caller for later queries: the flow measures on it,
+// and a multi-corner session keeps each corner's persistent timer.
 func FixHoldWith(inc *sta.Incremental, opts Options) (*Result, error) {
 	d := inc.Design()
 	if opts.MaxPasses <= 0 {

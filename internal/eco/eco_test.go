@@ -30,6 +30,15 @@ func lib(t *testing.T) *liberty.Library {
 	return sharedLib
 }
 
+// FixHold runs the hold fix on a fresh timer over d.
+func FixHold(d *netlist.Design, cfg sta.Config, opts Options) (*Result, error) {
+	inc, err := sta.NewIncremental(d, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return FixHoldWith(inc, opts)
+}
+
 // holdRisky builds ff1 → INV → ff2 with a skewed capture clock so hold
 // fails before the ECO.
 func holdRisky(t *testing.T) (*netlist.Design, sta.Config) {

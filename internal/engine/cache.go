@@ -11,18 +11,17 @@ import (
 )
 
 // AnalysisCache memoizes the deterministic per-design analyses the flow
-// repeats on identical inputs: the pre-route STA summary and the
-// minimum-period probe. Entries are keyed by the design's content
-// fingerprint (netlist.Design.Fingerprint: SHA-256 over names, cells,
-// connectivity and the exact bits of every coordinate) plus the analysis
-// parameters, so a clone (or a re-run of the same circuit in a batch or
-// benchmark) hits the cache even though every run works on its own
-// Design instance, while a move of any size misses. Every lookup
-// recomputes the fingerprint, so stages that already hold current timing
-// of the design (the assign stages) report it without consulting the
-// cache. Activity estimation is not cached: within one flow every
-// estimate runs on a different design state, so only repeated identical
-// designs could hit.
+// repeats on identical inputs: the minimum-period probe of a prepared
+// base design, and (through Memo) the multi-corner sign-off. Entries are
+// keyed by the design's content fingerprint (netlist.Design.Fingerprint:
+// SHA-256 over names, cells, connectivity and the exact bits of every
+// coordinate) plus the analysis parameters, so a clone (or a re-run of
+// the same circuit in a batch or benchmark) hits the cache even though
+// every run works on its own Design instance, while a move of any size
+// misses. Per-stage timing is not cached: every stage of a flow sees a
+// different design state, so the flow carries incremental timers from
+// stage to stage instead (core.FlowState). Activity estimation is not
+// cached either, for the same reason.
 //
 // The cache is safe for concurrent use and deduplicates in-flight
 // computations: when two workers ask for the same key at once, one
@@ -84,7 +83,7 @@ func runCompute(compute func() (any, error)) (val any, err error) {
 // in-flight deduplication the built-in analyses use). Callers own the key
 // namespace: prefix keys with a unique tag so independent subsystems —
 // the multi-corner sign-off keys its entries by (fingerprint, corner) —
-// cannot collide with the built-in "sta|"/"minp|" entries. The
+// cannot collide with the built-in "minp|" entries. The
 // compute function must be deterministic; errors are cached like values.
 func (c *AnalysisCache) Memo(key string, compute func() (any, error)) (any, error) {
 	return c.do(key, compute)
@@ -119,14 +118,6 @@ func (c *AnalysisCache) Reset() {
 	c.entries = make(map[string]*cacheEntry)
 }
 
-// TimingSummary is the design-independent part of a pre-route STA run —
-// the scalars the flow's stage reports and sign-off checks consume.
-type TimingSummary struct {
-	WNSNs       float64
-	TNSNs       float64
-	WorstHoldNs float64
-}
-
 // preKey encodes every scalar field of a pre-route STA config. Only
 // configs with no clock-arrival override and the estimate extractor are
 // fully described by these scalars (the extractor is represented by its
@@ -136,46 +127,21 @@ type TimingSummary struct {
 // cached: a clock-arrival function has no key, and an address-based key
 // for another extractor type could go stale after garbage collection and
 // alias a different extractor.
-func preKey(kind string, d *netlist.Design, cfg sta.Config) (string, bool) {
+func preKey(d *netlist.Design, cfg sta.Config) (string, bool) {
 	ee, ok := cfg.Extractor.(*parasitics.EstimateExtractor)
 	if !ok || cfg.ClockArrival != nil {
 		return "", false
 	}
-	return fmt.Sprintf("%s|%s|%g|%s|%g|%g|%g|%g|%p",
-		kind, d.Fingerprint(), cfg.ClockPeriodNs, cfg.ClockPort, cfg.InputSlewNs,
+	return fmt.Sprintf("minp|%s|%g|%s|%g|%g|%g|%g|%p",
+		d.Fingerprint(), cfg.ClockPeriodNs, cfg.ClockPort, cfg.InputSlewNs,
 		cfg.InputDelayNs, cfg.OutputDelayNs, cfg.ClockSlewNs, ee.Proc), true
-}
-
-// AnalyzePre runs pre-route STA and memoizes its summary. Configs the key
-// cannot describe (a clock-arrival override, another extractor) are
-// computed directly, uncached.
-func (c *AnalysisCache) AnalyzePre(d *netlist.Design, cfg sta.Config) (TimingSummary, error) {
-	analyze := func() (any, error) {
-		t, err := sta.Analyze(d, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return TimingSummary{WNSNs: t.WNS, TNSNs: t.TNS, WorstHoldNs: t.WorstHold}, nil
-	}
-	key, ok := preKey("sta", d, cfg)
-	var v any
-	var err error
-	if ok {
-		v, err = c.do(key, analyze)
-	} else {
-		v, err = analyze()
-	}
-	if err != nil {
-		return TimingSummary{}, err
-	}
-	return v.(TimingSummary), nil
 }
 
 // MinPeriod runs the pre-route minimum-period probe and memoizes it.
 // Configs the key cannot describe are computed directly, uncached.
 func (c *AnalysisCache) MinPeriod(d *netlist.Design, cfg sta.Config) (float64, error) {
 	probe := func() (any, error) { return sta.MinPeriod(d, cfg) }
-	key, ok := preKey("minp", d, cfg)
+	key, ok := preKey(d, cfg)
 	var v any
 	var err error
 	if ok {

@@ -145,11 +145,11 @@ func TestCacheKeyDistinguishesDesigns(t *testing.T) {
 	}
 	cfg := sta.Config{ClockPeriodNs: 1, Extractor: &parasitics.EstimateExtractor{Proc: proc}}
 	c := NewAnalysisCache()
-	s1, err := c.AnalyzePre(d1, cfg)
+	p1, err := c.MinPeriod(d1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := c.AnalyzePre(d2, cfg)
+	p2, err := c.MinPeriod(d2, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,11 +159,11 @@ func TestCacheKeyDistinguishesDesigns(t *testing.T) {
 	if c.Len() != 2 {
 		t.Errorf("len = %d, want 2", c.Len())
 	}
-	if s1 == s2 {
-		t.Errorf("an HVT swap left the summary unchanged (%+v); the designs are not distinguished", s1)
+	if p1 == p2 {
+		t.Errorf("an HVT swap left the minimum period at %v; the designs are not distinguished", p1)
 	}
 	// A clone of d1 fingerprints equal and hits its entry.
-	if _, err := c.AnalyzePre(d1.Clone(), cfg); err != nil {
+	if _, err := c.MinPeriod(d1.Clone(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	if h, _ := c.Stats(); h != 1 {

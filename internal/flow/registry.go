@@ -55,7 +55,7 @@ func (r *Registry[S]) Names() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	out := make([]string, 0, len(r.byKey))
-	for _, p := range r.byKey {
+	for _, p := range r.byKey { // rangemap:ok sorted before returning
 		out = append(out, p.Name())
 	}
 	sort.Strings(out)

@@ -229,7 +229,7 @@ func standbyKey(opts power.StandbyOptions) string {
 		return "-"
 	}
 	names := make([]string, 0, len(opts.Inputs))
-	for n := range opts.Inputs {
+	for n := range opts.Inputs { // rangemap:ok sorted before use
 		names = append(names, n)
 	}
 	sort.Strings(names)

@@ -216,9 +216,6 @@ func (d *Design) Clone() *Design {
 	c.anon = d.anon
 	c.journalCapOverride = d.journalCapOverride
 	for _, name := range d.netOrder {
-		if _, ok := d.nets[name]; !ok {
-			continue
-		}
 		src := d.nets[name]
 		n, _ := c.ensureNet(name)
 		n.IsClock, n.IsMTE, n.IsVGND = src.IsClock, src.IsMTE, src.IsVGND
@@ -236,10 +233,7 @@ func (d *Design) Clone() *Design {
 		}
 	}
 	for _, name := range d.instOrder {
-		src, ok := d.insts[name]
-		if !ok {
-			continue
-		}
+		src := d.insts[name]
 		inst := &Instance{
 			Name: src.Name, Cell: src.Cell, Conns: make(map[string]*Net, len(src.Conns)),
 			Pos: src.Pos, Placed: src.Placed, Fixed: src.Fixed,
@@ -250,10 +244,7 @@ func (d *Design) Clone() *Design {
 	// Reconnect pins in the original net-endpoint order so clone equality
 	// is exact.
 	for _, name := range d.netOrder {
-		src, ok := d.nets[name]
-		if !ok {
-			continue
-		}
+		src := d.nets[name]
 		dst := c.nets[name]
 		if src.Driver.Inst != nil {
 			inst := c.insts[src.Driver.Inst.Name]

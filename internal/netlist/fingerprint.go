@@ -37,10 +37,7 @@ func (d *Design) Fingerprint() string {
 	w.point(d.Core.Lo)
 	w.point(d.Core.Hi)
 	for _, name := range d.portOrder {
-		p, ok := d.ports[name]
-		if !ok {
-			continue
-		}
+		p := d.ports[name]
 		w.tag(fpPort)
 		w.str(p.Name)
 		w.u64(uint64(p.Dir))
@@ -49,10 +46,7 @@ func (d *Design) Fingerprint() string {
 		w.str(p.Net.Name)
 	}
 	for _, name := range d.instOrder {
-		inst, ok := d.insts[name]
-		if !ok {
-			continue
-		}
+		inst := d.insts[name]
 		w.tag(fpInst)
 		w.str(inst.Name)
 		w.str(inst.Cell.Name)
@@ -62,10 +56,7 @@ func (d *Design) Fingerprint() string {
 	// Endpoint order matters: extraction and timing walk sinks in stored
 	// order, so two designs that differ only there are not interchangeable.
 	for _, name := range d.netOrder {
-		n, ok := d.nets[name]
-		if !ok {
-			continue
-		}
+		n := d.nets[name]
 		w.tag(fpNet)
 		w.str(n.Name)
 		w.flags(n.IsClock, n.IsMTE, n.IsVGND)

@@ -10,6 +10,7 @@ package netlist
 
 import (
 	"fmt"
+	"slices"
 
 	"selectivemt/internal/geom"
 	"selectivemt/internal/liberty"
@@ -105,9 +106,11 @@ type Design struct {
 	Name string
 	Lib  *liberty.Library
 
-	insts     map[string]*Instance
-	nets      map[string]*Net
-	ports     map[string]*Port
+	insts map[string]*Instance
+	nets  map[string]*Net
+	ports map[string]*Port
+	// Names of the live elements in insertion order. A removal drops its
+	// name, so a name removed and added again is listed once, at the end.
 	instOrder []string
 	netOrder  []string
 	portOrder []string
@@ -142,22 +145,18 @@ func New(name string, lib *liberty.Library) *Design {
 
 // Instances returns all instances in insertion order.
 func (d *Design) Instances() []*Instance {
-	out := make([]*Instance, 0, len(d.instOrder))
-	for _, n := range d.instOrder {
-		if inst, ok := d.insts[n]; ok {
-			out = append(out, inst)
-		}
+	out := make([]*Instance, len(d.instOrder))
+	for i, n := range d.instOrder {
+		out[i] = d.insts[n]
 	}
 	return out
 }
 
 // Nets returns all nets in insertion order.
 func (d *Design) Nets() []*Net {
-	out := make([]*Net, 0, len(d.netOrder))
-	for _, n := range d.netOrder {
-		if net, ok := d.nets[n]; ok {
-			out = append(out, net)
-		}
+	out := make([]*Net, len(d.netOrder))
+	for i, n := range d.netOrder {
+		out[i] = d.nets[n]
 	}
 	return out
 }
@@ -330,6 +329,7 @@ func (d *Design) RemoveInstance(inst *Instance) error {
 		}
 	}
 	delete(d.insts, inst.Name)
+	d.instOrder = dropName(d.instOrder, inst.Name)
 	d.record(Change{Kind: ChangeInstanceRemoved, Inst: inst})
 	return nil
 }
@@ -343,6 +343,7 @@ func (d *Design) RemoveNet(net *Net) error {
 		return fmt.Errorf("netlist: net %q still connected", net.Name)
 	}
 	delete(d.nets, net.Name)
+	d.netOrder = dropName(d.netOrder, net.Name)
 	d.record(Change{Kind: ChangeNetRemoved, Net: net})
 	return nil
 }
@@ -351,11 +352,19 @@ func (d *Design) RemoveNet(net *Net) error {
 func (d *Design) TotalArea() float64 {
 	var a float64
 	for _, name := range d.instOrder {
-		if inst, ok := d.insts[name]; ok {
-			a += inst.Cell.AreaUm2
-		}
+		a += d.insts[name].Cell.AreaUm2
 	}
 	return a
+}
+
+// dropName deletes a removed element's name from an insertion-order
+// slice. The scan is linear, but the flow removes nothing after
+// placement, so removals are rare.
+func dropName(order []string, name string) []string {
+	if i := slices.Index(order, name); i >= 0 {
+		return slices.Delete(order, i, i+1)
+	}
+	return order
 }
 
 // CountByFlavor tallies instances per cell flavor.

@@ -1,6 +1,7 @@
 package netlist
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -168,6 +169,79 @@ func TestRemoveNet(t *testing.T) {
 	}
 	if d.NetByName("n") != nil {
 		t.Error("net still present")
+	}
+}
+
+// TestRemoveThenReAddListsOnce: removing an instance or a net and adding
+// its name again lists the new element once, at the end of insertion
+// order, in iteration, TotalArea, Fingerprint and Clone.
+func TestRemoveThenReAddListsOnce(t *testing.T) {
+	d, inv, _ := buildChain(t)
+	inv2 := lib(t).Cell("INV_X1_L")
+	if err := d.RemoveInstance(inv); err != nil {
+		t.Fatal(err)
+	}
+	re, err := d.AddInstance("u_inv", inv2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid := d.NetByName("mid")
+	if err := d.Disconnect(d.Instance("u_nand"), "A"); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.RemoveNet(mid); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.AddNet("mid"); err != nil {
+		t.Fatal(err)
+	}
+
+	// A design built in the final insertion order from the start.
+	want := New("chain", lib(t))
+	for _, p := range []struct {
+		name string
+		dir  Dir
+	}{{"in", DirInput}, {"in2", DirInput}, {"out", DirOutput}} {
+		if _, err := want.AddPort(p.name, p.dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nd, _ := want.AddInstance("u_nand", lib(t).Cell("NAND2_X1_L"))
+	want.AddInstance("u_inv", inv2)
+	want.AddNet("mid")
+	want.Connect(nd, "B", want.NetByName("in2"))
+	want.Connect(nd, "ZN", want.NetByName("out"))
+
+	names := func(d *Design) (insts, nets []string) {
+		for _, i := range d.Instances() {
+			insts = append(insts, i.Name)
+		}
+		for _, n := range d.Nets() {
+			nets = append(nets, n.Name)
+		}
+		return insts, nets
+	}
+	for _, c := range []struct {
+		name string
+		d    *Design
+	}{{"design", d}, {"clone", d.Clone()}} {
+		gi, gn := names(c.d)
+		wi, wn := names(want)
+		if fmt.Sprint(gi) != fmt.Sprint(wi) || fmt.Sprint(gn) != fmt.Sprint(wn) {
+			t.Errorf("%s: instances %v nets %v, want %v and %v", c.name, gi, gn, wi, wn)
+		}
+		if c.d.NumInstances() != len(gi) || c.d.NumNets() != len(gn) {
+			t.Errorf("%s: counts %d/%d, iteration %d/%d", c.name, c.d.NumInstances(), c.d.NumNets(), len(gi), len(gn))
+		}
+		if got, w := c.d.TotalArea(), want.TotalArea(); got != w {
+			t.Errorf("%s: total area %v, want %v", c.name, got, w)
+		}
+		if c.d.Fingerprint() != want.Fingerprint() {
+			t.Errorf("%s: fingerprint differs from a design built in the same order", c.name)
+		}
+	}
+	if d.Instance("u_inv") != re {
+		t.Error("lookup does not return the re-added instance")
 	}
 }
 

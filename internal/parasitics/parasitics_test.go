@@ -3,6 +3,7 @@ package parasitics
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"selectivemt/internal/geom"
@@ -205,6 +206,18 @@ func TestParseSPEFErrors(t *testing.T) {
 	for _, c := range cases {
 		if _, err := ParseSPEF(bytes.NewReader([]byte(c.src))); err == nil {
 			t.Errorf("%s: expected error", c.name)
+		}
+	}
+}
+
+// TestParseSPEFNamesFirstDisconnectedNode: with two nodes cut off from
+// the root, the error names the first of them in file order, every time.
+func TestParseSPEFNamesFirstDisconnectedNode(t *testing.T) {
+	src := "*D_NET x 1\n*CAP\n1 x:1 0.5\n2 x:7 0.1\n3 x:3 0.2\n*RES\n1 x:0 x:1 0.1\n2 x:3 x:7 0.1\n*END\n"
+	for i := 0; i < 20; i++ {
+		_, err := ParseSPEF(strings.NewReader(src))
+		if err == nil || !strings.Contains(err.Error(), "node x:7 not connected") {
+			t.Fatalf("run %d: error %v, want one naming x:7", i, err)
 		}
 	}
 }

@@ -169,14 +169,8 @@ type rawNet struct {
 // at "<net>:0"; resistor connectivity defines parent/child.
 func (rn *rawNet) build() (*RCTree, error) {
 	root := rn.name + ":0"
-	nodes := map[string]bool{root: true}
-	for _, c := range rn.caps {
-		nodes[c.node] = true
-	}
 	adj := make(map[string][]rawRes)
 	for _, r := range rn.ress {
-		nodes[r.a] = true
-		nodes[r.b] = true
 		adj[r.a] = append(adj[r.a], r)
 		adj[r.b] = append(adj[r.b], r)
 	}
@@ -214,7 +208,16 @@ func (rn *rawNet) build() (*RCTree, error) {
 			queue = append(queue, w)
 		}
 	}
-	for n := range nodes {
+	// Name the first unreachable node in file order (caps, then
+	// resistor ends), so the error is the same on every run.
+	var named []string
+	for _, c := range rn.caps {
+		named = append(named, c.node)
+	}
+	for _, r := range rn.ress {
+		named = append(named, r.a, r.b)
+	}
+	for _, n := range named {
 		if !visited[n] {
 			return nil, fmt.Errorf("spef: net %s: node %s not connected to root", rn.name, n)
 		}

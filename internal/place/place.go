@@ -137,21 +137,27 @@ func endpointPos(r netlist.PinRef) (geom.Point, bool) {
 	return geom.Point{}, false
 }
 
-// netCenter returns the centroid of a net's endpoints.
+// netCenter returns the centroid of a net's endpoints. It sums in place,
+// driver first, and scales like geom.Centroid, so the result is
+// bit-identical to the centroid of the collected points.
 func netCenter(n *netlist.Net) (geom.Point, bool) {
-	var pts []geom.Point
-	if p, ok := endpointPos(n.Driver); ok {
-		pts = append(pts, p)
-	}
-	for _, s := range n.Sinks {
-		if p, ok := endpointPos(s); ok {
-			pts = append(pts, p)
+	var c geom.Point
+	cnt := 0
+	add := func(r netlist.PinRef) {
+		if p, ok := endpointPos(r); ok {
+			c.X += p.X
+			c.Y += p.Y
+			cnt++
 		}
 	}
-	if len(pts) == 0 {
+	add(n.Driver)
+	for _, s := range n.Sinks {
+		add(s)
+	}
+	if cnt == 0 {
 		return geom.Point{}, false
 	}
-	return geom.Centroid(pts), true
+	return c.Scale(1 / float64(cnt)), true
 }
 
 func globalIterations(d *netlist.Design, insts []*netlist.Instance, core geom.Rect,

@@ -227,3 +227,33 @@ func TestConnectedCellsAreClose(t *testing.T) {
 		t.Errorf("avg connected distance %v vs core half-perimeter %v: no locality", avg, diag)
 	}
 }
+
+// TestNetCenterMatchesCentroid: the in-place net center equals
+// geom.Centroid of the collected endpoint positions bit for bit, and it
+// allocates nothing.
+func TestNetCenterMatchesCentroid(t *testing.T) {
+	d := buildRandomDesign(t, 200, 3)
+	if _, err := Place(d, opts(t)); err != nil {
+		t.Fatal(err)
+	}
+	nets := d.Nets()
+	for _, n := range nets {
+		var pts []geom.Point
+		for _, r := range append([]netlist.PinRef{n.Driver}, n.Sinks...) {
+			if p, ok := endpointPos(r); ok {
+				pts = append(pts, p)
+			}
+		}
+		got, ok := netCenter(n)
+		if ok != (len(pts) > 0) || got != geom.Centroid(pts) {
+			t.Fatalf("net %s: center %v (%v), centroid of %d endpoints %v", n.Name, got, ok, len(pts), geom.Centroid(pts))
+		}
+	}
+	if a := testing.AllocsPerRun(10, func() {
+		for _, n := range nets {
+			netCenter(n)
+		}
+	}); a != 0 {
+		t.Errorf("netCenter allocates %v per sweep, want 0", a)
+	}
+}

@@ -4,11 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"selectivemt/internal/gen"
 	"selectivemt/internal/liberty"
 	"selectivemt/internal/netlist"
-	"selectivemt/internal/place"
-	"selectivemt/internal/synth"
 )
 
 // warmGraph compiles d under c, lays the shards over it and runs the full
@@ -28,7 +25,7 @@ func warmGraph(t *testing.T, d *netlist.Design, c Config) *ShardedGraph {
 }
 
 // requireRepropagateZeroAlloc pins the allocation contract of a full
-// re-propagation, the cached-Analyze hot path: once its buffers have
+// re-propagation, the tail of every full analysis: once its buffers have
 // reached steady capacity it must not touch the heap at all.
 func requireRepropagateZeroAlloc(t *testing.T, sg *ShardedGraph) {
 	t.Helper()
@@ -110,46 +107,10 @@ func TestRetimeZeroAlloc(t *testing.T) {
 	requireRetimeZeroAlloc(t, d, warmGraph(t, d, cfg(t, 3)))
 }
 
-// TestAnalyzeCacheHitAllocsConstant pins the cost of a compile-cache hit:
-// it copies the flat per-net state into a few slabs, so it allocates the
-// same small number of objects whatever the design size.
-func TestAnalyzeCacheHitAllocsConstant(t *testing.T) {
-	l := lib(t)
-	a, err := synth.Map(gen.CircuitA().Module, l, synth.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := place.Place(a, place.DefaultOptions(sharedProc.RowHeightUm, sharedProc.SitePitchUm)); err != nil {
-		t.Fatal(err)
-	}
-	c := cfg(t, 3)
-	var allocs [2]float64
-	for i, d := range []*netlist.Design{synthSmall(t), a} {
-		r, err := Analyze(d, c) // compile and cache
-		if err != nil {
-			t.Fatal(err)
-		}
-		allocs[i] = testing.AllocsPerRun(10, func() {
-			if _, err := Analyze(d, c); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if len(r.HoldViolations) > 0 {
-			allocs[i]-- // the Result's own copy of the hold list
-		}
-	}
-	if allocs[0] != allocs[1] || allocs[0] > 6 {
-		t.Errorf("cache-hit Analyze allocates %v objects on SmallTest and %v on Circuit A besides the hold list; want the same, at most 6",
-			allocs[0], allocs[1])
-	}
-	t.Logf("cache-hit Analyze: %v allocations besides the hold list", allocs[0])
-}
-
 // TestFlatLegacyDifferentialRandomEdits is the fuzz-style differential
 // oracle: a seeded random walk of swap and placement-move batches, where
-// after every batch Analyze (the first analysis compiles, the second hits
-// the compile cache) must match the map-based pass bit for bit, at every
-// shard layout.
+// after every batch Analyze must match the map-based pass bit for bit, at
+// every shard layout.
 func TestFlatLegacyDifferentialRandomEdits(t *testing.T) {
 	l := lib(t)
 	forEachLayout(t, synthSmall, cfg(t, 3), func(t *testing.T, d *netlist.Design, c Config) {
@@ -191,12 +152,6 @@ func TestFlatLegacyDifferentialRandomEdits(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireExactMatch(t, d, flat, legacy)
-			// Same revision again: the cache-hit refresh path must agree too.
-			cached, err := Analyze(d, c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireExactMatch(t, d, cached, legacy)
 		}
 	})
 }

@@ -1,12 +1,14 @@
-// Flat timing graph data. A CompiledGraph interns one design revision
-// into dense int32 IDs: nets, sequential and combinational instances,
-// their flattened NLDM arcs, the required-time consumer CSR and the logic
+// Flat timing graph data. A CompiledGraph interns a design into dense
+// int32 IDs: nets, sequential and combinational instances, their
+// flattened NLDM arcs, the required-time consumer CSR and the logic
 // levels. It owns the per-net state every analysis reads and writes
 // (extracted RC, arrival window, worst slew, required time) in flat
 // slices indexed by net ID, the extraction that fills the RC part, and
 // the serial endpoint scan. It propagates nothing itself: the shard drain
 // (sharded.go) is the one propagator over it, as a single shard unless
-// Config.Partitions asks for more.
+// Config.Partitions asks for more. An insertion batch from the design's
+// change journal patches the graph in place (patch.go) instead of
+// recompiling it.
 //
 // The arithmetic is exactly the map-based pass's that preceded this
 // kernel, in the same evaluation order, so results are bit-identical to
@@ -15,6 +17,7 @@ package sta
 
 import (
 	"math"
+	"slices"
 
 	"selectivemt/internal/liberty"
 	"selectivemt/internal/netlist"
@@ -104,34 +107,7 @@ type netState struct {
 	hasReq  []bool
 }
 
-// clone copies the numeric state into fresh slabs: a fixed handful of
-// allocations whatever the design size. netID and rc are shared, because
-// neither changes once a graph is compiled and extracted (only an
-// Incremental re-extracts, and it never shares its graph).
-func (st *netState) clone() *netState {
-	nn := len(st.arrMax)
-	f := make([]float64, 4*nn)
-	b := make([]bool, 2*nn)
-	c := &netState{
-		netID:   st.netID,
-		rc:      st.rc,
-		arrMax:  f[:nn:nn],
-		arrMin:  f[nn : 2*nn : 2*nn],
-		slewMax: f[2*nn : 3*nn : 3*nn],
-		reqMax:  f[3*nn:],
-		hasArr:  b[:nn:nn],
-		hasReq:  b[nn:],
-	}
-	copy(c.arrMax, st.arrMax)
-	copy(c.arrMin, st.arrMin)
-	copy(c.slewMax, st.slewMax)
-	copy(c.reqMax, st.reqMax)
-	copy(c.hasArr, st.hasArr)
-	copy(c.hasReq, st.hasReq)
-	return c
-}
-
-// CompiledGraph is the flat timing graph over one design revision.
+// CompiledGraph is the flat timing graph over one design.
 type CompiledGraph struct {
 	d   *netlist.Design
 	cfg Config // normalized
@@ -152,9 +128,11 @@ type CompiledGraph struct {
 	drvIdx  []int32 // seq/comb index for drvSeq/drvComb, else -1
 
 	// Required-time consumers in CSR form: net id's candidates are
-	// reqConsArr[reqConsOff[id]:reqConsOff[id+1]], net-sink order,
-	// comb-deduplicated. One backing array instead of one slice per net.
-	reqConsOff []int32
+	// reqConsArr[reqConsLo[id]:reqConsHi[id]], net-sink order,
+	// comb-deduplicated. One backing array instead of one slice per net;
+	// a patch appends a rebuilt list at the end and moves the net's span.
+	reqConsLo  []int32
+	reqConsHi  []int32
 	reqConsArr []reqConsumer
 
 	level    []int32
@@ -177,8 +155,8 @@ type CompiledGraph struct {
 }
 
 // compile interns the design into a flat graph at its current structural
-// revision. The per-net timing state starts empty; run a full pass or
-// import prior state (importFrom) before reading results.
+// revision. The per-net timing state starts empty; run a full pass before
+// reading results.
 func compile(d *netlist.Design, cfg Config) (*CompiledGraph, error) {
 	order, err := d.TopoOrder()
 	if err != nil {
@@ -251,39 +229,29 @@ func compile(d *netlist.Design, cfg Config) (*CompiledGraph, error) {
 	// Ports, in declaration order: data inputs seed arrivals, outputs are
 	// required-time endpoints.
 	for _, p := range d.Ports() {
-		id := cg.netID[p.Net]
-		if p.Dir == netlist.DirInput {
-			if p.Name != cfg.ClockPort {
-				cg.drvKind[id] = drvPort
-			}
-		} else {
-			cg.outPorts = append(cg.outPorts, id)
+		if p.Dir == netlist.DirInput && p.Name != cfg.ClockPort {
+			cg.drvKind[cg.netID[p.Net]] = drvPort
 		}
 	}
+	cg.bindPorts()
 
 	// Sequential instances, in instance order.
 	for _, inst := range d.Instances() {
 		if !inst.Cell.IsSequential() {
 			continue
 		}
-		si := seqInfo{inst: inst, q: -1, dNet: -1, dSinkPos: -1}
-		if q := inst.OutputNet(); q != nil {
-			si.q = cg.netID[q]
+		si := cg.seqEntry(inst)
+		if si.q >= 0 {
 			cg.drvKind[si.q] = drvSeq
 			cg.drvIdx[si.q] = int32(len(cg.seqs))
-		}
-		if dn := inst.Conns["D"]; dn != nil {
-			si.dNet = cg.netID[dn]
-			si.dSinkPos = sinkPos(dn, inst, "D")
 		}
 		cg.seqIdx[inst] = int32(len(cg.seqs))
 		cg.seqs = append(cg.seqs, si)
 	}
 
-	// Combinational instances with an output, in topological order, with
-	// levelization (level of a net = 1 + worst level over its driver's
-	// fanin nets). Arc counts are gathered here so the arcs themselves can
-	// be carved from one slab below.
+	// Combinational instances with an output, in topological order. Arc
+	// counts are gathered here so the arcs themselves can be carved from
+	// one slab below.
 	arcCnt := make([]int32, 0, len(order))
 	for _, inst := range order {
 		if inst.Cell.IsSequential() {
@@ -301,22 +269,12 @@ func compile(d *netlist.Design, cfg Config) (*CompiledGraph, error) {
 		cg.drvKind[oid] = drvComb
 		cg.drvIdx[oid] = ci
 		cnt := int32(0)
-		lvl := int32(0)
 		for _, arc := range inst.Cell.Arcs {
-			inNet := inst.Conns[arc.From]
-			if inNet == nil {
-				continue
-			}
-			cnt++
-			if l := cg.level[cg.netID[inNet]] + 1; l > lvl {
-				lvl = l
+			if inst.Conns[arc.From] != nil {
+				cnt++
 			}
 		}
 		arcCnt = append(arcCnt, cnt)
-		cg.level[oid] = lvl
-		if lvl > cg.maxLevel {
-			cg.maxLevel = lvl
-		}
 	}
 	// Carve each instance's arc list from a single slab with pinned
 	// capacity: a later cell swap that grows the list reallocates only
@@ -332,49 +290,89 @@ func compile(d *netlist.Design, cfg Config) (*CompiledGraph, error) {
 		cg.combArcs[ci] = cg.buildArcs(inst, arcSlab[aoff:aoff:aoff+arcCnt[ci]])
 		aoff += arcCnt[ci]
 	}
+	// Levels in topological order: a net's level is 1 + the worst level
+	// over its driver's fanin nets.
+	for ci := range cg.combs {
+		lvl := cg.combLevel(int32(ci))
+		cg.level[cg.combOut[ci]] = lvl
+		cg.maxLevel = max(cg.maxLevel, lvl)
+	}
 
 	// Required-time consumers per net, in net-sink order, CSR-packed.
 	// Each sink contributes at most one candidate, so totalSinks bounds
 	// the packed length and the array never reallocates.
-	cg.reqConsOff = make([]int32, nn+1)
+	cg.reqConsLo = make([]int32, nn)
+	cg.reqConsHi = make([]int32, nn)
 	cg.reqConsArr = make([]reqConsumer, 0, totalSinks)
-	var seenComb []int32 // small linear dedup of a net's comb consumers
+	var seenComb []int32
 	for i, n := range nets {
-		seenComb = seenComb[:0]
-		for _, s := range n.Sinks {
-			switch {
-			case s.Port != nil:
-				if s.Port.Dir == netlist.DirOutput {
-					cg.reqConsArr = append(cg.reqConsArr, reqConsumer{kind: rcOutPort})
-				}
-			case s.Inst == nil:
-				// detached ref: nothing
-			case s.Inst.Cell.IsSequential():
-				if s.Pin == "D" {
-					cg.reqConsArr = append(cg.reqConsArr, reqConsumer{kind: rcFlopD, idx: cg.seqIdx[s.Inst]})
-				}
-			default:
-				ci, ok := cg.combIdx[s.Inst]
-				if !ok {
-					continue // no output (switch/holder): emits no candidates
-				}
-				dup := false
-				for _, c := range seenComb {
-					if c == ci {
-						dup = true
-						break
-					}
-				}
-				if dup {
-					continue
-				}
-				seenComb = append(seenComb, ci)
-				cg.reqConsArr = append(cg.reqConsArr, reqConsumer{kind: rcComb, idx: ci})
-			}
-		}
-		cg.reqConsOff[i+1] = int32(len(cg.reqConsArr))
+		cg.reqConsLo[i] = int32(len(cg.reqConsArr))
+		seenComb = cg.appendConsumers(n, seenComb)
+		cg.reqConsHi[i] = int32(len(cg.reqConsArr))
 	}
 	return cg, nil
+}
+
+// bindPorts lists the nets sunk by output ports, in port order.
+func (cg *CompiledGraph) bindPorts() {
+	cg.outPorts = cg.outPorts[:0]
+	for _, p := range cg.d.Ports() {
+		if p.Dir != netlist.DirInput {
+			cg.outPorts = append(cg.outPorts, cg.netID[p.Net])
+		}
+	}
+}
+
+// seqEntry binds one sequential instance's Q and D nets.
+func (cg *CompiledGraph) seqEntry(inst *netlist.Instance) seqInfo {
+	si := seqInfo{inst: inst, q: -1, dNet: -1, dSinkPos: -1}
+	if q := inst.OutputNet(); q != nil {
+		si.q = cg.netID[q]
+	}
+	if dn := inst.Conns["D"]; dn != nil {
+		si.dNet = cg.netID[dn]
+		si.dSinkPos = sinkPos(dn, inst, "D")
+	}
+	return si
+}
+
+// combLevel is a combinational instance's output level: 1 + the worst
+// level over its arcs' fanin nets, 0 with no connected arc.
+func (cg *CompiledGraph) combLevel(ci int32) int32 {
+	lvl := int32(0)
+	for i := range cg.combArcs[ci] {
+		lvl = max(lvl, cg.level[cg.combArcs[ci][i].in]+1)
+	}
+	return lvl
+}
+
+// appendConsumers appends one net's required-time candidates to the CSR
+// array in net-sink order; seen is the reused scratch of the small linear
+// dedup of the net's comb consumers.
+func (cg *CompiledGraph) appendConsumers(n *netlist.Net, seen []int32) []int32 {
+	seen = seen[:0]
+	for _, s := range n.Sinks {
+		switch {
+		case s.Port != nil:
+			if s.Port.Dir == netlist.DirOutput {
+				cg.reqConsArr = append(cg.reqConsArr, reqConsumer{kind: rcOutPort})
+			}
+		case s.Inst == nil:
+			// detached ref: nothing
+		case s.Inst.Cell.IsSequential():
+			if s.Pin == "D" {
+				cg.reqConsArr = append(cg.reqConsArr, reqConsumer{kind: rcFlopD, idx: cg.seqIdx[s.Inst]})
+			}
+		default:
+			ci, ok := cg.combIdx[s.Inst]
+			if !ok || slices.Contains(seen, ci) {
+				continue // no output (switch/holder) or already listed
+			}
+			seen = append(seen, ci)
+			cg.reqConsArr = append(cg.reqConsArr, reqConsumer{kind: rcComb, idx: ci})
+		}
+	}
+	return seen
 }
 
 // buildArcs flattens one combinational instance's connected timing arcs,
@@ -400,7 +398,7 @@ func (cg *CompiledGraph) buildArcs(inst *netlist.Instance, buf []combArc) []comb
 
 // consumers returns net id's required-time candidate sources (CSR view).
 func (cg *CompiledGraph) consumers(id int32) []reqConsumer {
-	return cg.reqConsArr[cg.reqConsOff[id]:cg.reqConsOff[id+1]]
+	return cg.reqConsArr[cg.reqConsLo[id]:cg.reqConsHi[id]]
 }
 
 // sinkPos returns the first position of (inst, pin) in n.Sinks, or -1.
@@ -554,33 +552,12 @@ func (cg *CompiledGraph) mirrorEndpoints(r *Result) {
 	}
 }
 
-// result returns a caller-private Result of the current state: its own
-// copy of the per-net state plus the endpoint scan.
+// result returns a Result over the current state plus the endpoint scan.
+// It shares the graph's per-net slices, so it is private only once the
+// caller drops the graph (Analyze does).
 func (cg *CompiledGraph) result() *Result {
-	r := &Result{Config: cg.cfg, Revision: cg.d.Revision(), design: cg.d, st: cg.netState.clone()}
+	st := cg.netState
+	r := &Result{Config: cg.cfg, Revision: cg.d.Revision(), design: cg.d, st: &st}
 	cg.mirrorEndpoints(r)
 	return r
-}
-
-// importFrom carries per-net timing state over from a previous
-// compilation of the same design (an earlier structural revision). Nets
-// new to this graph keep zeroed (absent) state; the caller re-seeds every
-// journaled net afterwards, so only genuinely unchanged state survives
-// the recompile.
-func (cg *CompiledGraph) importFrom(old *CompiledGraph) {
-	for id, n := range cg.nets {
-		oid, ok := old.netID[n]
-		if !ok {
-			continue
-		}
-		cg.rc[id] = old.rc[oid]
-		cg.totalCap[id] = old.totalCap[oid]
-		cg.sinkD[id] = old.sinkD[oid]
-		cg.arrMax[id] = old.arrMax[oid]
-		cg.arrMin[id] = old.arrMin[oid]
-		cg.slewMax[id] = old.slewMax[oid]
-		cg.reqMax[id] = old.reqMax[oid]
-		cg.hasArr[id] = old.hasArr[oid]
-		cg.hasReq[id] = old.hasReq[oid]
-	}
 }

@@ -1,6 +1,8 @@
 package sta
 
 import (
+	"errors"
+
 	"selectivemt/internal/netlist"
 )
 
@@ -13,14 +15,16 @@ import (
 // propagator Analyze uses, so the retime inner loops allocate nothing.
 //
 // It follows the design through its change journal (netlist.Design
-// revisions): cell swaps and placement moves are re-timed incrementally,
-// structural edits (connect/disconnect, instance or net add/remove,
-// buffer insertion) recompile the flat graph (re-interning IDs and
-// levelization) but import the previous timing state and still only
-// re-time the touched cones, and a lost journal (overflow, NoteBulkEdit,
-// out-of-band surgery) falls back to a full re-analysis. Results are
-// exact: after Update the Result is equal — field by field, bit by bit —
-// to what a fresh Analyze of the current design would return; the
+// revisions). Cell swaps and placement moves are re-timed incrementally.
+// Insertion batches (connect/disconnect, instance, net and port adds,
+// buffer insertion, net-flag flips) patch the compiled graph in place
+// (patch.go): new nets and instances get appended IDs, the named
+// elements are rebound, levels move over the forward cone, the shards are
+// laid again, and only the touched cones are re-timed. Batches that
+// remove a net or an instance, and a lost journal (overflow,
+// NoteBulkEdit, out-of-band surgery), recompile and re-analyze. Results
+// are exact: after Update the Result is equal — field by field, bit by
+// bit — to what a fresh Analyze of the current design would return; the
 // property tests in incremental_test.go hold both to the map-based
 // oracle.
 //
@@ -45,6 +49,9 @@ type Incremental struct {
 	// timing state ended unchanged). Persisted so LastRetimeChanged can
 	// report load changes alongside arrival/required changes.
 	touched []int32
+	// broken marks a graph a failed patch left half rebound: the next
+	// Update recompiles.
+	broken bool
 
 	stats IncrementalStats
 }
@@ -60,10 +67,13 @@ const (
 
 // IncrementalStats counts how the timer has serviced its updates.
 type IncrementalStats struct {
-	FullBuilds        int // construction + journal-lost rebuilds
+	// FullBuilds counts compiles: construction, plus every rebuild after
+	// a lost journal, a batch that removes a net or an instance, or a
+	// batch the patch could not apply.
+	FullBuilds        int
 	NoopUpdates       int // Update calls with a clean journal
 	SwapUpdates       int // incremental updates of swap/move batches
-	StructuralUpdates int // incremental updates that recompiled the graph
+	StructuralUpdates int // insertion batches patched into the graph
 	NetsRetimed       int // nets whose arrival was recomputed
 }
 
@@ -98,6 +108,7 @@ func (inc *Incremental) rebuild() error {
 	}
 	sg.runFull()
 	inc.setGraph(sg)
+	inc.broken = false
 	inc.lastSvc = svcFull
 	inc.stats.FullBuilds++
 	inc.publish()
@@ -184,46 +195,36 @@ func (inc *Incremental) LastRetimeSpan() (int, bool) {
 
 // Update brings the result up to date with the design. A clean journal
 // returns immediately; swap/move batches re-time their dirty cones on the
-// compiled graph; structural batches recompile the graph (importing the
-// untouched timing state) first; lost history falls back to a full
-// re-analysis. The returned Result is inc.Result().
+// compiled graph; insertion batches patch the graph first; removals and
+// lost history fall back to a full re-analysis. The returned Result is
+// inc.Result().
 func (inc *Incremental) Update() (*Result, error) {
 	delta, ok := inc.d.ChangesSince(inc.rev)
-	if !ok {
-		if err := inc.rebuild(); err != nil {
-			return nil, err
-		}
-		return inc.res, nil
+	structural, removal := false, false
+	for _, ch := range delta {
+		structural = structural || ch.Kind.Structural()
+		removal = removal || ch.Kind == netlist.ChangeInstanceRemoved || ch.Kind == netlist.ChangeNetRemoved
+	}
+	if !ok || inc.broken || removal {
+		return inc.rebuildResult() // removals renumber the graph
 	}
 	if len(delta) == 0 {
 		inc.lastSvc = svcNoop
 		inc.stats.NoopUpdates++
 		return inc.res, nil
 	}
-	structural := false
-	for _, ch := range delta {
-		if ch.Kind.Structural() {
-			structural = true
-			break
-		}
-	}
 	if structural {
-		cg, err := compile(inc.d, inc.cfg)
-		if err != nil {
-			return nil, err // e.g. a combinational cycle was introduced
+		if err := inc.patch(delta); err != nil {
+			inc.broken = true // half rebound: the next Update recompiles
+			if errors.Is(err, errUnpatchable) {
+				return inc.rebuildResult()
+			}
+			return nil, err // a combinational cycle or a failed clustering
 		}
-		cg.importFrom(inc.sg.cg)
-		// The net/instance population changed: lay the shards (and, when
-		// partitioned, the clustering) over the new graph.
-		sg, err := buildSharded(cg, inc.cfg)
-		if err != nil {
-			return nil, err
-		}
-		inc.setGraph(sg)
-		inc.stats.StructuralUpdates++
 	} else {
 		// Swap/move batch: connectivity is intact, but a replaced cell
 		// carries new arc pointers — rebind the flattened arcs in place.
+		inc.collectTouched(delta)
 		cg := inc.sg.cg
 		for _, ch := range delta {
 			if ch.Kind == netlist.ChangeCellReplaced && ch.Inst != nil {
@@ -234,27 +235,53 @@ func (inc *Incremental) Update() (*Result, error) {
 		}
 		inc.stats.SwapUpdates++
 	}
-	inc.retime(delta)
+	inc.retime()
 	inc.lastSvc = svcRetime
 	inc.publish()
 	return inc.res, nil
 }
 
-// retime re-times the cones a journal batch invalidated: every net named
-// by an entry plus every net currently connected to an instance named by
-// an entry (a swapped cell changes its own arcs and, through its input pin
-// caps, the RC of every fanin net; a moved one changes the RC of
-// everything it touches). Nets that left the design are gone from the
-// graph already; live touched nets are re-extracted and seeded into their
-// owning shards' queues, so a batch confined to a few clusters activates
-// only those shards (plus whatever the interface graph ripples into).
-func (inc *Incremental) retime(delta []netlist.Change) {
-	sg := inc.sg
-	sg.resetAll()
+// rebuildResult is Update's recompile path.
+func (inc *Incremental) rebuildResult() (*Result, error) {
+	if err := inc.rebuild(); err != nil {
+		return nil, err
+	}
+	return inc.res, nil
+}
+
+// patch applies an insertion batch to the compiled graph and, since the
+// net population changed, lays the shards (and, when partitioned, the
+// clustering) over it again.
+func (inc *Incremental) patch(delta []netlist.Change) error {
+	cg := inc.sg.cg
+	if err := cg.intern(delta); err != nil {
+		return err
+	}
+	inc.collectTouched(delta)
+	if err := cg.patch(delta, inc.touched); err != nil {
+		return err
+	}
+	sg, err := buildSharded(cg, inc.cfg)
+	if err != nil {
+		return err
+	}
+	inc.setGraph(sg)
+	inc.stats.StructuralUpdates++
+	return nil
+}
+
+// collectTouched gathers the nets a journal batch invalidated into
+// inc.touched: every net named by an entry plus every net currently
+// connected to an instance named by an entry (a swapped cell changes its
+// own arcs and, through its input pin caps, the RC of every fanin net; a
+// moved one changes the RC of everything it touches). Nets that left the
+// design are gone from the graph already.
+func (inc *Incremental) collectTouched(delta []netlist.Change) {
+	netID := inc.sg.cg.netID
 	seen := make(map[int32]bool, len(delta))
 	touched := inc.touched[:0]
 	note := func(n *netlist.Net) {
-		if id, ok := sg.cg.netID[n]; ok && !seen[id] {
+		if id, ok := netID[n]; ok && !seen[id] {
 			seen[id] = true
 			touched = append(touched, id)
 		}
@@ -273,8 +300,17 @@ func (inc *Incremental) retime(delta []netlist.Change) {
 			}
 		}
 	}
-	inc.touched = touched // keep for LastRetimeChanged (and reuse the buffer)
-	for _, id := range touched {
+	inc.touched = touched // kept for LastRetimeChanged (and the buffer reused)
+}
+
+// retime re-times the cones of the touched nets: each is re-extracted and
+// seeded into its owning shard's queues, so a batch confined to a few
+// clusters activates only those shards (plus whatever the interface graph
+// ripples into).
+func (inc *Incremental) retime() {
+	sg := inc.sg
+	sg.resetAll()
+	for _, id := range inc.touched {
 		sg.seedRetime(id)
 	}
 	inc.stats.NetsRetimed += sg.propagate()

@@ -1,7 +1,6 @@
 // The propagator. A ShardedGraph drains arrival and required-time waves
 // over one CompiledGraph, and it is the only code that does: full
-// analysis, the compile cache's refresh and every incremental retime run
-// through it. Every net is owned by one shard, each shard drains its own
+// analysis and every incremental retime run through it. Every net is owned by one shard, each shard drains its own
 // per-level dirty buckets, and the only cross-shard state is a small
 // interface graph — snapshot arrays of the boundary nets' arrival and
 // required budgets, refreshed at round barriers.
@@ -737,10 +736,10 @@ func (sg *ShardedGraph) changedCount() int {
 	return n
 }
 
-// repropagateAll re-runs propagation over every net — the cache-hit
-// refresh path and, on a freshly compiled graph whose state is zeroed,
-// the full-analysis pass. It allocates nothing once warm; the zero-alloc
-// guards pin it at one worker, at one shard and at k.
+// repropagateAll re-runs propagation over every net — on a freshly
+// compiled graph whose state is zeroed, the full-analysis pass. It
+// allocates nothing once warm; the zero-alloc guards pin it at one
+// worker, at one shard and at k.
 func (sg *ShardedGraph) repropagateAll() int {
 	sg.resetAll()
 	for si := range sg.shards {

@@ -54,9 +54,8 @@ func TestShardedAnalyzeMatchesMonolithicRandomCuts(t *testing.T) {
 }
 
 // TestShardedAnalyzeClusteredMatchesMonolithic covers the production path
-// (cfg.Partitions drives the cohesion clustering, results flow through
-// the compile cache): first call compiles + shards, second hits the
-// cached sharded graph's refresh path — both must equal the oracle.
+// (cfg.Partitions drives the cohesion clustering): repeated clustered
+// analyses, at the same and at another period, must all equal the oracle.
 func TestShardedAnalyzeClusteredMatchesMonolithic(t *testing.T) {
 	d := synthSmall(t)
 	base := cfg(t, 3)
@@ -72,13 +71,12 @@ func TestShardedAnalyzeClusteredMatchesMonolithic(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireExactMatch(t, d, got, want)
-	cached, err := Analyze(d, c) // cache hit: sharded repropagate refresh
+	cached, err := Analyze(d, c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireExactMatch(t, d, cached, want)
-	// A different period on the same cached sharded graph re-runs the
-	// sharded passes under the new config.
+	// A different period re-runs the sharded passes under the new config.
 	c2, w2 := c, base
 	c2.ClockPeriodNs, w2.ClockPeriodNs = 5, 5
 	want5, err := AnalyzeLegacy(d, w2)
@@ -90,7 +88,7 @@ func TestShardedAnalyzeClusteredMatchesMonolithic(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireExactMatch(t, d, got5, want5)
-	// The first Result is a private copy: the refresh at 5 ns must not
+	// The first Result owns its state: the analysis at 5 ns must not
 	// have moved it.
 	requireExactMatch(t, d, got, want)
 }

@@ -182,53 +182,21 @@ func normalizeConfig(cfg Config) (Config, error) {
 	return cfg, nil
 }
 
-// Analyze runs full setup and hold analysis and returns a Result with its
-// own copy of the per-net state.
-//
-// The design is interned once per (revision, clock port, extractor,
-// partitions): repeat analyses of an unchanged design — including at a
-// different period, external delays or clock-arrival model — reuse the
-// compiled graph and re-run only propagation. Staleness detection rides
-// on the same change-journal revision contract Incremental uses, so
-// out-of-journal mutations need a NoteBulkEdit just as they do there.
+// Analyze runs full setup and hold analysis: it compiles the design,
+// propagates once and returns a Result that owns the per-net state. A
+// caller that analyzes one design across edits should keep an Incremental
+// instead: it follows the edits at retime cost.
 func Analyze(d *netlist.Design, cfg Config) (*Result, error) {
 	cfg, err := normalizeConfig(cfg)
 	if err != nil {
 		return nil, err
-	}
-	parts := 0
-	if cfg.Partitions > 1 {
-		parts = cfg.Partitions
-	}
-	// The shardAssign test hook imposes a different cut per call, so its
-	// graphs must never be cached or reused.
-	hooked := cfg.shardAssign != nil
-	if !hooked {
-		if e := takeCompiled(d, cfg.ClockPort, cfg.Extractor, parts); e != nil {
-			if e.rev == d.Revision() {
-				// Same structure and RC; only the config may differ.
-				e.sg.cg.cfg = cfg
-				e.sg.repropagateAll()
-				r := e.sg.cg.result()
-				storeCompiled(e)
-				return r, nil
-			}
-			// Stale revision: drop the entry and recompile below.
-		}
 	}
 	sg, err := newTimer(d, cfg)
 	if err != nil {
 		return nil, err
 	}
 	sg.runFull()
-	r := sg.cg.result()
-	if !hooked {
-		storeCompiled(&cacheEntry{
-			d: d, rev: r.Revision, clockPort: cfg.ClockPort,
-			extractor: cfg.Extractor, partitions: parts, sg: sg,
-		})
-	}
-	return r, nil
+	return sg.cg.result(), nil
 }
 
 // CriticalInstances returns the instances whose output slack is below the

@@ -2,6 +2,7 @@ package sta
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"selectivemt/internal/geom"
@@ -174,5 +175,36 @@ func TestClockPortNotADataArrival(t *testing.T) {
 	clk := d.NetByName("clk")
 	if _, _, ok := r.Arrival(clk); ok {
 		t.Error("clock net must not carry a data arrival")
+	}
+}
+
+// TestCompileCacheCheckedOutSafety: concurrent Analyze calls on the same
+// design must never share a compiled graph, and every call must return
+// the same bits. Run under -race this pins that Analyze keeps no state
+// between calls.
+func TestCompileCacheCheckedOutSafety(t *testing.T) {
+	d := synthSmall(t)
+	c := cfg(t, 3)
+	want, err := AnalyzeLegacy(d, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines = 8
+	results := make([]*Result, goroutines)
+	errs := make([]error, goroutines)
+	var wg sync.WaitGroup
+	for i := 0; i < goroutines; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			results[i], errs[i] = Analyze(d, c)
+		}(i)
+	}
+	wg.Wait()
+	for i := 0; i < goroutines; i++ {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		requireExactMatch(t, d, results[i], want)
 	}
 }

@@ -113,10 +113,10 @@ func TestLargeSwapPassRetimesIncrementally(t *testing.T) {
 }
 
 // BenchmarkLargeFullFlat times repeated full analysis of the 100k tier at
-// the default one shard. Steady state is the point: the compile cache
-// makes every iteration after the first re-run only propagation and the
-// copy of the per-net state, which is what the optimization loops
-// actually pay. Recorded numbers live in BENCH_sta_pr6.json.
+// the default one shard: compile, extraction and propagation on every
+// iteration. The numbers recorded in BENCH_sta_pr6.json predate the
+// removal of the compile cache, which re-ran only propagation after the
+// first iteration.
 func BenchmarkLargeFullFlat(b *testing.B) {
 	d, stCfg, _ := largeTimingSetup(b)
 	b.ResetTimer()

@@ -107,7 +107,11 @@ func legacyFinish(d *netlist.Design, cfg *Config, res *legacyResult,
 	legacyStage(d, cfg, res, "CTS")
 	post := legacyStaConfig(cfg, &parasitics.SteinerExtractor{Proc: cfg.Proc,
 		TrunkNets: func(n *netlist.Net) bool { return n.IsVGND }}, ctsRes.Arrival)
-	ecoRes, err := eco.FixHold(d, post, cfg.ECOOpts)
+	inc, err := sta.NewIncremental(d, post)
+	if err != nil {
+		return err
+	}
+	ecoRes, err := eco.FixHoldWith(inc, cfg.ECOOpts)
 	if err != nil {
 		return err
 	}

@@ -16,7 +16,9 @@
 //
 // Usage:
 //
-//	go run ./tools/rangemap internal/sta internal/dualvth internal/assign internal/core internal/partition internal/sim internal/power internal/netlist internal/engine
+//	go run ./tools/rangemap internal/sta internal/dualvth internal/assign internal/core internal/partition \
+//		internal/sim internal/power internal/netlist internal/engine internal/eco internal/place internal/cts \
+//		internal/vgnd internal/route internal/parasitics internal/mcmm internal/flow
 //
 // Package arguments are directories relative to the module root (or
 // "." for the root package). Exit status 1 when any unsuppressed map
