@@ -289,9 +289,9 @@ func BenchmarkIncrementalVsFull(b *testing.B) {
 
 // BenchmarkCompareSequential and BenchmarkCompareParallel time the
 // three-technique comparison on the small circuit with the same fresh,
-// cache-free config per iteration, so the pair isolates the engine's
-// worker-pool speedup (parallel should be bounded by the slowest
-// technique instead of the sum of all three).
+// cache-free config per iteration, so the pair isolates the fan-out
+// speedup (parallel should be bounded by the slowest technique instead
+// of the sum of all three).
 func BenchmarkCompareSequential(b *testing.B) {
 	env := benchEnv(b)
 	spec := SmallTest()
@@ -314,7 +314,11 @@ func BenchmarkCompareParallel(b *testing.B) {
 		cfg := env.NewConfig()
 		cfg.ClockSlack = spec.ClockSlack
 		cfg.Cache = nil
-		if _, err := env.CompareParallelWithConfig(spec, cfg, 3); err != nil {
+		base, err := env.Synthesize(spec, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := env.CompareBase(base, cfg, 3); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -341,17 +345,17 @@ func BenchmarkActivityUncached(b *testing.B) {
 }
 
 // BenchmarkRunBatchTable1 runs the full Table-1 batch (both circuits,
-// all techniques) through the engine, the production-shaped workload.
+// all techniques) through RunBatch, the production-shaped workload.
 func BenchmarkRunBatchTable1(b *testing.B) {
 	env := benchEnv(b)
-	specs := []CircuitSpec{CircuitA(), CircuitB()}
+	specs := []JobSpec{{Circuit: "a"}, {Circuit: "b"}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		comps, err := env.RunBatch(specs, BatchOptions{})
+		outs, err := env.RunBatch(specs, JobOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if comps[0] == nil || comps[1] == nil {
+		if outs[0].Comparison == nil || outs[1].Comparison == nil {
 			b.Fatal("batch lost a comparison")
 		}
 	}
@@ -437,7 +441,7 @@ func BenchmarkAblationPostRouteReopt(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := core.RunImprovedSMT(base, cfg)
+		res, err := RunImprovedSMT(base, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -2,13 +2,14 @@
 // benchmark circuit or an external Verilog netlist, printing stage-by-stage
 // reports and optionally writing the final netlist, SPEF and library.
 //
-// Techniques run as jobs on the flow engine's worker pool: -technique all
-// runs all three concurrently (bounded by -jobs) and prints the paper's
-// comparison alongside the per-technique reports.
+// -technique all runs the three techniques concurrently on a prepared
+// base (selectivemt.CompareBase, bounded by -jobs) and prints the
+// paper's comparison alongside the per-technique reports.
 //
-// -technique also accepts the name of any registered custom pipeline
-// (selectivemt.RegisterPipeline); the built-in names are Dual-Vth,
-// Conventional-SMT and Improved-SMT.
+// -technique is resolved like a job spec's techniques, in any case: the
+// aliases dual, conventional, improved and all, the built-in names
+// Dual-Vth, Conventional-SMT and Improved-SMT, or the name of any
+// registered custom pipeline (selectivemt.RegisterPipeline).
 //
 // Usage:
 //
@@ -25,7 +26,6 @@ import (
 	"log"
 	"os"
 	"runtime"
-	"strings"
 
 	"selectivemt"
 	"selectivemt/internal/core"
@@ -85,6 +85,12 @@ func main() {
 	if cfg.Strategy, err = selectivemt.ParseStrategy(*strategy); err != nil {
 		log.Fatalf("smtflow: %v", err)
 	}
+	// The technique resolver job specs use: aliases and registered
+	// pipeline names in any case, "all" for the three built-ins.
+	techniques, err := selectivemt.ParseTechniques([]string{*technique})
+	if err != nil {
+		log.Fatalf("smtflow: %v", err)
+	}
 
 	var base *netlist.Design
 	if *verilogIn != "" {
@@ -128,44 +134,26 @@ func main() {
 		}
 	}
 
-	// Run the selected technique(s); "all" goes through the flow
-	// engine's worker pool (bounded by -jobs), anything else resolves
-	// in the pipeline registry ("improved" and friends are aliases for
-	// the built-in pipelines).
+	// -technique all runs the three techniques concurrently (bounded by
+	// -jobs); any other name runs one technique pipeline.
 	var res *selectivemt.TechniqueResult
-	if *technique == "all" {
-		var cmp *selectivemt.Comparison
-		cmp, err = env.CompareBase(base, cfg, *jobs)
-		if err == nil {
-			for _, r := range []*selectivemt.TechniqueResult{cmp.Dual, cmp.Conv, cmp.Improved} {
-				printResult(base, r)
-			}
-			fmt.Println(cmp.Format())
-			res = cmp.Improved
-			if *outVerilog != "" || *outDef != "" || *outSpef != "" || *inrush > 0 {
-				fmt.Printf("(output files and -inrush use the %s result)\n", res.Technique)
-			}
+	if len(techniques) > 1 {
+		cmp, err := env.CompareBase(base, cfg, *jobs)
+		if err != nil {
+			log.Fatal(err)
+		}
+		for _, r := range []*selectivemt.TechniqueResult{cmp.Dual, cmp.Conv, cmp.Improved} {
+			printResult(base, r)
+		}
+		fmt.Println(cmp.Format())
+		res = cmp.Improved
+		if *outVerilog != "" || *outDef != "" || *outSpef != "" || *inrush > 0 {
+			fmt.Printf("(output files and -inrush use the %s result)\n", res.Technique)
 		}
 	} else {
-		name := *technique
-		switch name {
-		case "improved":
-			name = "Improved-SMT"
-		case "conventional":
-			name = "Conventional-SMT"
-		case "dual":
-			name = "Dual-Vth"
+		if res, err = selectivemt.RunPipeline(context.Background(), techniques[0], base, cfg, nil); err != nil {
+			log.Fatal(err)
 		}
-		if _, ok := selectivemt.PipelineStages(name); !ok {
-			log.Fatalf("unknown technique %q (registered pipelines: %s)",
-				*technique, strings.Join(selectivemt.Pipelines(), ", "))
-		}
-		res, err = selectivemt.RunPipeline(context.Background(), name, base, cfg, nil)
-	}
-	if err != nil {
-		log.Fatal(err)
-	}
-	if *technique != "all" {
 		printResult(base, res)
 	}
 

@@ -3,8 +3,10 @@
 // improved Selective-MT techniques on circuits A and B, normalized to the
 // Dual-Vth baseline.
 //
-// Circuits and techniques run concurrently on the flow engine's worker
-// pool; -jobs bounds the pool (1 forces a sequential run).
+// Each circuit is one selectivemt.JobSpec run by RunBatch: every circuit
+// is prepared first, then all their techniques run concurrently on one
+// fan-out; -jobs bounds both (1 forces a sequential run). The flags map
+// one to one onto JobSpec fields.
 //
 // With -corners, every technique's finished design is additionally
 // signed off across the listed PVT corners — per-corner setup/hold slack
@@ -25,6 +27,7 @@ import (
 	"log"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"selectivemt"
@@ -58,45 +61,35 @@ func main() {
 	if *assignJobs < 0 {
 		log.Fatalf("table1: -assign-jobs must be >= 0 (0 = all %d CPUs), got %d", runtime.GOMAXPROCS(0), *assignJobs)
 	}
-	strategyName, err := selectivemt.ParseStrategy(*strategy)
-	if err != nil {
-		log.Fatalf("table1: %v", err)
-	}
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer stopProf()
-	corners, err := selectivemt.ParseCorners(*cornersFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
 	env, err := selectivemt.NewEnvironment()
 	if err != nil {
 		log.Fatal(err)
 	}
-	var specs []selectivemt.CircuitSpec
+	circuits := []string{*circuit}
 	if *circuit == "both" {
-		specs = []selectivemt.CircuitSpec{selectivemt.CircuitA(), selectivemt.CircuitB()}
-	} else {
-		spec, err := selectivemt.BenchmarkCircuit(*circuit)
-		if err != nil {
-			log.Fatal(err)
-		}
-		specs = []selectivemt.CircuitSpec{spec}
+		circuits = []string{"a", "b"}
 	}
-
-	// All circuits and techniques run as one job graph on the engine's
-	// worker pool, sharing the environment's analysis cache.
-	comps, err := env.RunBatch(specs, selectivemt.BatchOptions{
-		Jobs: *jobs,
-		Configure: func(_ selectivemt.CircuitSpec, cfg *selectivemt.Config) {
-			cfg.Corners = corners
-			cfg.Partitions = *partitions
-			cfg.ShardJobs = *shardJobs
-			cfg.AssignJobs = *assignJobs
-			cfg.Strategy = strategyName
-		},
+	// One job spec per circuit: RunBatch prepares every circuit, then
+	// fans all their techniques out on the worker pool, sharing the
+	// environment's analysis cache.
+	specs := make([]selectivemt.JobSpec, len(circuits))
+	for i, c := range circuits {
+		specs[i] = selectivemt.JobSpec{
+			Circuit:    c,
+			Corners:    strings.Split(*cornersFlag, ","),
+			Partitions: *partitions,
+			ShardJobs:  *shardJobs,
+			AssignJobs: *assignJobs,
+			Strategy:   *strategy,
+		}
+	}
+	outs, err := env.RunBatch(specs, selectivemt.JobOptions{
+		Workers: *jobs,
 		Progress: func(ev selectivemt.BatchEvent) {
 			if ev.Stage != "" {
 				// Pipeline-stage events are too fine-grained for the
@@ -116,12 +109,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	comps := make([]*selectivemt.Comparison, len(outs))
+	for i, out := range outs {
+		comps[i] = out.Comparison
+	}
 	fmt.Println(selectivemt.FormatTable1(comps))
 	fmt.Println("Paper reference:  A: 164.84/133.18 area, 14.58/9.42 leakage;" +
 		"  B: 142.22/115.65 area, 19.42/12.21 leakage (% of Dual-Vth)")
-	if len(corners) > 0 {
+	if reps := selectivemt.FormatCornerReports(comps); reps != "" {
 		fmt.Println()
-		fmt.Print(selectivemt.FormatCornerReports(comps))
+		fmt.Print(reps)
 	}
 
 	if *detail {

@@ -7,11 +7,11 @@ import (
 	"selectivemt/internal/tech"
 )
 
-// Multi-corner sign-off face of the workflow: the same three-technique
-// comparison, but with every finished design re-verified at the PVT
+// Multi-corner sign-off face of the workflow. Setting Config.Corners
+// (or JobSpec.Corners) re-verifies every finished design at the PVT
 // corners where silicon actually fails — setup at slow, hold and leakage
-// at the fast corners — and hold re-fixed at the binding fast corner on
-// a sign-off clone. Table-1 numbers stay byte-identical to the
+// at the fast corners — with hold re-fixed at the binding fast corner
+// on a sign-off clone. Table-1 numbers stay byte-identical to the
 // single-corner run; the corner work only adds a CornerReport per
 // technique.
 
@@ -39,21 +39,6 @@ func AllCorners() []Corner { return mcmm.Corners() }
 // ParseCorners parses a CLI corner list: "all" or a comma-separated
 // subset of typ, slow, fast-hot, fast-cold ("" parses to nil).
 func ParseCorners(s string) ([]Corner, error) { return mcmm.ParseCorners(s) }
-
-// CompareAcrossCorners runs the three-technique comparison with
-// multi-corner sign-off enabled at the given corners (nil means all
-// four). Techniques run concurrently on the engine pool, and each
-// technique's corner measurements fan out on it too; the result carries
-// one CornerReport per technique.
-func (e *Environment) CompareAcrossCorners(spec CircuitSpec, corners []Corner) (*Comparison, error) {
-	cfg := e.NewConfig()
-	cfg.ClockSlack = spec.ClockSlack
-	if len(corners) == 0 {
-		corners = AllCorners()
-	}
-	cfg.Corners = corners
-	return e.CompareParallelWithConfig(spec, cfg, 0)
-}
 
 // CornerReports returns the comparison's per-technique sign-off reports
 // in Table-1 column order, skipping techniques without one.

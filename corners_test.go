@@ -20,7 +20,10 @@ func TestCornersDoNotChangeTable1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	corner, err := env.CompareAcrossCorners(spec, nil)
+	cfg := env.NewConfig()
+	cfg.ClockSlack = spec.ClockSlack
+	cfg.Corners = AllCorners()
+	corner, err := env.CompareWithConfig(spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,39 +66,43 @@ func TestCornersDoNotChangeTable1(t *testing.T) {
 	}
 }
 
-// TestCompareAcrossCornersDeterministic runs the corner sign-off once as
-// a sequential corner loop and once corner-parallel on the engine pool
-// (under -race in CI) and requires byte-identical output. The first two
-// legs run with the cache disabled so the parallel leg genuinely
-// computes concurrently instead of replaying the sequential leg's
-// entries; a final cached leg then checks cache replay agrees too.
+// TestCompareAcrossCornersDeterministic runs the corner sign-off with
+// the techniques one after another and concurrently (under -race in CI)
+// and requires byte-identical output; the corner fan-out inside each
+// sign-off is pinned by mcmm's TestSignoffParallelMatchesSequential. The
+// first two legs run with the cache disabled so the concurrent leg
+// genuinely computes instead of replaying the sequential leg's entries;
+// a final cached pair then checks cache replay agrees too.
 func TestCompareAcrossCornersDeterministic(t *testing.T) {
 	env, err := NewEnvironment()
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec := SmallTest()
-	run := func(signoffJobs, workers int, cached bool) string {
+	run := func(workers int, cached bool) string {
 		cfg := env.NewConfig()
 		cfg.ClockSlack = spec.ClockSlack
 		cfg.Corners = AllCorners()
-		cfg.SignoffJobs = signoffJobs
 		if !cached {
 			cfg.Cache = nil
 		}
-		cmp, err := env.CompareParallelWithConfig(spec, cfg, workers)
+		base, err := env.Synthesize(spec, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmp, err := env.CompareBase(base, cfg, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return FormatTable1([]*Comparison{cmp}) + "\n" + FormatCornerReports([]*Comparison{cmp})
 	}
-	par := run(3, 3, false)
-	seq := run(1, 1, false)
+	par := run(3, false)
+	seq := run(1, false)
 	if seq != par {
-		t.Fatalf("corner-parallel run differs from sequential loop:\n--- seq\n%s\n--- par\n%s", seq, par)
+		t.Fatalf("concurrent corner run differs from sequential:\n--- seq\n%s\n--- par\n%s", seq, par)
 	}
-	warm := run(3, 3, true)   // populates the shared cache
-	replay := run(1, 1, true) // replays it
+	warm := run(3, true)   // populates the shared cache
+	replay := run(1, true) // replays it
 	if warm != seq || replay != seq {
 		t.Fatal("cached corner sign-off differs from uncached")
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"selectivemt/internal/gen"
@@ -50,15 +51,15 @@ func runAll(t *testing.T) *prepared {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dual, err := RunDualVth(base, cfg)
+	dual, err := RunRegistered(context.Background(), "Dual-Vth", base, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	conv, err := RunConventionalSMT(base, cfg)
+	conv, err := RunRegistered(context.Background(), "Conventional-SMT", base, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	improved, err := RunImprovedSMT(base, cfg)
+	improved, err := RunRegistered(context.Background(), "Improved-SMT", base, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

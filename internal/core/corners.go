@@ -35,7 +35,6 @@ func signoffCorners(res *TechniqueResult, cfg *Config) error {
 		GatingKey: res.Technique,
 		FixHold:   true,
 		ECO:       cfg.ECOOpts,
-		Workers:   cfg.SignoffJobs,
 		Cache:     cfg.Cache,
 	})
 	if err != nil {

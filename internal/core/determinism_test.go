@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -25,7 +26,7 @@ func TestFlowDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunImprovedSMT(base, cfg)
+		res, err := RunRegistered(context.Background(), "Improved-SMT", base, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,12 +61,8 @@ func TestMeasuredTimingMatchesFreshAnalysis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, run := range map[string]func(*netlist.Design, *Config) (*TechniqueResult, error){
-		"dual-vth":     RunDualVth,
-		"conventional": RunConventionalSMT,
-		"improved":     RunImprovedSMT,
-	} {
-		res, err := run(base, cfg)
+	for _, name := range []string{"Dual-Vth", "Conventional-SMT", "Improved-SMT"} {
+		res, err := RunRegistered(context.Background(), name, base, cfg, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -98,7 +95,7 @@ func TestConventionalDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunConventionalSMT(base, cfg)
+		res, err := RunRegistered(context.Background(), "Conventional-SMT", base, cfg, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

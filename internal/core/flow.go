@@ -67,13 +67,10 @@ type Config struct {
 	// CornerSet caches the per-corner derated libraries. Shared across
 	// flows (it locks internally); built on demand when nil.
 	CornerSet *mcmm.Set
-	// SignoffJobs bounds the corner-parallel sign-off fan-out: 1 forces a
-	// sequential corner loop, <= 0 means GOMAXPROCS.
-	SignoffJobs int
 
 	// Partitions, when > 1, sets the shard count of every timing analysis
 	// in the flow: the netlist is clustered into about this many shards
-	// and per-shard propagation fans out on the engine pool. Timing
+	// and per-shard propagation fans out on engine.Map. Timing
 	// results are bit-identical to one shard at any worker count, and
 	// so is greedy assignment. The sensitivity strategy runs one commit
 	// lane per shard, so its result follows the shard count: a
@@ -81,8 +78,8 @@ type Config struct {
 	// bit-exact across worker counts. 0 or 1 means one shard.
 	Partitions int
 	// ShardJobs bounds the sharded kernel's per-design fan-out width
-	// (<= 0 means GOMAXPROCS). Independent of SignoffJobs: corners fan
-	// out across designs, shards fan out inside one design.
+	// (<= 0 means GOMAXPROCS). The corner sign-off fans out across its
+	// corner views at GOMAXPROCS; shards fan out inside one design.
 	ShardJobs int
 	// AssignJobs bounds the sensitivity strategy's lane fan-out width
 	// (<= 0 means GOMAXPROCS, capped at the shard count, so only a
@@ -133,11 +130,11 @@ func (c *Config) staConfig(ex parasitics.Extractor, clk func(*netlist.Instance) 
 	return sc
 }
 
-// shardRun executes a sharded-kernel fan-out on the engine's job pool —
-// the dependency injection that lets sta (which engine imports) run its
-// shard drains on the same scheduler as the rest of the flow. Drains
-// cannot fail; an error here is a scheduler bug and propagates as a
-// panic rather than silently truncating a timing pass.
+// shardRun executes a sharded-kernel fan-out on engine.Map — the
+// dependency injection that lets sta (which engine imports) run its
+// shard drains on the same fan-out as the rest of the flow. Drains
+// cannot fail; an error here is a drain panic and propagates as a panic
+// rather than silently truncating a timing pass.
 func shardRun(tasks, workers int, run func(int)) {
 	if _, err := engine.Map(context.Background(), tasks, workers, func(_ context.Context, i int) (struct{}, error) {
 		run(i)
@@ -184,7 +181,7 @@ func (c *Config) minPeriod(d *netlist.Design, cfg sta.Config) (float64, error) {
 // with: the defaults, plus a slack reserve for what the pre-route
 // estimate cannot see (post-route wire RC, clock skew) — the assignment
 // must not consume every picosecond of the budget — and the lane
-// fan-out on the engine pool.
+// fan-out on engine.Map.
 func (c *Config) assignment() (assign.Strategy, assign.Options, error) {
 	s, err := assign.Parse(c.Strategy)
 	if err != nil {
@@ -306,29 +303,6 @@ func PrepareBase(mod *gen.Module, cfg *Config) (*netlist.Design, error) {
 		cfg.ClockPeriodNs = pmin * slack
 	}
 	return d, nil
-}
-
-// RunDualVth executes the baseline technique on a clone of base — a
-// thin wrapper over the registered "Dual-Vth" pipeline.
-func RunDualVth(base *netlist.Design, cfg *Config) (*TechniqueResult, error) {
-	return RunRegistered(context.Background(), "Dual-Vth", base, cfg, nil)
-}
-
-// RunConventionalSMT executes the conventional Selective-MT technique
-// (MT-cells with embedded switches and holders on critical paths, HVT
-// elsewhere, MTE wired to every MT-cell) — a thin wrapper over the
-// registered "Conventional-SMT" pipeline.
-func RunConventionalSMT(base *netlist.Design, cfg *Config) (*TechniqueResult, error) {
-	return RunRegistered(context.Background(), "Conventional-SMT", base, cfg, nil)
-}
-
-// RunImprovedSMT executes the paper's improved technique end to end
-// (Fig. 4): MT assignment with VGND-less cells, conversion to VGND
-// cells, holder insertion, switch-structure construction, MTE
-// buffering, CTS, post-route re-optimization and hold ECO — a thin
-// wrapper over the registered "Improved-SMT" pipeline.
-func RunImprovedSMT(base *netlist.Design, cfg *Config) (*TechniqueResult, error) {
-	return RunRegistered(context.Background(), "Improved-SMT", base, cfg, nil)
 }
 
 // measure computes the final area/leakage/timing numbers, the timing

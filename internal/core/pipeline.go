@@ -20,10 +20,9 @@ import (
 
 // This file is the pass-manager face of the core flow: the paper's
 // three techniques are stage lists over a shared FlowState, registered
-// by name in a process-wide flow.Registry. RunDualVth /
-// RunConventionalSMT / RunImprovedSMT (flow.go) are thin wrappers over
-// these registered pipelines, and new power-gating variants are new
-// stage lists — data — rather than another hardcoded runner.
+// by name in a process-wide flow.Registry and run through RunRegistered,
+// and new power-gating variants are new stage lists — data — rather
+// than another hardcoded runner.
 
 // Stage is a core-flow pipeline stage (flow.Stage over *FlowState).
 type Stage = flow.Stage[*FlowState]

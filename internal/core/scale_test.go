@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"selectivemt/internal/gen"
@@ -33,7 +34,7 @@ func TestFlowScales(t *testing.T) {
 	if base.NumInstances() < 2500 {
 		t.Fatalf("expected a big mapped circuit, got %d instances", base.NumInstances())
 	}
-	res, err := RunImprovedSMT(base, cfg)
+	res, err := RunRegistered(context.Background(), "Improved-SMT", base, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,10 @@
-// Package engine orchestrates the selective-MT flow as a job graph run on
-// a bounded worker pool. The paper's evaluation (Table 1) repeats three
-// techniques over multiple circuits; the scheduler here lets a comparison
-// run its techniques — and a batch run its circuits — concurrently while
-// keeping result ordering deterministic. The companion AnalysisCache
-// (cache.go) memoizes the per-design analyses those concurrent flows would
-// otherwise recompute.
+// Package engine holds the flow's concurrency primitives. Map is a
+// bounded fan-out with index-ordered results: the facade runs each
+// batch's prepare tasks and then its technique flows on it, and the
+// sharded timer, the assignment lanes and the corner sign-off fan out on
+// it too. Pool (pool.go) is the resident bounded queue behind the smtd
+// service, and AnalysisCache (cache.go) memoizes the per-design analyses
+// concurrent flows would otherwise recompute.
 package engine
 
 import (
@@ -12,355 +12,54 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"runtime/pprof"
 	"sync"
-	"time"
+	"sync/atomic"
 )
 
-// Job is one node of a job graph: a named unit of work plus the indices
-// of the jobs that must complete before it may start.
-type Job struct {
-	Name string
-	Deps []int
-	Run  func(ctx context.Context) (any, error)
-}
-
-// State tracks a job through the scheduler.
-type State int
-
-const (
-	Pending State = iota
-	Running
-	Done
-	Failed
-	// Skipped means the job never ran: a dependency failed or the run
-	// was canceled first.
-	Skipped
-)
-
-func (s State) String() string {
-	switch s {
-	case Pending:
-		return "pending"
-	case Running:
-		return "running"
-	case Done:
-		return "done"
-	case Failed:
-		return "failed"
-	case Skipped:
-		return "skipped"
-	}
-	return fmt.Sprintf("State(%d)", int(s))
-}
-
-// Event is one progress notification. Events for a given job arrive in
-// state order (Running, then one of Done/Failed; Skipped jobs emit only
-// Skipped), but events of different jobs interleave arbitrarily.
-type Event struct {
-	Job     int
-	Name    string
-	State   State
-	Err     error
-	Elapsed time.Duration
-}
-
-// Result is one job's outcome, at the job's index in the input slice.
-type Result struct {
-	Value   any
-	Err     error
-	State   State
-	Elapsed time.Duration
-}
-
-// Options configures a Run.
-type Options struct {
-	// Workers bounds concurrency; any value <= 0 — including negative
-	// counts passed straight through from CLI -jobs flags — means
-	// GOMAXPROCS (see NormalizeWorkers).
-	Workers int
-	// Progress, when set, receives job state changes. It is called from
-	// one scheduler goroutine at a time (never concurrently).
-	Progress func(Event)
-}
-
-// Run executes the job graph on a bounded worker pool and returns one
-// Result per job, in input order regardless of completion order. A failed
-// job marks every transitive dependent Skipped; cancelling ctx skips all
-// jobs not yet started. The returned error aggregates every job error in
-// job-index order (nil when all jobs succeeded).
-func Run(ctx context.Context, jobs []Job, opts Options) ([]Result, error) {
-	n := len(jobs)
-	results := make([]Result, n)
-	for i := range results {
-		results[i].State = Pending
-	}
-	if n == 0 {
-		return results, nil
-	}
+// Map runs fn over indices 0..n-1 on at most workers goroutines (see
+// NormalizeWorkers) and returns the values in index order. One call's
+// error does not stop the others; the errors are joined in index order.
+// A panic becomes that call's error, and a call not yet started when ctx
+// is done is skipped with context.Cause(ctx). At one worker the calls
+// run inline on the caller's goroutine.
+func Map[T any](ctx context.Context, n, workers int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-
-	dependents := make([][]int, n)
-	waiting := make([]int, n)
-	for i, j := range jobs {
-		if j.Run == nil {
-			return nil, fmt.Errorf("engine: job %d (%s) has no Run", i, j.Name)
+	out := make([]T, n)
+	errs := make([]error, n)
+	call := func(i int) {
+		if ctx.Err() != nil {
+			errs[i] = fmt.Errorf("engine: call %d skipped: %w", i, context.Cause(ctx))
+			return
 		}
-		seen := make(map[int]bool, len(j.Deps))
-		for _, dep := range j.Deps {
-			if dep < 0 || dep >= n {
-				return nil, fmt.Errorf("engine: job %d (%s) depends on out-of-range job %d", i, j.Name, dep)
-			}
-			if dep == i || seen[dep] {
-				if dep == i {
-					return nil, fmt.Errorf("engine: job %d (%s) depends on itself", i, j.Name)
-				}
-				continue
-			}
-			seen[dep] = true
-			dependents[dep] = append(dependents[dep], i)
-			waiting[i]++
-		}
-	}
-	if err := checkAcyclic(jobs, dependents, waiting); err != nil {
-		return nil, err
-	}
-
-	workers := NormalizeWorkers(opts.Workers)
-	if workers > n {
-		workers = n
-	}
-
-	em := &emitter{fn: opts.Progress}
-	var (
-		mu       sync.Mutex
-		cond     = sync.NewCond(&mu)
-		ready    []int
-		live     int
-		finished int
-		canceled bool
-	)
-	for i := range jobs {
-		if waiting[i] == 0 {
-			ready = append(ready, i)
-		}
-	}
-
-	// skip marks i Skipped and cascades to its still-pending dependents.
-	// Caller holds mu; emitted events are collected into evs.
-	var skip func(i int, why error, evs *[]Event)
-	skip = func(i int, why error, evs *[]Event) {
-		results[i].State = Skipped
-		results[i].Err = why
-		finished++
-		*evs = append(*evs, Event{Job: i, Name: jobs[i].Name, State: Skipped, Err: why})
-		for _, d := range dependents[i] {
-			if results[d].State == Pending {
-				skip(d, fmt.Errorf("engine: %s skipped: dependency %s did not complete", jobs[d].Name, jobs[i].Name), evs)
-			}
-		}
-	}
-
-	watchDone := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			mu.Lock()
-			canceled = true
-			cond.Broadcast()
-			mu.Unlock()
-		case <-watchDone:
-		}
-	}()
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				for len(ready) == 0 && finished+live < n && !canceled {
-					cond.Wait()
-				}
-				var evs []Event
-				// The watcher goroutine wakes sleeping workers on
-				// cancellation; the direct ctx check makes a cancel that
-				// landed while a job was running take effect before the
-				// next dispatch.
-				if !canceled && ctx.Err() != nil {
-					canceled = true
-				}
-				if canceled {
-					for i := range jobs {
-						if results[i].State == Pending {
-							skip(i, fmt.Errorf("engine: %s skipped: %w", jobs[i].Name, context.Cause(ctx)), &evs)
-						}
-					}
-					ready = nil
-					cond.Broadcast()
-					mu.Unlock()
-					em.emit(evs...)
-					return
-				}
-				if len(ready) == 0 {
-					// Nothing pending can become ready from here: every
-					// unfinished job is already running on another worker.
-					mu.Unlock()
-					return
-				}
-				// Pop the lowest-index ready job so dispatch order is
-				// deterministic for a given interleaving.
-				best := 0
-				for k := 1; k < len(ready); k++ {
-					if ready[k] < ready[best] {
-						best = k
-					}
-				}
-				i := ready[best]
-				ready = append(ready[:best], ready[best+1:]...)
-				results[i].State = Running
-				live++
-				mu.Unlock()
-
-				em.emit(Event{Job: i, Name: jobs[i].Name, State: Running})
-				start := time.Now()
-				val, err := runJob(ctx, jobs[i].Name, jobs[i].Run)
-				elapsed := time.Since(start)
-
-				mu.Lock()
-				live--
-				finished++
-				results[i].Elapsed = elapsed
-				if err != nil {
-					results[i].State = Failed
-					results[i].Err = fmt.Errorf("engine: %s: %w", jobs[i].Name, err)
-					evs = append(evs, Event{Job: i, Name: jobs[i].Name, State: Failed, Err: err, Elapsed: elapsed})
-					for _, d := range dependents[i] {
-						if results[d].State == Pending {
-							skip(d, fmt.Errorf("engine: %s skipped: dependency %s failed: %w", jobs[d].Name, jobs[i].Name, err), &evs)
-						}
-					}
-				} else {
-					results[i].State = Done
-					results[i].Value = val
-					evs = append(evs, Event{Job: i, Name: jobs[i].Name, State: Done, Elapsed: elapsed})
-					for _, d := range dependents[i] {
-						waiting[d]--
-						if waiting[d] == 0 && results[d].State == Pending {
-							ready = append(ready, d)
-						}
-					}
-				}
-				cond.Broadcast()
-				mu.Unlock()
-				em.emit(evs...)
+		defer func() {
+			if r := recover(); r != nil {
+				errs[i] = fmt.Errorf("engine: call %d panicked: %v\n%s", i, r, debug.Stack())
 			}
 		}()
+		out[i], errs[i] = fn(ctx, i)
 	}
-	wg.Wait()
-	close(watchDone)
-
-	var errs []error
-	for i := range results {
-		if results[i].Err != nil {
-			errs = append(errs, results[i].Err)
+	// The caller's goroutine is one of the workers; the others claim
+	// indices from the shared counter.
+	var s struct {
+		next atomic.Int64
+		wg   sync.WaitGroup
+	}
+	work := func() {
+		for i := int(s.next.Add(1)) - 1; i < n; i = int(s.next.Add(1)) - 1 {
+			call(i)
 		}
 	}
-	return results, errors.Join(errs...)
-}
-
-// runJob converts a job panic into a job error so one bad flow cannot
-// take down the whole pool (its dependents are skipped like any failure).
-// The job runs under a pprof label carrying its graph name, so CPU
-// profiles of a concurrent batch split by job ("circuit_a/Improved-SMT")
-// instead of blending every flow into one anonymous worker stack.
-func runJob(ctx context.Context, name string, run func(context.Context) (any, error)) (val any, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("panic: %v\n%s", r, debug.Stack())
-		}
-	}()
-	pprof.Do(ctx, pprof.Labels("engine_job", name), func(ctx context.Context) {
-		val, err = run(ctx)
-	})
-	return val, err
-}
-
-// Map runs fn over indices 0..n-1 on the worker pool with no dependencies
-// between calls and returns the values in index order. The first error
-// (in index order) does not stop the remaining calls; all errors are
-// aggregated as in Run.
-func Map[T any](ctx context.Context, n, workers int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	jobs := make([]Job, n)
-	for i := 0; i < n; i++ {
-		i := i
-		jobs[i] = Job{
-			Name: fmt.Sprintf("map[%d]", i),
-			Run:  func(ctx context.Context) (any, error) { return fn(ctx, i) },
-		}
+	workers = min(NormalizeWorkers(workers), n)
+	s.wg.Add(max(workers-1, 0))
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer s.wg.Done()
+			work()
+		}()
 	}
-	res, err := Run(ctx, jobs, Options{Workers: workers})
-	out := make([]T, n)
-	for i := range res {
-		if v, ok := res[i].Value.(T); ok {
-			out[i] = v
-		}
-	}
-	return out, err
-}
-
-// checkAcyclic rejects cyclic graphs up front: the pool would otherwise
-// deadlock waiting for jobs that can never become ready.
-func checkAcyclic(jobs []Job, dependents [][]int, waiting []int) error {
-	n := len(jobs)
-	w := make([]int, n)
-	copy(w, waiting)
-	queue := make([]int, 0, n)
-	for i := range jobs {
-		if w[i] == 0 {
-			queue = append(queue, i)
-		}
-	}
-	visited := 0
-	for len(queue) > 0 {
-		i := queue[0]
-		queue = queue[1:]
-		visited++
-		for _, d := range dependents[i] {
-			w[d]--
-			if w[d] == 0 {
-				queue = append(queue, d)
-			}
-		}
-	}
-	if visited != n {
-		var stuck []string
-		for i := range jobs {
-			if w[i] > 0 {
-				stuck = append(stuck, jobs[i].Name)
-			}
-		}
-		return fmt.Errorf("engine: dependency cycle among jobs %v", stuck)
-	}
-	return nil
-}
-
-// emitter serializes progress callbacks.
-type emitter struct {
-	mu sync.Mutex
-	fn func(Event)
-}
-
-func (e *emitter) emit(evs ...Event) {
-	if e.fn == nil || len(evs) == 0 {
-		return
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, ev := range evs {
-		e.fn(ev)
-	}
+	work()
+	s.wg.Wait()
+	return out, errors.Join(errs...)
 }

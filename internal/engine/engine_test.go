@@ -4,187 +4,115 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-func TestRunDeterministicOrdering(t *testing.T) {
+func TestMapIndexOrder(t *testing.T) {
 	const n = 40
-	jobs := make([]Job, n)
-	for i := 0; i < n; i++ {
-		i := i
-		jobs[i] = Job{Name: fmt.Sprintf("j%d", i), Run: func(context.Context) (any, error) {
-			return i * i, nil
-		}}
-	}
-	res, err := Run(context.Background(), jobs, Options{Workers: 8})
+	vals, err := Map(context.Background(), n, 8, func(_ context.Context, i int) (int, error) {
+		// Later indices finish first, so completion order is reversed.
+		time.Sleep(time.Duration(n-i) * 10 * time.Microsecond)
+		return i * i, nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range res {
-		if res[i].State != Done || res[i].Value.(int) != i*i {
-			t.Fatalf("result %d out of order: %+v", i, res[i])
+	if len(vals) != n {
+		t.Fatalf("got %d values, want %d", len(vals), n)
+	}
+	for i, v := range vals {
+		if v != i*i {
+			t.Fatalf("vals[%d] = %d, want %d", i, v, i*i)
 		}
 	}
 }
 
-func TestRunRespectsDependencies(t *testing.T) {
-	var order []int
-	var mu sync.Mutex
-	record := func(i int) func(context.Context) (any, error) {
-		return func(context.Context) (any, error) {
-			mu.Lock()
-			order = append(order, i)
-			mu.Unlock()
-			return i, nil
+// One call's error neither stops the others nor hides theirs: every
+// call runs and the errors come back joined in index order.
+func TestMap(t *testing.T) {
+	var ran atomic.Int64
+	vals, err := Map(context.Background(), 10, 4, func(_ context.Context, i int) (int, error) {
+		ran.Add(1)
+		if i == 2 || i == 7 {
+			return 0, fmt.Errorf("bad %d", i)
 		}
-	}
-	// Diamond: 0 → {1, 2} → 3.
-	jobs := []Job{
-		{Name: "root", Run: record(0)},
-		{Name: "left", Deps: []int{0}, Run: record(1)},
-		{Name: "right", Deps: []int{0}, Run: record(2)},
-		{Name: "join", Deps: []int{1, 2}, Run: record(3)},
-	}
-	if _, err := Run(context.Background(), jobs, Options{Workers: 4}); err != nil {
-		t.Fatal(err)
-	}
-	pos := make(map[int]int, len(order))
-	for p, i := range order {
-		pos[i] = p
-	}
-	if pos[0] > pos[1] || pos[0] > pos[2] || pos[3] < pos[1] || pos[3] < pos[2] {
-		t.Fatalf("dependency order violated: %v", order)
-	}
-}
-
-func TestRunFailureSkipsDependents(t *testing.T) {
-	boom := errors.New("boom")
-	ran3 := false
-	jobs := []Job{
-		{Name: "ok", Run: func(context.Context) (any, error) { return 1, nil }},
-		{Name: "bad", Run: func(context.Context) (any, error) { return nil, boom }},
-		{Name: "child", Deps: []int{1}, Run: func(context.Context) (any, error) { return 2, nil }},
-		{Name: "grandchild", Deps: []int{2}, Run: func(context.Context) (any, error) { ran3 = true; return 3, nil }},
-	}
-	res, err := Run(context.Background(), jobs, Options{Workers: 2})
-	if err == nil || !errors.Is(err, boom) {
-		t.Fatalf("aggregated error should wrap the job error, got %v", err)
-	}
-	if res[0].State != Done {
-		t.Error("independent job should still run")
-	}
-	if res[1].State != Failed {
-		t.Errorf("bad job state = %v", res[1].State)
-	}
-	if res[2].State != Skipped || res[3].State != Skipped || ran3 {
-		t.Errorf("dependents not skipped: %v / %v", res[2].State, res[3].State)
-	}
-	if !strings.Contains(res[3].Err.Error(), "child") {
-		t.Errorf("skip error should name the failed dependency chain: %v", res[3].Err)
-	}
-}
-
-func TestRunCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	started := make(chan struct{})
-	release := make(chan struct{})
-	var ranLater atomic.Bool
-	jobs := []Job{
-		{Name: "blocker", Run: func(context.Context) (any, error) {
-			close(started)
-			<-release
-			return nil, nil
-		}},
-		{Name: "later", Deps: []int{0}, Run: func(context.Context) (any, error) {
-			ranLater.Store(true)
-			return nil, nil
-		}},
-	}
-	done := make(chan struct{})
-	var res []Result
-	var err error
-	go func() {
-		res, err = Run(ctx, jobs, Options{Workers: 1})
-		close(done)
-	}()
-	<-started
-	cancel()
-	close(release)
-	<-done
+		return 2 * i, nil
+	})
 	if err == nil {
-		t.Fatal("canceled run should report an error")
+		t.Fatal("errors not reported")
 	}
-	if ranLater.Load() {
-		t.Error("job scheduled after cancel should not run")
+	if got := ran.Load(); got != 10 {
+		t.Errorf("%d of 10 calls ran: an error stopped the others", got)
 	}
-	if res[1].State != Skipped {
-		t.Errorf("pending job state = %v, want Skipped", res[1].State)
+	msg := err.Error()
+	if a, b := strings.Index(msg, "bad 2"), strings.Index(msg, "bad 7"); a < 0 || b < 0 || a > b {
+		t.Errorf("errors not joined in index order: %q", msg)
 	}
-}
-
-func TestRunRejectsCycles(t *testing.T) {
-	jobs := []Job{
-		{Name: "a", Deps: []int{1}, Run: func(context.Context) (any, error) { return nil, nil }},
-		{Name: "b", Deps: []int{0}, Run: func(context.Context) (any, error) { return nil, nil }},
-	}
-	if _, err := Run(context.Background(), jobs, Options{}); err == nil {
-		t.Fatal("cycle not detected")
-	}
-}
-
-func TestRunProgressEvents(t *testing.T) {
-	var mu sync.Mutex
-	events := map[string][]State{}
-	jobs := []Job{
-		{Name: "a", Run: func(context.Context) (any, error) { return nil, nil }},
-		{Name: "b", Deps: []int{0}, Run: func(context.Context) (any, error) { return nil, errors.New("x") }},
-		{Name: "c", Deps: []int{1}, Run: func(context.Context) (any, error) { return nil, nil }},
-	}
-	_, _ = Run(context.Background(), jobs, Options{Workers: 2, Progress: func(ev Event) {
-		mu.Lock()
-		events[ev.Name] = append(events[ev.Name], ev.State)
-		mu.Unlock()
-	}})
-	want := map[string][]State{
-		"a": {Running, Done},
-		"b": {Running, Failed},
-		"c": {Skipped},
-	}
-	for name, states := range want {
-		got := events[name]
-		if len(got) != len(states) {
-			t.Fatalf("job %s events = %v, want %v", name, got, states)
+	for i, v := range vals {
+		if i != 2 && i != 7 && v != 2*i {
+			t.Errorf("vals[%d] = %d, want %d", i, v, 2*i)
 		}
-		for i := range states {
-			if got[i] != states[i] {
-				t.Fatalf("job %s events = %v, want %v", name, got, states)
+	}
+}
+
+func TestMapPreCanceledSkipsEveryCall(t *testing.T) {
+	cause := errors.New("shutting down")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cancel(cause)
+	for _, workers := range []int{1, 3} {
+		var ran atomic.Int64
+		_, err := Map(ctx, 5, workers, func(context.Context, int) (int, error) {
+			ran.Add(1)
+			return 0, nil
+		})
+		if ran.Load() != 0 {
+			t.Errorf("workers=%d: %d calls ran after cancel", workers, ran.Load())
+		}
+		if !errors.Is(err, cause) {
+			t.Errorf("workers=%d: err = %v, want the cancel cause", workers, err)
+		}
+		if got := strings.Count(err.Error(), "skipped"); got != 5 {
+			t.Errorf("workers=%d: %d skipped calls reported, want 5: %v", workers, got, err)
+		}
+	}
+}
+
+func TestMapPanicBecomesError(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		vals, err := Map(context.Background(), 3, workers, func(_ context.Context, i int) (int, error) {
+			if i == 1 {
+				panic("kaboom")
 			}
+			return i + 1, nil
+		})
+		if err == nil || !strings.Contains(err.Error(), "kaboom") || !strings.Contains(err.Error(), "call 1 panicked") {
+			t.Fatalf("workers=%d: panic not converted into the call's error: %v", workers, err)
+		}
+		if vals[0] != 1 || vals[2] != 3 {
+			t.Errorf("workers=%d: sibling calls lost: %v", workers, vals)
 		}
 	}
 }
 
-func TestRunWorkerBound(t *testing.T) {
+func TestMapWorkerBound(t *testing.T) {
 	var cur, peak atomic.Int64
-	jobs := make([]Job, 16)
-	for i := range jobs {
-		jobs[i] = Job{Name: fmt.Sprintf("j%d", i), Run: func(context.Context) (any, error) {
-			c := cur.Add(1)
-			for {
-				p := peak.Load()
-				if c <= p || peak.CompareAndSwap(p, c) {
-					break
-				}
+	_, err := Map(context.Background(), 16, 3, func(context.Context, int) (struct{}, error) {
+		c := cur.Add(1)
+		for {
+			p := peak.Load()
+			if c <= p || peak.CompareAndSwap(p, c) {
+				break
 			}
-			time.Sleep(time.Millisecond)
-			cur.Add(-1)
-			return nil, nil
-		}}
-	}
-	if _, err := Run(context.Background(), jobs, Options{Workers: 3}); err != nil {
+		}
+		time.Sleep(time.Millisecond)
+		cur.Add(-1)
+		return struct{}{}, nil
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if p := peak.Load(); p > 3 {
@@ -192,19 +120,58 @@ func TestRunWorkerBound(t *testing.T) {
 	}
 }
 
-func TestMap(t *testing.T) {
-	vals, err := Map(context.Background(), 10, 4, func(_ context.Context, i int) (int, error) {
-		if i == 7 {
-			return 0, errors.New("seven")
-		}
-		return 2 * i, nil
-	})
-	if err == nil || !strings.Contains(err.Error(), "seven") {
-		t.Fatalf("error not aggregated: %v", err)
+// workers <= 0 means GOMAXPROCS: with that many calls blocking until all
+// of them have started, anything narrower would deadlock.
+func TestMapDefaultWorkersIsGOMAXPROCS(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	if procs < 2 {
+		t.Skip("needs GOMAXPROCS >= 2")
 	}
-	for i, v := range vals {
-		if i != 7 && v != 2*i {
-			t.Errorf("vals[%d] = %d", i, v)
+	for _, workers := range []int{0, -1} {
+		var started atomic.Int64
+		all := make(chan struct{})
+		done := make(chan error, 1)
+		go func() {
+			_, err := Map(context.Background(), procs, workers, func(context.Context, int) (struct{}, error) {
+				if started.Add(1) == int64(procs) {
+					close(all)
+				}
+				<-all
+				return struct{}{}, nil
+			})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("workers=%d: only %d of %d calls ran concurrently", workers, started.Load(), procs)
 		}
+	}
+}
+
+func TestMapEmpty(t *testing.T) {
+	vals, err := Map(context.Background(), 0, 4, func(context.Context, int) (int, error) {
+		t.Fatal("fn called for n = 0")
+		return 0, nil
+	})
+	if err != nil || len(vals) != 0 {
+		t.Fatalf("Map over nothing = %v, %v", vals, err)
+	}
+}
+
+// Map sits under every shard drain and assignment lane fan-out, so its
+// fixed cost is paid thousands of times per flow.
+func TestMapAllocs(t *testing.T) {
+	fn := func(_ context.Context, i int) (int, error) { return i, nil }
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := Map(context.Background(), 16, 2, fn); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 8 {
+		t.Errorf("Map of 16 trivial calls at 2 workers: %.0f allocs, want <= 8", allocs)
 	}
 }

@@ -37,9 +37,9 @@ type PoolStats struct {
 	Completed uint64
 }
 
-// Pool is the resident sibling of Run: a long-lived bounded worker pool
+// Pool is the resident sibling of Map: a long-lived bounded worker pool
 // for independent tasks that arrive over time (HTTP job submissions)
-// rather than as one known-up-front job graph. The queue is FIFO and
+// rather than as one known-up-front batch. The queue is FIFO and
 // bounded, so a service in overload refuses work at submit time instead
 // of accumulating it; Stats exposes queue depth and worker occupancy.
 //
@@ -70,7 +70,7 @@ type poolTask struct {
 
 // NormalizeWorkers maps a user-facing worker count to an effective pool
 // size: any n <= 0 — including negative values passed straight through
-// from CLI flags — means GOMAXPROCS. The engine entry points apply it
+// from CLI flags — means GOMAXPROCS. Map and NewPool apply it
 // themselves; it is exported so front ends can report the effective
 // value.
 func NormalizeWorkers(n int) int {

@@ -12,7 +12,7 @@ import (
 
 // Negative worker counts must behave like 0 (GOMAXPROCS) everywhere a
 // CLI -jobs value can reach the engine: NormalizeWorkers itself, the
-// one-shot Run/Map scheduler, and a resident Pool. A -jobs of -1 used to
+// one-shot Map fan-out, and a resident Pool. A -jobs of -1 used to
 // be an untested path; it must neither panic nor start zero workers.
 func TestNegativeWorkersNormalize(t *testing.T) {
 	for _, n := range []int{0, -1, -17} {
@@ -24,29 +24,7 @@ func TestNegativeWorkersNormalize(t *testing.T) {
 		t.Errorf("NormalizeWorkers(3) = %d, want 3", got)
 	}
 
-	// Run with negative workers must still execute every job.
-	var ran atomic.Int32
-	jobs := make([]Job, 4)
-	for i := range jobs {
-		jobs[i] = Job{Name: "j", Run: func(context.Context) (any, error) {
-			ran.Add(1)
-			return nil, nil
-		}}
-	}
-	res, err := Run(context.Background(), jobs, Options{Workers: -3})
-	if err != nil {
-		t.Fatalf("Run(workers=-3): %v", err)
-	}
-	if int(ran.Load()) != len(jobs) {
-		t.Fatalf("Run(workers=-3) ran %d of %d jobs", ran.Load(), len(jobs))
-	}
-	for i, r := range res {
-		if r.State != Done {
-			t.Errorf("job %d state = %v, want Done", i, r.State)
-		}
-	}
-
-	// Map with negative workers likewise.
+	// Map with negative workers must still execute every call.
 	vals, err := Map(context.Background(), 3, -1, func(_ context.Context, i int) (int, error) {
 		return i * i, nil
 	})

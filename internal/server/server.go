@@ -28,11 +28,6 @@ type Options struct {
 	// QueueCap bounds pending (accepted, not yet running) jobs;
 	// overflow answers 429. <= 0 means DefaultQueueCap.
 	QueueCap int
-	// JobWorkers bounds each job's internal concurrency (prepare +
-	// techniques); <= 0 means 1 — sequential within a job, concurrency
-	// across jobs, which keeps per-job results byte-identical to the
-	// sequential facade calls while the pool provides the throughput.
-	JobWorkers int
 	// MaxUploadBytes caps the request body (Verilog uploads); <= 0
 	// means DefaultMaxUpload. Oversized submits answer 413.
 	MaxUploadBytes int64
@@ -112,9 +107,6 @@ func New(env *selectivemt.Environment, opts Options) (*Server, error) {
 	if opts.QueueCap <= 0 {
 		opts.QueueCap = DefaultQueueCap
 	}
-	if opts.JobWorkers <= 0 {
-		opts.JobWorkers = 1
-	}
 	if opts.MaxUploadBytes <= 0 {
 		opts.MaxUploadBytes = DefaultMaxUpload
 	}
@@ -160,11 +152,10 @@ func New(env *selectivemt.Environment, opts Options) (*Server, error) {
 		if spec.Strategy == "" {
 			spec.Strategy = opts.Strategy
 		}
-		out, err := env.RunJob(spec, selectivemt.JobOptions{
-			Context:  ctx,
-			Workers:  opts.JobWorkers,
-			Progress: progress,
-		})
+		// One worker per job: jobs run one technique after another, so
+		// the pool's concurrency across jobs is the only fan-out and a
+		// job's memory stays that of one flow.
+		out, err := env.RunJob(spec, selectivemt.JobOptions{Context: ctx, Workers: 1, Progress: progress})
 		if out != nil {
 			s.assign.observe(out)
 		}

@@ -8,6 +8,7 @@ package sim_test
 // bit on random circuits and on the final designs of all three techniques.
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -607,10 +608,8 @@ func TestCompiledMatchesOracleOnFlowDesigns(t *testing.T) {
 			t.Fatal(err)
 		}
 		var finals []*core.TechniqueResult
-		for _, run := range []func(*netlist.Design, *core.Config) (*core.TechniqueResult, error){
-			core.RunDualVth, core.RunConventionalSMT, core.RunImprovedSMT,
-		} {
-			res, err := run(base, cfg)
+		for _, name := range []string{"Dual-Vth", "Conventional-SMT", "Improved-SMT"} {
+			res, err := core.RunRegistered(context.Background(), name, base, cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

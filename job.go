@@ -2,12 +2,13 @@ package selectivemt
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"selectivemt/internal/core"
 	"selectivemt/internal/engine"
-	"selectivemt/internal/netlist"
 	"selectivemt/internal/place"
 	"selectivemt/internal/tech"
 	"selectivemt/internal/verilog"
@@ -16,9 +17,10 @@ import (
 // This file is the job-spec face of the workflow: one serializable
 // description of a flow run (benchmark circuit or uploaded Verilog,
 // technique subset, sign-off corners, inrush limit) plus the runner that
-// executes it as a job graph on the engine pool. The smtd service
-// submits exactly these; a full-set job produces the same Comparison —
-// and byte-identical report text — as CompareWithConfig.
+// executes a batch of them on the task runner (parallel.go). The smtd
+// service submits exactly these and table1 runs one per circuit; a
+// full-set job produces the same Comparison — and byte-identical report
+// text — as CompareWithConfig.
 
 // JobSpec describes one flow job. Exactly one of Circuit and Verilog
 // must be set. The zero values of the remaining fields mean "default":
@@ -71,19 +73,22 @@ type JobSpec struct {
 	Strategy string `json:"strategy,omitempty"`
 }
 
-// JobOptions configures RunJob's execution (not the work itself — that
-// is the JobSpec, which is why only the spec travels over HTTP).
+// JobOptions configures the execution of RunBatch and RunJob (not the
+// work itself — that is the JobSpec, which is why only the spec travels
+// over HTTP).
 type JobOptions struct {
-	// Context cancels jobs not yet started; nil means Background.
+	// Context cancels tasks not yet started, and reaches running
+	// technique pipelines between (and inside ctx-aware) stages; nil
+	// means Background.
 	Context context.Context
-	// Workers bounds the job's internal concurrency (prepare, then the
-	// techniques); <= 0 means GOMAXPROCS, 1 forces a sequential run.
+	// Workers bounds each fan-out (the prepares, then the techniques);
+	// <= 0 means GOMAXPROCS, 1 forces a sequential run.
 	Workers int
-	// Progress receives one event per job state change (Task is
-	// "prepare" or the technique name; Index is always 0) and, for
-	// technique jobs, one event per pipeline-stage state change with
-	// BatchEvent.Stage naming the stage. It is called from one
-	// goroutine at a time.
+	// Progress receives one event per task state change (Task is
+	// "prepare" or the technique name; Index is the spec's position)
+	// and, for technique tasks, one event per pipeline-stage state
+	// change with BatchEvent.Stage naming the stage. It is called from
+	// one goroutine at a time.
 	Progress func(BatchEvent)
 }
 
@@ -246,9 +251,9 @@ func parseCornerNames(names []string) ([]Corner, error) {
 }
 
 // Validate checks a spec without running it: technique/corner names,
-// the circuit-vs-verilog choice, clock and inrush constraints. RunJob
-// applies exactly this check first, so a front end (the smtd submit
-// handler) can reject a bad spec synchronously and be certain an
+// the circuit-vs-verilog choice, clock and inrush constraints. RunBatch
+// and RunJob apply exactly this check first, so a front end (the smtd
+// submit handler) can reject a bad spec synchronously and be certain an
 // accepted one will not fail validation later.
 func (s JobSpec) Validate() error {
 	if _, err := ParseTechniques(s.Techniques); err != nil {
@@ -289,156 +294,212 @@ func (s JobSpec) Validate() error {
 	return nil
 }
 
-// RunJob executes one job spec as a job graph on the engine pool:
-// prepare (synthesis or Verilog parse + placement), then the selected
-// techniques, then report rendering. Cancellation via opts.Context
-// skips stages not yet started; the error then wraps the context's
-// cause.
-func (e *Environment) RunJob(spec JobSpec, opts JobOptions) (*JobOutcome, error) {
+// jobRun is one validated JobSpec on its way through a run: the config
+// it runs with, its prepare step, and what its tasks produce.
+type jobRun struct {
+	index   int
+	circuit string
+	cfg     *Config
+	keys    []string // ParseTechniques keys, canonical order
+	inrush  float64
+	prepare func() (*Design, error)
+	base    *Design            // set by the prepare task
+	results []*TechniqueResult // one per key, set by the technique tasks
+}
+
+// newJobRun validates a spec and builds the config it runs with.
+func (e *Environment) newJobRun(index int, spec JobSpec) (*jobRun, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	techKeys, _ := ParseTechniques(spec.Techniques)
-	corners, _ := parseCornerNames(spec.Corners)
-
-	cfg := e.NewConfig()
-	cfg.Corners = corners
+	r := &jobRun{index: index, cfg: e.NewConfig(), inrush: spec.InrushLimitMA}
+	// Validate vouched for every name below.
+	r.keys, _ = ParseTechniques(spec.Techniques)
+	cfg := r.cfg
+	cfg.Corners, _ = parseCornerNames(spec.Corners)
 	cfg.Partitions = spec.Partitions
 	cfg.ShardJobs = spec.ShardJobs
 	cfg.AssignJobs = spec.AssignJobs
-	// Validate vouched for the name; store the canonical form so stage
-	// reports and downstream lookups agree on spelling.
+	// Store the canonical strategy name so stage reports and downstream
+	// lookups agree on spelling.
 	cfg.Strategy, _ = ParseStrategy(spec.Strategy)
-
-	var name string
-	var prepare func() (*Design, error)
-	switch {
-	case spec.Circuit != "":
-		// Validate vouched for the name.
+	if spec.Circuit != "" {
 		cs, _ := BenchmarkCircuit(spec.Circuit)
-		name = cs.Module.Name
+		r.circuit = cs.Module.Name
 		cfg.ClockSlack = cs.ClockSlack
 		if spec.ClockPeriodNs > 0 {
 			cfg.ClockPeriodNs = spec.ClockPeriodNs
 		}
-		prepare = func() (*Design, error) { return core.PrepareBase(cs.Module, cfg) }
-	default:
-		if spec.ClockPort != "" {
-			cfg.ClockPort = spec.ClockPort
+		r.prepare = func() (*Design, error) { return core.PrepareBase(cs.Module, cfg) }
+		return r, nil
+	}
+	// Verilog upload: the module name is only known once the prepare
+	// task has parsed it.
+	r.circuit = "verilog"
+	if spec.ClockPort != "" {
+		cfg.ClockPort = spec.ClockPort
+	}
+	cfg.ClockPeriodNs = spec.ClockPeriodNs
+	src := spec.Verilog
+	r.prepare = func() (*Design, error) {
+		d, err := verilog.Parse(strings.NewReader(src), e.Lib)
+		if err != nil {
+			return nil, err
 		}
-		cfg.ClockPeriodNs = spec.ClockPeriodNs
-		src := spec.Verilog
-		prepare = func() (*Design, error) {
-			d, err := verilog.Parse(strings.NewReader(src), e.Lib)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := place.Place(d, cfg.PlaceOpts); err != nil {
-				return nil, err
-			}
-			return d, nil
+		if _, err := place.Place(d, cfg.PlaceOpts); err != nil {
+			return nil, err
+		}
+		return d, nil
+	}
+	return r, nil
+}
+
+// techniqueTasks returns one task per selected technique on the prepared
+// base. The task's ctx flows into the pipeline, so a cancellation lands
+// mid-technique instead of waiting for the next task.
+func (r *jobRun) techniqueTasks(emit func(BatchEvent)) []task {
+	r.results = make([]*TechniqueResult, len(r.keys))
+	tasks := make([]task, len(r.keys))
+	for k, key := range r.keys {
+		name := techniqueDisplay(key)
+		tasks[k] = task{circuit: r.circuit, index: r.index, name: name, run: func(ctx context.Context) (err error) {
+			r.results[k], err = core.RunRegistered(ctx, name, r.base, r.cfg, stageObserver(emit, r.circuit, r.index, name))
+			return err
+		}}
+	}
+	return tasks
+}
+
+// result returns the technique result for a ParseTechniques key, nil
+// when the technique was not selected or did not finish.
+func (r *jobRun) result(key string) *TechniqueResult {
+	for k := range r.keys {
+		if r.keys[k] == key {
+			return r.results[k]
 		}
 	}
+	return nil
+}
 
+// comparison is the paper's comparison when all three built-in
+// techniques finished, nil otherwise.
+func (r *jobRun) comparison() *Comparison {
+	dual, conv, imp := r.result("dual"), r.result("conventional"), r.result("improved")
+	if dual == nil || conv == nil || imp == nil {
+		return nil
+	}
+	return &Comparison{Circuit: r.base.Name, Dual: dual, Conv: conv, Improved: imp}
+}
+
+// RunBatch runs every spec: it validates them all, prepares them all
+// (synthesis, or Verilog parse and placement) on one engine.Map fan-out,
+// then runs every selected technique of every prepared spec on a second
+// one, and finally assembles each spec's outcome. opts.Workers bounds
+// both fan-outs. A spec that fails validation fails the whole batch
+// before anything runs.
+//
+// The result has one entry per spec, in spec order. An entry is nil when
+// its prepare or one of its techniques failed or was skipped; the error
+// joins every task's error, so a partial batch returns the surviving
+// outcomes alongside it. A failed prepare skips its spec's techniques;
+// cancelling opts.Context skips every task not yet started, and the
+// error then wraps the context's cause. Specs are keyed by position: a
+// batch may list the same module name twice, even with different
+// netlists, and BatchEvent.Index tells their events apart.
+func (e *Environment) RunBatch(specs []JobSpec, opts JobOptions) ([]*JobOutcome, error) {
+	runs := make([]*jobRun, len(specs))
+	for i, spec := range specs {
+		r, err := e.newJobRun(i, spec)
+		if err != nil {
+			return nil, err
+		}
+		runs[i] = r
+	}
+	ctx := opts.Context
+	if ctx == nil {
+		ctx = context.Background()
+	}
 	emit := serializedProgress(opts.Progress)
-	circuit := name
-	if circuit == "" {
-		// Verilog upload: the module name is only known after the
-		// prepare stage parses it.
-		circuit = "verilog"
-	}
 
-	// One job graph: prepare, then each selected technique pipeline on
-	// it. The engine job's ctx flows into the pipeline, so a
-	// cancellation lands mid-technique instead of waiting for the next
-	// job boundary.
-	var base *netlist.Design
-	jobs := []engine.Job{{
-		Name: "prepare",
-		Run: func(context.Context) (any, error) {
-			d, err := prepare()
-			if err != nil {
-				return nil, err
-			}
-			base = d
-			return d, nil
-		},
-	}}
-	type techJob struct {
-		key, display string
-		index        int // index into the engine job slice
+	prepares := make([]task, len(runs))
+	for i, r := range runs {
+		prepares[i] = task{circuit: r.circuit, index: i, name: "prepare", run: func(context.Context) (err error) {
+			r.base, err = r.prepare()
+			return err
+		}}
 	}
-	var selected []techJob
-	for _, k := range techKeys {
-		display := techniqueDisplay(k)
-		selected = append(selected, techJob{key: k, display: display, index: len(jobs)})
-		jobs = append(jobs, engine.Job{
-			Name: display,
-			Deps: []int{0},
-			Run: func(ctx context.Context) (any, error) {
-				return core.RunRegistered(ctx, display, base, cfg, stageObserver(emit, circuit, 0, display))
-			},
-		})
-	}
-
-	var progress func(engine.Event)
-	if emit != nil {
-		progress = func(ev engine.Event) {
-			task := ev.Name
-			if ev.Job == 0 {
-				task = "prepare"
+	errs := runTasks(ctx, opts.Workers, prepares, emit)
+	var techniques []task
+	for i, r := range runs {
+		tasks := r.techniqueTasks(emit)
+		if errs[i] != nil {
+			// The prepare's error already explains these skips.
+			for k := range tasks {
+				_ = tasks[k].skip(emit, errors.New("prepare did not finish"))
 			}
-			emit(BatchEvent{
-				Circuit: circuit, Task: task,
-				State: ev.State, Err: ev.Err, Elapsed: ev.Elapsed,
-			})
+			continue
 		}
+		techniques = append(techniques, tasks...)
 	}
-	res, err := engine.Run(opts.Context, jobs, engine.Options{Workers: opts.Workers, Progress: progress})
-	if err != nil {
-		return nil, fmt.Errorf("selectivemt: job: %w", err)
-	}
+	errs = append(errs, runTasks(ctx, opts.Workers, techniques, emit)...)
 
+	outs := make([]*JobOutcome, len(runs))
+	for i, r := range runs {
+		if r.base == nil || slices.Contains(r.results, nil) {
+			continue
+		}
+		out, err := e.jobOutcome(r)
+		if err != nil {
+			errs = append(errs, fmt.Errorf("%s: %w", r.circuit, err))
+			continue
+		}
+		outs[i] = out
+	}
+	if err := errors.Join(errs...); err != nil {
+		return outs, fmt.Errorf("selectivemt: %w", err)
+	}
+	return outs, nil
+}
+
+// RunJob runs one job spec: RunBatch of a single spec, so its prepare
+// runs first and its techniques then fan out on opts.Workers.
+func (e *Environment) RunJob(spec JobSpec, opts JobOptions) (*JobOutcome, error) {
+	outs, err := e.RunBatch([]JobSpec{spec}, opts)
+	if err != nil {
+		return nil, err
+	}
+	return outs[0], nil
+}
+
+// jobOutcome assembles a finished run: the comparison when the full set
+// ran, the wake-up schedule, and the report.
+func (e *Environment) jobOutcome(r *jobRun) (*JobOutcome, error) {
 	// base.Name covers both paths: the benchmark module's name, or the
 	// parsed Verilog module's.
-	out := &JobOutcome{Circuit: base.Name}
-	byKey := make(map[string]*TechniqueResult, len(selected))
-	for _, tj := range selected {
-		r := res[tj.index].Value.(*TechniqueResult)
-		out.Results = append(out.Results, r)
-		byKey[tj.key] = r
-	}
-	if byKey["dual"] != nil && byKey["conventional"] != nil && byKey["improved"] != nil {
-		out.Comparison = &Comparison{
-			Circuit:  out.Circuit,
-			Dual:     byKey["dual"],
-			Conv:     byKey["conventional"],
-			Improved: byKey["improved"],
-		}
-	}
-	if spec.InrushLimitMA > 0 {
+	out := &JobOutcome{Circuit: r.base.Name, Results: r.results, Comparison: r.comparison()}
+	if r.inrush > 0 {
 		// The schedule targets the improved technique when it ran;
 		// otherwise the first selected technique that built a clustered
 		// switch structure (custom improved-flow variants qualify).
-		gated := byKey["improved"]
+		gated := r.result("improved")
 		if gated == nil || len(gated.Clusters) == 0 {
 			gated = nil
-			for _, r := range out.Results {
-				if len(r.Clusters) > 0 {
-					gated = r
+			for _, res := range out.Results {
+				if len(res.Clusters) > 0 {
+					gated = res
 					break
 				}
 			}
 		}
-		if gated != nil && len(gated.Clusters) > 0 {
-			sched, err := e.ScheduleWakeup(gated, spec.InrushLimitMA)
+		if gated != nil {
+			sched, err := e.ScheduleWakeup(gated, r.inrush)
 			if err != nil {
 				return nil, err
 			}
 			out.Wakeup = sched
 		}
 	}
-	if err := e.renderJobReport(out, cfg); err != nil {
+	if err := e.renderJobReport(out, r.cfg); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -446,51 +507,36 @@ func (e *Environment) RunJob(spec JobSpec, opts JobOptions) (*JobOutcome, error)
 
 // renderJobReport fills JobOutcome.Report: the Table-1 comparison (plus
 // corner sign-off tables) when the full technique set ran — exactly the
-// text the table1 CLI and FormatTable1/FormatCornerReports produce — or
-// the read-only ReportDesign of each technique's finished netlist for a
-// subset job.
+// text the table1 CLI and FormatTable1/FormatCornerReports produce —
+// then the read-only ReportDesign of every other technique's finished
+// netlist: each technique of a subset job, or the custom pipelines that
+// ran alongside the canonical three.
 func (e *Environment) renderJobReport(out *JobOutcome, cfg *Config) error {
 	var b strings.Builder
-	if out.Comparison != nil {
-		b.WriteString(FormatTable1([]*Comparison{out.Comparison}))
-		if reps := FormatCornerReports([]*Comparison{out.Comparison}); reps != "" {
+	cmp := out.Comparison
+	if cmp != nil {
+		b.WriteString(FormatTable1([]*Comparison{cmp}))
+		if reps := FormatCornerReports([]*Comparison{cmp}); reps != "" {
 			b.WriteByte('\n')
 			b.WriteString(reps)
 		}
-		// Custom pipelines that ran alongside the canonical three get
-		// their own sections after the comparison, corner sign-off
-		// included — same rendering as the subset branch below.
-		for _, r := range out.Results {
-			if r == out.Comparison.Dual || r == out.Comparison.Conv || r == out.Comparison.Improved {
-				continue
-			}
-			rcfg := *cfg
-			rcfg.Corners = nil
-			text, err := e.ReportDesign(r.Design, &rcfg, false)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(&b, "== %s ==\n%s", r.Technique, text)
-			if r.CornerReport != nil {
-				b.WriteString(r.CornerReport.Format())
-				b.WriteByte('\n')
-			}
+	}
+	for _, r := range out.Results {
+		if cmp != nil && (r == cmp.Dual || r == cmp.Conv || r == cmp.Improved) {
+			continue
 		}
-	} else {
-		for _, r := range out.Results {
-			// The sign-off already ran inside the technique flow; the
-			// read-only report must not repeat it.
-			rcfg := *cfg
-			rcfg.Corners = nil
-			text, err := e.ReportDesign(r.Design, &rcfg, false)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(&b, "== %s ==\n%s", r.Technique, text)
-			if r.CornerReport != nil {
-				b.WriteString(r.CornerReport.Format())
-				b.WriteByte('\n')
-			}
+		// The sign-off already ran inside the technique flow; the
+		// read-only report must not repeat it.
+		rcfg := *cfg
+		rcfg.Corners = nil
+		text, err := e.ReportDesign(r.Design, &rcfg, false)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(&b, "== %s ==\n%s", r.Technique, text)
+		if r.CornerReport != nil {
+			b.WriteString(r.CornerReport.Format())
+			b.WriteByte('\n')
 		}
 	}
 	if out.Wakeup != nil {

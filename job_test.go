@@ -171,7 +171,15 @@ func TestRunJobCancellation(t *testing.T) {
 	}
 }
 
+// ParseTechniques is the one technique resolver: job specs and the
+// smtflow -technique flag both go through it, and RunPipeline maps each
+// key it returns to the key's pipeline.
 func TestParseTechniques(t *testing.T) {
+	custom := uniquePipelineName("Resolver-Custom")
+	noop := NewStage("noop", func(context.Context, *FlowState) (*StageReport, error) { return nil, nil })
+	if err := RegisterPipeline(custom, noop); err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		in   []string
 		want string
@@ -179,8 +187,13 @@ func TestParseTechniques(t *testing.T) {
 	}{
 		{nil, "dual,conventional,improved", false},
 		{[]string{"all"}, "dual,conventional,improved", false},
+		{[]string{"ALL"}, "dual,conventional,improved", false},
 		{[]string{"improved", "DUAL"}, "dual,improved", false},
+		{[]string{"Dual"}, "dual", false},
+		{[]string{"dual-vth"}, "dual", false},
+		{[]string{"Improved-SMT"}, "improved", false},
 		{[]string{"Conventional-SMT"}, "conventional", false},
+		{[]string{strings.ToUpper(custom)}, strings.ToLower(custom), false},
 		{[]string{"nope"}, "", true},
 	} {
 		got, err := ParseTechniques(tc.in)
@@ -192,6 +205,18 @@ func TestParseTechniques(t *testing.T) {
 			if joined := strings.Join(got, ","); joined != tc.want {
 				t.Errorf("ParseTechniques(%v) = %s, want %s", tc.in, joined, tc.want)
 			}
+		}
+	}
+	for key, want := range map[string]string{"dual": "Dual-Vth", "improved": "Improved-SMT", strings.ToLower(custom): custom} {
+		if got := techniqueDisplay(key); got != want {
+			t.Errorf("key %s runs pipeline %q, want %q", key, got, want)
+		}
+	}
+	// An unknown name's error lists what would have been accepted.
+	_, err := ParseTechniques([]string{"Duel"})
+	for _, want := range []string{`"Duel"`, "dual", "conventional", "improved", "all", "Improved-SMT"} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("unknown-technique error %v does not mention %s", err, want)
 		}
 	}
 }

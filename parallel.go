@@ -2,46 +2,48 @@ package selectivemt
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"strconv"
-	"strings"
+	"runtime/debug"
+	"runtime/pprof"
 	"sync"
 	"time"
 
-	"selectivemt/internal/core"
 	"selectivemt/internal/engine"
 	"selectivemt/internal/flow"
 )
 
-// This file is the concurrent face of the workflow: the three techniques
-// of a comparison — and the circuits of a batch — run as a job graph on
-// internal/engine's worker pool, sharing the environment's analysis
-// cache. Results are deterministic: same Config/Seed produce the same
-// Comparison whether run sequentially (Compare) or concurrently
-// (CompareParallel, RunBatch).
+// This file is the concurrent face of the workflow. Every run — one
+// comparison, one job, a batch of jobs — is a list of tasks fanned out
+// on engine.Map: first each circuit's prepare, then every selected
+// technique on every prepared circuit, all sharing the environment's
+// analysis cache. The worker count never changes a number: each
+// technique works on its own clone of a base that is only read.
 
-// JobState mirrors the engine's job lifecycle for batch progress events.
-type JobState = engine.State
+// JobState is a task's lifecycle state in BatchEvent: the pipeline
+// stage states, reused for the prepare and technique tasks.
+type JobState = flow.State
 
-// Job lifecycle states reported in BatchEvent.State.
+// Task lifecycle states reported in BatchEvent.State.
 const (
-	JobRunning = engine.Running
-	JobDone    = engine.Done
-	JobFailed  = engine.Failed
-	JobSkipped = engine.Skipped
+	JobRunning = flow.StageRunning
+	JobDone    = flow.StageDone
+	JobFailed  = flow.StageFailed
+	JobSkipped = flow.StageSkipped
 )
 
 // BatchEvent is one progress notification from RunBatch or RunJob.
 type BatchEvent struct {
-	// Circuit is the circuit's module name; Task is "prepare" or the
-	// technique name. Index is the circuit's position in the batch's
-	// spec slice — the unambiguous key when a batch runs two different
-	// netlists under the same module name (results are keyed by it too).
+	// Circuit is the circuit's module name ("verilog" for an upload);
+	// Task is "prepare" or the technique name. Index is the spec's
+	// position in the batch — the unambiguous key when a batch runs two
+	// different netlists under the same module name (outcomes are keyed
+	// by it too).
 	Circuit string
 	Index   int
 	Task    string
 	// Stage, when non-empty, marks a pipeline-stage event inside the
-	// technique named by Task ("CTS", "hold ECO", ...); job-level
+	// technique named by Task ("CTS", "hold ECO", ...); task-level
 	// events leave it empty.
 	Stage   string
 	State   JobState
@@ -49,24 +51,9 @@ type BatchEvent struct {
 	Elapsed time.Duration
 }
 
-// stageState maps a pipeline stage state to the job-state vocabulary
-// BatchEvent speaks.
-func stageState(s flow.State) JobState {
-	switch s {
-	case flow.StageRunning:
-		return JobRunning
-	case flow.StageDone:
-		return JobDone
-	case flow.StageFailed:
-		return JobFailed
-	}
-	return JobSkipped
-}
-
-// serializedProgress wraps a progress callback so the engine scheduler
-// (job-level events) and the technique pipelines' stage observers
-// (stage-level events from the jobs' own goroutines) never invoke it
-// concurrently; nil stays nil.
+// serializedProgress wraps a progress callback so task-level events and
+// the technique pipelines' stage events, which arrive from the tasks'
+// own goroutines, never invoke it concurrently; nil stays nil.
 func serializedProgress(f func(BatchEvent)) func(BatchEvent) {
 	if f == nil {
 		return nil
@@ -88,164 +75,92 @@ func stageObserver(emit func(BatchEvent), circuit string, index int, task string
 	return func(ev flow.Event) {
 		emit(BatchEvent{
 			Circuit: circuit, Index: index, Task: task, Stage: ev.Stage,
-			State: stageState(ev.State), Err: ev.Err, Elapsed: ev.Elapsed,
+			State: ev.State, Err: ev.Err, Elapsed: ev.Elapsed,
 		})
 	}
 }
 
-// BatchOptions configures RunBatch.
-type BatchOptions struct {
-	// Jobs bounds the number of concurrently running flow jobs across
-	// all circuits and techniques; <= 0 means GOMAXPROCS.
-	Jobs int
-	// Context, when set, cancels jobs not yet started; nil means
-	// context.Background(). Running jobs finish their technique.
-	Context context.Context
-	// Configure, when set, adjusts a circuit's config before its jobs
-	// are scheduled (the config already carries the spec's clock slack).
-	Configure func(spec CircuitSpec, cfg *Config)
-	// Progress, when set, receives one event per job state change. It is
-	// called from one scheduler goroutine at a time.
-	Progress func(BatchEvent)
+// task is one unit of a run: a circuit's prepare, or one technique flow
+// on its prepared base.
+type task struct {
+	circuit string // module name, "verilog" for an upload
+	index   int    // the spec's position in the run
+	name    string // "prepare" or the technique's pipeline name
+	run     func(ctx context.Context) error
 }
 
-// CompareParallel runs all three techniques on the circuit concurrently
-// with default options, producing the same result as Compare.
-func (e *Environment) CompareParallel(spec CircuitSpec) (*Comparison, error) {
-	cfg := e.NewConfig()
-	cfg.ClockSlack = spec.ClockSlack
-	return e.CompareParallelWithConfig(spec, cfg, 0)
-}
-
-// CompareParallelWithConfig runs all three techniques concurrently with
-// an explicit config on at most workers goroutines (<= 0 → GOMAXPROCS).
-func (e *Environment) CompareParallelWithConfig(spec CircuitSpec, cfg *Config, workers int) (*Comparison, error) {
-	base, err := core.PrepareBase(spec.Module, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("selectivemt: prepare %s: %w", spec.Module.Name, err)
-	}
-	return e.CompareBase(base, cfg, workers)
-}
-
-// CompareBase runs the three techniques concurrently on an already
-// prepared base design (Synthesize, or an imported netlist after
-// placement with the clock period fixed on cfg). The base is only read;
-// each technique works on its own clone.
-func (e *Environment) CompareBase(base *Design, cfg *Config, workers int) (*Comparison, error) {
-	mk := func(name string) engine.Job {
-		return engine.Job{Name: name, Run: func(ctx context.Context) (any, error) {
-			return core.RunRegistered(ctx, name, base, cfg, nil)
-		}}
-	}
-	jobs := []engine.Job{mk("Dual-Vth"), mk("Conventional-SMT"), mk("Improved-SMT")}
-	res, err := engine.Run(context.Background(), jobs, engine.Options{Workers: workers})
-	if err != nil {
-		return nil, fmt.Errorf("selectivemt: compare %s: %w", base.Name, err)
-	}
-	return &Comparison{
-		Circuit:  base.Name,
-		Dual:     res[0].Value.(*TechniqueResult),
-		Conv:     res[1].Value.(*TechniqueResult),
-		Improved: res[2].Value.(*TechniqueResult),
-	}, nil
-}
-
-// RunBatch runs the full three-technique comparison over every circuit
-// of the batch as one job graph: each circuit contributes a prepare job
-// plus three technique jobs depending on it, all drawing from one
-// bounded worker pool and one shared analysis cache.
-//
-// The returned slice has one entry per spec, in spec order; an entry is
-// nil when any of its circuit's jobs failed or was skipped. The error
-// aggregates every job error (nil when the whole batch succeeded), so a
-// partial batch returns both the surviving comparisons and the error.
-//
-// Specs are keyed positionally throughout: a batch may list the same
-// module name twice — even with different netlists — and each spec's
-// comparison lands at its own index, computed from its own netlist.
-// Internal job names (and therefore error messages) carry the spec
-// index as "name#i", and BatchEvent.Index disambiguates progress.
-func (e *Environment) RunBatch(specs []CircuitSpec, opts BatchOptions) ([]*Comparison, error) {
-	n := len(specs)
-	cfgs := make([]*Config, n)
-	bases := make([]*Design, n)
-	jobs := make([]engine.Job, 0, 4*n)
-	emit := serializedProgress(opts.Progress)
-	techniques := []string{"Dual-Vth", "Conventional-SMT", "Improved-SMT"}
-	for i, spec := range specs {
-		i, spec := i, spec
-		cfg := e.NewConfig()
-		cfg.ClockSlack = spec.ClockSlack
-		if opts.Configure != nil {
-			opts.Configure(spec, cfg)
-		}
-		cfgs[i] = cfg
-		prep := len(jobs)
-		jobs = append(jobs, engine.Job{
-			Name: fmt.Sprintf("%s#%d/prepare", spec.Module.Name, i),
-			Run: func(context.Context) (any, error) {
-				b, err := core.PrepareBase(spec.Module, cfgs[i])
-				if err != nil {
-					return nil, err
-				}
-				bases[i] = b
-				return b, nil
-			},
-		})
-		for _, t := range techniques {
-			t := t
-			jobs = append(jobs, engine.Job{
-				Name: fmt.Sprintf("%s#%d/%s", spec.Module.Name, i, t),
-				Deps: []int{prep},
-				Run: func(ctx context.Context) (any, error) {
-					return core.RunRegistered(ctx, t, bases[i], cfgs[i],
-						stageObserver(emit, spec.Module.Name, i, t))
-				},
-			})
-		}
-	}
-
-	var progress func(engine.Event)
+func (t *task) event(emit func(BatchEvent), state JobState, err error, elapsed time.Duration) {
 	if emit != nil {
-		progress = func(ev engine.Event) {
-			qualified, task, _ := strings.Cut(ev.Name, "/")
-			circuit, index := qualified, 0
-			if cut := strings.LastIndex(qualified, "#"); cut >= 0 {
-				circuit = qualified[:cut]
-				if n, err := strconv.Atoi(qualified[cut+1:]); err == nil {
-					index = n
-				}
-			}
-			emit(BatchEvent{
-				Circuit: circuit, Index: index, Task: task,
-				State: ev.State, Err: ev.Err, Elapsed: ev.Elapsed,
-			})
-		}
+		emit(BatchEvent{Circuit: t.circuit, Index: t.index, Task: t.name, State: state, Err: err, Elapsed: elapsed})
 	}
-	res, err := engine.Run(opts.Context, jobs, engine.Options{Workers: opts.Jobs, Progress: progress})
-	if err != nil && res == nil {
-		return nil, err
-	}
-
-	comps := make([]*Comparison, n)
-	for i := range specs {
-		j := 4 * i
-		if res[j+1].State != engine.Done || res[j+2].State != engine.Done || res[j+3].State != engine.Done {
-			continue
-		}
-		comps[i] = &Comparison{
-			Circuit:  specs[i].Module.Name,
-			Dual:     res[j+1].Value.(*TechniqueResult),
-			Conv:     res[j+2].Value.(*TechniqueResult),
-			Improved: res[j+3].Value.(*TechniqueResult),
-		}
-	}
-	return comps, err
 }
 
-// Table1Parallel regenerates the paper's Table 1 through the batch
-// engine: both circuits and all techniques run concurrently. Like
-// RunBatch, it returns surviving comparisons alongside any error.
-func (e *Environment) Table1Parallel(jobs int) ([]*Comparison, error) {
-	return e.RunBatch([]CircuitSpec{CircuitA(), CircuitB()}, BatchOptions{Jobs: jobs})
+// call runs the task under the pprof label engine_job=<circuit>/<task>,
+// so a CPU profile of a batch splits by flow (the label carries over to
+// the goroutines the task fans out). A panic becomes the task's error,
+// so the task still reports Failed.
+func (t *task) call(ctx context.Context) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("panic: %v\n%s", r, debug.Stack())
+		}
+	}()
+	pprof.Do(ctx, pprof.Labels("engine_job", t.circuit+"/"+t.name), func(ctx context.Context) {
+		err = t.run(ctx)
+	})
+	return err
+}
+
+// runTasks fans the tasks out on one engine.Map of width workers (<= 0
+// means GOMAXPROCS). Each task emits Running, then Done or Failed with
+// its elapsed time; a task that the cancellation of ctx kept from
+// starting emits Skipped. It returns one error per task, nil for a task
+// that finished.
+func runTasks(ctx context.Context, workers int, tasks []task, emit func(BatchEvent)) []error {
+	errs := make([]error, len(tasks))
+	started := make([]bool, len(tasks))
+	// Every task error lands in errs; Map's own error only repeats the
+	// skips recorded below.
+	_, _ = engine.Map(ctx, len(tasks), workers, func(ctx context.Context, i int) (struct{}, error) {
+		t := &tasks[i]
+		started[i] = true
+		t.event(emit, JobRunning, nil, 0)
+		start := time.Now()
+		err := t.call(ctx)
+		if err != nil {
+			t.event(emit, JobFailed, err, time.Since(start))
+			errs[i] = fmt.Errorf("%s/%s: %w", t.circuit, t.name, err)
+		} else {
+			t.event(emit, JobDone, nil, time.Since(start))
+		}
+		return struct{}{}, nil
+	})
+	for i := range tasks {
+		if !started[i] {
+			errs[i] = tasks[i].skip(emit, context.Cause(ctx))
+		}
+	}
+	return errs
+}
+
+// skip reports a task that never started and returns its error.
+func (t *task) skip(emit func(BatchEvent), why error) error {
+	err := fmt.Errorf("%s/%s skipped: %w", t.circuit, t.name, why)
+	t.event(emit, JobSkipped, err, 0)
+	return err
+}
+
+// CompareBase runs the three techniques on an already prepared base
+// design (Synthesize, or an imported netlist after placement with the
+// clock period fixed on cfg) on at most workers goroutines: <= 0 means
+// GOMAXPROCS, 1 runs them one after another. The base is only read; each
+// technique works on its own clone, so the worker count never changes
+// the result.
+func (e *Environment) CompareBase(base *Design, cfg *Config, workers int) (*Comparison, error) {
+	keys, _ := ParseTechniques(nil)
+	r := &jobRun{circuit: base.Name, cfg: cfg, keys: keys, base: base}
+	if err := errors.Join(runTasks(context.Background(), workers, r.techniqueTasks(nil), nil)...); err != nil {
+		return nil, fmt.Errorf("selectivemt: compare: %w", err)
+	}
+	return r.comparison(), nil
 }

@@ -1,7 +1,10 @@
 package selectivemt
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -11,7 +14,7 @@ import (
 
 // TestCompareParallelMatchesSequential is the determinism-under-
 // concurrency contract: with the same Config/Seed, the sequential
-// Compare and the engine-backed CompareParallel must produce
+// CompareWithConfig and CompareBase at GOMAXPROCS workers must produce
 // byte-identical FormatTable1 output, across repeated runs.
 func TestCompareParallelMatchesSequential(t *testing.T) {
 	env := testEnv(t)
@@ -19,11 +22,19 @@ func TestCompareParallelMatchesSequential(t *testing.T) {
 
 	var outputs []string
 	for run := 0; run < 2; run++ {
-		seq, err := env.Compare(spec)
+		cfg := env.NewConfig()
+		cfg.ClockSlack = spec.ClockSlack
+		seq, err := env.CompareWithConfig(spec, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := env.CompareParallel(spec)
+		cfg = env.NewConfig()
+		cfg.ClockSlack = spec.ClockSlack
+		base, err := env.Synthesize(spec, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		par, err := env.CompareBase(base, cfg, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,7 +58,11 @@ func TestCompareParallelUncachedDeterminism(t *testing.T) {
 		cfg := env.NewConfig()
 		cfg.ClockSlack = spec.ClockSlack
 		cfg.Cache = nil
-		cmp, err := env.CompareParallelWithConfig(spec, cfg, 3)
+		base, err := env.Synthesize(spec, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmp, err := env.CompareBase(base, cfg, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,61 +73,101 @@ func TestCompareParallelUncachedDeterminism(t *testing.T) {
 	}
 }
 
+// recorder collects a run's progress events.
+type recorder struct {
+	mu     sync.Mutex
+	events []BatchEvent
+}
+
+func (r *recorder) progress(ev BatchEvent) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.events = append(r.events, ev)
+}
+
+// tasks returns the task-level events as "index/task/state" strings,
+// in arrival order.
+func (r *recorder) tasks() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var out []string
+	for _, ev := range r.events {
+		if ev.Stage == "" {
+			out = append(out, fmt.Sprintf("%d/%s/%s", ev.Index, ev.Task, ev.State))
+		}
+	}
+	return out
+}
+
+func (r *recorder) count(want string) int {
+	n := 0
+	for _, got := range r.tasks() {
+		if got == want {
+			n++
+		}
+	}
+	return n
+}
+
 func TestRunBatch(t *testing.T) {
 	env := testEnv(t)
-	specs := []CircuitSpec{SmallTest(), SmallTest()}
-
-	var mu sync.Mutex
-	events := map[string]int{}
-	stageEvents := 0
-	comps, err := env.RunBatch(specs, BatchOptions{
-		Jobs: 4,
-		Progress: func(ev BatchEvent) {
-			mu.Lock()
-			defer mu.Unlock()
-			if ev.Stage != "" {
-				// Pipeline-stage events ride along with the job-level
-				// ones; count them separately.
-				stageEvents++
-				return
-			}
-			events[ev.Task+"/"+ev.State.String()]++
-		},
-	})
+	var rec recorder
+	outs, err := env.RunBatch([]JobSpec{{Circuit: "small"}, {Circuit: "small"}},
+		JobOptions{Workers: 4, Progress: rec.progress})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(comps) != 2 || comps[0] == nil || comps[1] == nil {
-		t.Fatalf("batch lost comparisons: %v", comps)
+	if len(outs) != 2 || outs[0] == nil || outs[1] == nil || outs[0].Comparison == nil || outs[1].Comparison == nil {
+		t.Fatalf("batch lost comparisons: %v", outs)
 	}
-	// Identical specs must produce identical tables — and exercise the
+	// Identical specs must produce identical reports — and exercise the
 	// shared cache (the second circuit replays the first's analyses).
-	a := FormatTable1([]*Comparison{comps[0]})
-	b := FormatTable1([]*Comparison{comps[1]})
-	if a != b {
-		t.Fatalf("identical specs diverged:\n%s\nvs\n%s", a, b)
+	if outs[0].Report != outs[1].Report {
+		t.Fatalf("identical specs diverged:\n%s\nvs\n%s", outs[0].Report, outs[1].Report)
 	}
 	hits, _, _ := env.CacheStats()
 	if hits == 0 {
 		t.Error("duplicate circuits produced no cache hits")
 	}
-	for _, task := range []string{"prepare", "Dual-Vth", "Conventional-SMT", "Improved-SMT"} {
-		if events[task+"/done"] != 2 {
-			t.Errorf("task %s: %d done events, want 2 (events: %v)", task, events[task+"/done"], events)
+	for i := 0; i < 2; i++ {
+		for _, task := range []string{"prepare", "Dual-Vth", "Conventional-SMT", "Improved-SMT"} {
+			for _, state := range []string{"running", "done"} {
+				key := fmt.Sprintf("%d/%s/%s", i, task, state)
+				if rec.count(key) != 1 {
+					t.Errorf("%s: %d events, want 1 (events: %v)", key, rec.count(key), rec.tasks())
+				}
+			}
 		}
 	}
-	// Each technique's pipeline reports its stages live: at minimum a
-	// running and a done event per stage of every technique run.
-	if stageEvents == 0 {
+	// Each technique's pipeline reports its stages live alongside the
+	// task-level events.
+	if len(rec.tasks()) == len(rec.events) {
 		t.Error("batch produced no pipeline-stage progress events")
 	}
 }
 
+// verilogOf synthesizes a circuit and returns its structural Verilog
+// and the clock period the flow derived for it.
+func verilogOf(t *testing.T, env *Environment, spec CircuitSpec) (string, float64) {
+	t.Helper()
+	cfg := env.NewConfig()
+	cfg.ClockSlack = spec.ClockSlack
+	d, err := env.Synthesize(spec, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteVerilog(&buf, d); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String(), cfg.ClockPeriodNs
+}
+
 // TestRunBatchDuplicateNamesDistinctNetlists is the misattribution
-// regression: one batch listing the same module name twice with
-// *different* netlists must keep results positional (each index gets
-// the comparison computed from its own netlist, not its namesake's) and
-// must disambiguate progress events by index.
+// regression: one batch uploading two different netlists under the same
+// module name must keep outcomes positional (each index gets the result
+// computed from its own netlist, not its namesake's) and must tell their
+// progress events apart by index.
 func TestRunBatchDuplicateNamesDistinctNetlists(t *testing.T) {
 	env := testEnv(t)
 
@@ -122,98 +177,136 @@ func TestRunBatchDuplicateNamesDistinctNetlists(t *testing.T) {
 	m := gen.NewModule(small.Module.Name)
 	a := m.InputBus("a", 4)
 	b := m.InputBus("b", 4)
-	ra := m.DFFBus(a)
-	rb := m.DFFBus(b)
-	sum, _ := m.RippleAdder(ra, rb)
+	sum, _ := m.RippleAdder(m.DFFBus(a), m.DFFBus(b))
 	m.OutputBus("s", m.DFFBus(sum))
 	impostor := CircuitSpec{Module: m, ClockSlack: 1.1}
 
-	var mu sync.Mutex
-	doneByIndex := map[int]int{}
-	comps, err := env.RunBatch([]CircuitSpec{small, impostor}, BatchOptions{
-		Jobs: 2,
-		Progress: func(ev BatchEvent) {
-			if ev.Circuit != small.Module.Name {
-				t.Errorf("event circuit = %q, want %q", ev.Circuit, small.Module.Name)
-			}
-			if ev.State == JobDone && ev.Stage == "" {
-				mu.Lock()
-				doneByIndex[ev.Index]++
-				mu.Unlock()
-			}
-		},
-	})
+	var specs []JobSpec
+	for _, cs := range []CircuitSpec{small, impostor} {
+		src, period := verilogOf(t, env, cs)
+		specs = append(specs, JobSpec{Verilog: src, ClockPeriodNs: period})
+	}
+	var rec recorder
+	outs, err := env.RunBatch(specs, JobOptions{Workers: 2, Progress: rec.progress})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(comps) != 2 || comps[0] == nil || comps[1] == nil {
-		t.Fatalf("batch lost comparisons: %v", comps)
+	if outs[0].Circuit != small.Module.Name || outs[1].Circuit != small.Module.Name {
+		t.Fatalf("outcome circuits = %q, %q, want %q twice", outs[0].Circuit, outs[1].Circuit, small.Module.Name)
 	}
-	// Both comparisons carry the shared name, but each must come from
-	// its own netlist — the impostor has no multiplier, so its cell
-	// population and area cannot match small_test's.
-	if comps[0].Dual.AreaUm2 == comps[1].Dual.AreaUm2 {
-		t.Errorf("distinct netlists under one name collapsed to one area (%.1f µm²)", comps[0].Dual.AreaUm2)
+	// Both outcomes carry the shared name, but each must come from its
+	// own netlist — the impostor has no multiplier, so its area cannot
+	// match small_test's.
+	if outs[0].Results[0].AreaUm2 == outs[1].Results[0].AreaUm2 {
+		t.Errorf("distinct netlists under one name collapsed to one area (%.1f µm²)", outs[0].Results[0].AreaUm2)
 	}
-	// Cross-check against solo runs of each spec: position i must hold
-	// exactly spec i's result.
-	for i, spec := range []CircuitSpec{small, impostor} {
-		solo, err := env.Compare(spec)
+	// Cross-check against solo runs: position i must hold exactly spec
+	// i's result.
+	for i, spec := range specs {
+		solo, err := env.RunJob(spec, JobOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := FormatTable1([]*Comparison{comps[i]}), FormatTable1([]*Comparison{solo}); got != want {
-			t.Errorf("index %d misattributed:\n%s\nwant its own netlist's result:\n%s", i, got, want)
+		if outs[i].Report != solo.Report {
+			t.Errorf("index %d misattributed:\n%s\nwant its own netlist's result:\n%s", i, outs[i].Report, solo.Report)
 		}
 	}
-	// Progress must attribute 4 done jobs (prepare + 3 techniques) to
+	// Progress must attribute 4 done tasks (prepare + 3 techniques) to
 	// each index, not 8 to one ambiguous name.
 	for i := 0; i < 2; i++ {
-		if doneByIndex[i] != 4 {
-			t.Errorf("index %d: %d done events, want 4 (%v)", i, doneByIndex[i], doneByIndex)
+		done := 0
+		for _, task := range []string{"prepare", "Dual-Vth", "Conventional-SMT", "Improved-SMT"} {
+			done += rec.count(fmt.Sprintf("%d/%s/done", i, task))
+		}
+		if done != 4 {
+			t.Errorf("index %d: %d done events, want 4 (%v)", i, done, rec.tasks())
 		}
 	}
 }
 
+// An unparsable upload fails its own prepare and skips its techniques;
+// the sibling spec's outcome survives.
 func TestRunBatchPartialFailure(t *testing.T) {
 	env := testEnv(t)
-	specs := []CircuitSpec{SmallTest(), SmallTest()}
-	broken := 0
-	comps, err := env.RunBatch(specs, BatchOptions{
-		Jobs: 2,
-		Configure: func(spec CircuitSpec, cfg *Config) {
-			if broken == 0 {
-				// A nil library makes the circuit's prepare job fail
-				// (the engine converts even a panic into a job error),
-				// which must skip its three technique jobs.
-				cfg.Lib = nil
-			}
-			broken++
-		},
-	})
+	var rec recorder
+	outs, err := env.RunBatch([]JobSpec{
+		{Verilog: "module broken (a; endmodule", ClockPeriodNs: 1},
+		{Circuit: "small"},
+	}, JobOptions{Workers: 2, Progress: rec.progress})
 	if err == nil {
-		t.Fatal("broken circuit should surface an aggregated error")
+		t.Fatal("broken spec should surface an error")
 	}
-	if !strings.Contains(err.Error(), "prepare") {
-		t.Errorf("error should name the failing job: %v", err)
+	if !strings.Contains(err.Error(), "verilog/prepare") {
+		t.Errorf("error should name the failing task: %v", err)
 	}
-	if comps[0] != nil {
-		t.Error("failed circuit should have a nil comparison")
+	if outs[0] != nil {
+		t.Error("failed spec should have a nil outcome")
 	}
-	if comps[1] == nil {
-		t.Error("healthy circuit should survive a sibling's failure")
+	if outs[1] == nil || outs[1].Comparison == nil {
+		t.Fatal("healthy spec should survive a sibling's failure")
+	}
+	if rec.count("0/prepare/failed") != 1 {
+		t.Errorf("no failed prepare event: %v", rec.tasks())
+	}
+	for _, task := range []string{"Dual-Vth", "Conventional-SMT", "Improved-SMT"} {
+		if rec.count("0/"+task+"/skipped") != 1 || rec.count("0/"+task+"/running") != 0 {
+			t.Errorf("%s of the failed spec should only emit skipped: %v", task, rec.tasks())
+		}
+		if rec.count("1/"+task+"/done") != 1 {
+			t.Errorf("%s of the healthy spec should emit done: %v", task, rec.tasks())
+		}
 	}
 }
 
+// A batch canceled before it starts runs nothing: every task emits
+// Skipped and the error carries the cause.
 func TestRunBatchCancellation(t *testing.T) {
 	env := testEnv(t)
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // cancel before the batch starts: every job must be skipped
-	comps, err := env.RunBatch([]CircuitSpec{SmallTest()}, BatchOptions{Jobs: 2, Context: ctx})
-	if err == nil {
-		t.Fatal("canceled batch should report an error")
+	cancel()
+	var rec recorder
+	outs, err := env.RunBatch([]JobSpec{{Circuit: "small"}, {Circuit: "small", Techniques: []string{"dual"}}},
+		JobOptions{Workers: 2, Context: ctx, Progress: rec.progress})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled batch error = %v, want context.Canceled", err)
 	}
-	if comps[0] != nil {
-		t.Error("canceled batch should not produce comparisons")
+	if outs[0] != nil || outs[1] != nil {
+		t.Error("canceled batch should not produce outcomes")
+	}
+	got := rec.tasks()
+	if len(got) != 6 {
+		t.Fatalf("%d task events, want 6 (4 + 2 tasks): %v", len(got), got)
+	}
+	for _, ev := range got {
+		if !strings.HasSuffix(ev, "/skipped") {
+			t.Errorf("task event %s, want every task skipped", ev)
+		}
+	}
+}
+
+// A panicking technique fails its own task only: the job's error names
+// it, it emits Failed, and its siblings still finish and emit Done.
+func TestRunJobTechniquePanic(t *testing.T) {
+	env := testEnv(t)
+	name := uniquePipelineName("Panicking")
+	boom := NewStage("boom", func(context.Context, *FlowState) (*StageReport, error) {
+		panic("stage exploded")
+	})
+	if err := RegisterPipeline(name, boom); err != nil {
+		t.Fatal(err)
+	}
+	var rec recorder
+	_, err := env.RunJob(JobSpec{Circuit: "small", Techniques: []string{"all", name}},
+		JobOptions{Workers: 2, Progress: rec.progress})
+	if err == nil || !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "stage exploded") {
+		t.Fatalf("job error = %v, want one naming %s and its panic", err, name)
+	}
+	if rec.count("0/"+name+"/failed") != 1 {
+		t.Errorf("no failed event for %s: %v", name, rec.tasks())
+	}
+	for _, task := range []string{"Dual-Vth", "Conventional-SMT", "Improved-SMT"} {
+		if rec.count("0/"+task+"/done") != 1 {
+			t.Errorf("sibling %s did not finish: %v", task, rec.tasks())
+		}
 	}
 }

@@ -82,15 +82,12 @@ func PipelineStages(name string) (stages []string, ok bool) {
 	return p.StageNames(), true
 }
 
-// RunPipeline runs a registered technique pipeline by name on a clone
-// of base. Cancellation via ctx lands between — and inside ctx-aware —
-// stages, and observer (when non-nil) receives live per-stage progress
-// events. The three built-in names reproduce RunDualVth /
+// RunPipeline runs a technique pipeline on a clone of base: name is a
+// registered pipeline's name or one of the aliases dual, conventional
+// and improved, in any case. Cancellation via ctx lands between — and
+// inside ctx-aware — stages, and observer (when non-nil) receives live
+// per-stage progress events. The three built-ins reproduce RunDualVth /
 // RunConventionalSMT / RunImprovedSMT exactly.
 func RunPipeline(ctx context.Context, name string, base *Design, cfg *Config, observer func(StageEvent)) (*TechniqueResult, error) {
-	var obs flow.Observer
-	if observer != nil {
-		obs = observer
-	}
-	return core.RunRegistered(ctx, name, base, cfg, obs)
+	return core.RunRegistered(ctx, techniqueDisplay(strings.ToLower(strings.TrimSpace(name))), base, cfg, observer)
 }

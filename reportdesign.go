@@ -134,7 +134,6 @@ func (e *Environment) ReportDesign(d *Design, cfg *Config, optVector bool) (stri
 		crep, err := mcmm.Signoff(sess, mcmm.SignoffOptions{
 			Standby:   power.StandbyOptions{Gated: gated, HolderOn: holder},
 			GatingKey: "smtreport",
-			Workers:   cfg.SignoffJobs,
 			Cache:     cfg.Cache,
 		})
 		if err != nil {

@@ -12,11 +12,15 @@
 //	cmp, err := env.Compare(selectivemt.CircuitA())
 //	fmt.Println(cmp.Format())
 //
+// Compare runs the techniques one after another; CompareBase runs them
+// concurrently on a prepared base, and RunBatch runs many JobSpecs.
+//
 // The heavy lifting lives in internal packages (sta, place, cts, vgnd,
 // core, ...); this facade exposes the workflow a downstream user needs.
 package selectivemt
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sync"
@@ -146,25 +150,14 @@ func (e *Environment) Compare(spec CircuitSpec) (*Comparison, error) {
 	return e.CompareWithConfig(spec, cfg)
 }
 
-// CompareWithConfig runs all three techniques with an explicit config.
+// CompareWithConfig runs all three techniques with an explicit config,
+// one after another: PrepareBase, then CompareBase on one worker.
 func (e *Environment) CompareWithConfig(spec CircuitSpec, cfg *Config) (*Comparison, error) {
 	base, err := core.PrepareBase(spec.Module, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("selectivemt: prepare %s: %w", spec.Module.Name, err)
 	}
-	dual, err := core.RunDualVth(base, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("selectivemt: dual-vth on %s: %w", spec.Module.Name, err)
-	}
-	conv, err := core.RunConventionalSMT(base, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("selectivemt: conventional SMT on %s: %w", spec.Module.Name, err)
-	}
-	imp, err := core.RunImprovedSMT(base, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("selectivemt: improved SMT on %s: %w", spec.Module.Name, err)
-	}
-	return &Comparison{Circuit: spec.Module.Name, Dual: dual, Conv: conv, Improved: imp}, nil
+	return e.CompareBase(base, cfg, 1)
 }
 
 // AreaPct returns a technique's area normalized to Dual-Vth = 100%.
@@ -185,19 +178,6 @@ func (c *Comparison) Format() string {
 	t.AddPct("Area", 100, c.AreaPct(c.Conv), c.AreaPct(c.Improved))
 	t.AddPct("Leakage", 100, c.LeakagePct(c.Conv), c.LeakagePct(c.Improved))
 	return t.String()
-}
-
-// Table1 regenerates the paper's Table 1: both circuits, three techniques.
-func (e *Environment) Table1() ([]*Comparison, error) {
-	var out []*Comparison
-	for _, spec := range []CircuitSpec{CircuitA(), CircuitB()} {
-		cmp, err := e.Compare(spec)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, cmp)
-	}
-	return out, nil
 }
 
 // FormatTable1 renders a set of comparisons as one table.
@@ -236,15 +216,20 @@ func (e *Environment) Synthesize(spec CircuitSpec, cfg *Config) (*Design, error)
 
 // RunDualVth runs the baseline technique on a clone of base.
 func RunDualVth(base *Design, cfg *Config) (*TechniqueResult, error) {
-	return core.RunDualVth(base, cfg)
+	return core.RunRegistered(context.Background(), "Dual-Vth", base, cfg, nil)
 }
 
-// RunConventionalSMT runs the conventional Selective-MT technique.
+// RunConventionalSMT runs the conventional Selective-MT technique: MT
+// cells with embedded switches and holders on critical paths, HVT
+// elsewhere, MTE wired to every MT cell.
 func RunConventionalSMT(base *Design, cfg *Config) (*TechniqueResult, error) {
-	return core.RunConventionalSMT(base, cfg)
+	return core.RunRegistered(context.Background(), "Conventional-SMT", base, cfg, nil)
 }
 
-// RunImprovedSMT runs the paper's improved Selective-MT flow.
+// RunImprovedSMT runs the paper's improved Selective-MT flow end to end
+// (Fig. 4): MT assignment with VGND-less cells, conversion to VGND
+// cells, holder insertion, switch-structure construction, MTE buffering,
+// CTS, post-route re-optimization and hold ECO.
 func RunImprovedSMT(base *Design, cfg *Config) (*TechniqueResult, error) {
-	return core.RunImprovedSMT(base, cfg)
+	return core.RunRegistered(context.Background(), "Improved-SMT", base, cfg, nil)
 }
