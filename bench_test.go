@@ -325,8 +325,10 @@ func BenchmarkCompareParallel(b *testing.B) {
 }
 
 // BenchmarkActivityUncached times one random-vector activity estimation
-// of SmallTest, the call every measure, switch-structure and reopt stage
-// makes (the analysis cache does not memoize it).
+// of SmallTest from scratch: a compile and the simulated cycles. A flow
+// pays the cycles (not the compile) in switch-structure and measure, on
+// the simulator it carries; reopt reuses measure's estimate, since a
+// switch resize leaves the logic unchanged.
 func BenchmarkActivityUncached(b *testing.B) {
 	env := benchEnv(b)
 	cfg := env.NewConfig()

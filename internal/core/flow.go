@@ -17,7 +17,6 @@ import (
 	"selectivemt/internal/parasitics"
 	"selectivemt/internal/place"
 	"selectivemt/internal/power"
-	"selectivemt/internal/sim"
 	"selectivemt/internal/sta"
 	"selectivemt/internal/synth"
 	"selectivemt/internal/tech"
@@ -142,12 +141,6 @@ func shardRun(tasks, workers int, run func(int)) {
 	}); err != nil {
 		panic(fmt.Sprintf("core: shard fan-out: %v", err))
 	}
-}
-
-// estimateActivity runs the config's activity estimation. It bypasses
-// the shared cache: a fresh estimate costs less than a cache hit.
-func (c *Config) estimateActivity(d *netlist.Design) (*sim.Activity, error) {
-	return sim.EstimateActivity(d, c.ActivityCycles, c.Seed)
 }
 
 // preRoute is the pre-route timing config: estimate extraction and an
@@ -305,9 +298,10 @@ func PrepareBase(mod *gen.Module, cfg *Config) (*netlist.Design, error) {
 	return d, nil
 }
 
-// measure computes the final area/leakage/timing numbers, the timing
-// from the carried post-route timer (the hold ECO's, updated through
-// any edit since).
+// measure computes the final area/leakage/timing numbers: the timing
+// and the dynamic power's net loads from the carried post-route timer
+// (the hold ECO's, updated through any edit since), the leakage and
+// activity from the carried simulator.
 func (s *FlowState) measure() error {
 	d, cfg, res := s.Design, s.Config, s.Result
 	post := cfg.postRoute(res.CTS)
@@ -319,22 +313,18 @@ func (s *FlowState) measure() error {
 	res.WorstHoldNs = timing.WorstHold
 	res.AreaUm2 = d.TotalArea()
 
-	rep, err := power.Standby(d, power.StandbyOptions{
-		Inputs:   cfg.StandbyInputs,
-		Gated:    res.gatedFn,
-		HolderOn: res.holderFn,
-	})
+	rep, err := s.standby()
 	if err != nil {
 		return err
 	}
 	res.StandbyLeakMW = rep.StandbyLeakMW
 	res.Breakdown = rep.Breakdown
 
-	act, err := cfg.estimateActivity(d)
+	act, err := s.activity()
 	if err != nil {
 		return err
 	}
-	dyn, err := power.Dynamic(d, act, cfg.Proc, cfg.ClockPeriodNs, post.Extractor)
+	dyn, err := power.Dynamic(d, act, cfg.Proc, cfg.ClockPeriodNs, timerTrees{timing})
 	if err != nil {
 		return err
 	}

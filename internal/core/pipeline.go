@@ -14,6 +14,7 @@ import (
 	"selectivemt/internal/netlist"
 	"selectivemt/internal/parasitics"
 	"selectivemt/internal/power"
+	"selectivemt/internal/sim"
 	"selectivemt/internal/sta"
 	"selectivemt/internal/vgnd"
 )
@@ -62,6 +63,65 @@ type FlowState struct {
 	// ECO, read by measure). Each is built on first use; RunPipeline
 	// drops both when the pipeline ends.
 	pre, post carriedTimer
+
+	// sim is the flow's logic simulator, carried beside the timers and
+	// followed through the same journal: every stage's standby leakage,
+	// measure's leakage and activity and switch-structure's activity
+	// read it. Built on first use and dropped with the timers.
+	sim *sim.Simulator
+}
+
+// simulator brings the carried simulator up to date with the design,
+// compiling one on first use or for another design.
+func (s *FlowState) simulator() (*sim.Simulator, error) {
+	if s.sim != nil && s.sim.Design() == s.Design {
+		if err := s.sim.Update(); err != nil {
+			return nil, err
+		}
+		return s.sim, nil
+	}
+	sm, err := sim.New(s.Design)
+	if err != nil {
+		return nil, err
+	}
+	s.sim = sm
+	return sm, nil
+}
+
+// standby prices the design's standby leakage on the carried simulator
+// under the technique's gating.
+func (s *FlowState) standby() (*power.Report, error) {
+	sm, err := s.simulator()
+	if err != nil {
+		return nil, err
+	}
+	return power.StandbyWith(sm, power.StandbyOptions{
+		Inputs: s.Config.StandbyInputs, Gated: s.Result.gatedFn, HolderOn: s.Result.holderFn,
+	})
+}
+
+// activity is the config's activity estimate on the carried simulator,
+// kept there while the logic is unchanged.
+func (s *FlowState) activity() (*sim.Activity, error) {
+	sm, err := s.simulator()
+	if err != nil {
+		return nil, err
+	}
+	return sm.Activity(s.Config.ActivityCycles, s.Config.Seed)
+}
+
+// timerTrees serves a timer's extracted RC trees as a
+// parasitics.Extractor, so power reads the loads the timer already holds
+// instead of extracting every net again. A net the timer does not cover
+// is extracted with the timer's own extractor.
+type timerTrees struct{ r *sta.Result }
+
+// Extract implements parasitics.Extractor.
+func (t timerTrees) Extract(n *netlist.Net) *parasitics.RCTree {
+	if rc := t.r.RC(n); rc != nil {
+		return rc
+	}
+	return t.r.Config.Extractor.Extract(n)
 }
 
 // carriedTimer is an incremental timer the flow keeps across stages,
@@ -131,9 +191,7 @@ func (s *FlowState) StageVitals(name string) *flow.StageReport {
 	if t, err := s.pre.timing(s.Design, s.Config.preRoute(), nil); err == nil {
 		sr.WNSNs = t.WNS
 	}
-	if rep, err := power.Standby(s.Design, power.StandbyOptions{
-		Inputs: s.Config.StandbyInputs, Gated: s.Result.gatedFn, HolderOn: s.Result.holderFn,
-	}); err == nil {
+	if rep, err := s.standby(); err == nil {
 		sr.LeakMW = rep.StandbyLeakMW
 	}
 	return sr
@@ -226,12 +284,15 @@ func stageSwitchStructure() Stage {
 				mtCells = append(mtCells, inst)
 			}
 		}
-		act, err := cfg.estimateActivity(d)
+		act, err := s.activity()
 		if err != nil {
 			return nil, err
 		}
-		cc, err := power.Currents(d, act, cfg.Proc, cfg.ClockPeriodNs,
-			&parasitics.EstimateExtractor{Proc: cfg.Proc})
+		pre, err := s.pre.timing(d, cfg.preRoute(), nil)
+		if err != nil {
+			return nil, err
+		}
+		cc, err := power.Currents(d, act, cfg.Proc, cfg.ClockPeriodNs, timerTrees{pre})
 		if err != nil {
 			return nil, err
 		}
@@ -439,9 +500,10 @@ func RunPipeline(ctx context.Context, p *Pipeline, base *netlist.Design, cfg *Co
 	st := &FlowState{Design: d, Config: &runCfg, Result: res}
 	reports, err := p.Run(ctx, st, flow.RunOptions{Observer: obs})
 	res.Stages = reports
-	// The flow is over either way: drop its timers, so no stage that
-	// kept the state can hold a whole-design timing graph past the run.
-	st.pre, st.post = carriedTimer{}, carriedTimer{}
+	// The flow is over either way: drop its timers and simulator, so no
+	// stage that kept the state can hold a whole-design timing graph or
+	// compiled netlist past the run.
+	st.pre, st.post, st.sim = carriedTimer{}, carriedTimer{}, nil
 	if err != nil {
 		return nil, err
 	}

@@ -15,6 +15,8 @@ import (
 	"selectivemt/internal/liberty"
 	"selectivemt/internal/netlist"
 	"selectivemt/internal/parasitics"
+	"selectivemt/internal/power"
+	"selectivemt/internal/sim"
 	"selectivemt/internal/sta"
 )
 
@@ -242,6 +244,109 @@ func TestCarriedTimersMatchFreshAnalysis(t *testing.T) {
 				bare := (&FlowState{Design: res.Design, Config: &run, Result: res}).StageVitals("probe")
 				if want := freshPreWNS(t, res, &run); !same(bare.WNSNs, want) {
 					t.Errorf("%s: a bare FlowState reports WNS %v, fresh pre-route analysis %v", name, bare.WNSNs, want)
+				}
+			}
+		}
+	}
+}
+
+// TestCarriedSimulatorMatchesFresh: the stage vitals, switch-structure
+// and the final measurement read the simulator the flow carries from
+// stage to stage, and the dynamic power reads the carried post-route
+// timer's RC trees. For every technique on SmallTest, Circuit A and
+// Circuit B, at one shard and four, every stage's leakage must equal a
+// fresh power.Standby of the design that stage left, and the final
+// leakage, breakdown and dynamic power must equal fresh power.Standby,
+// sim.EstimateActivity and power.Dynamic results (the last with a fresh
+// Steiner extractor), bit for bit; the carried simulator must compile
+// once, and a bare FlowState over the finished design must report the
+// same leakage.
+func TestCarriedSimulatorMatchesFresh(t *testing.T) {
+	l := lib(t)
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, c := range []struct {
+		name string
+		spec gen.CircuitSpec
+	}{{"small", gen.SmallTest()}, {"a", gen.CircuitA()}, {"b", gen.CircuitB()}} {
+		cfg := DefaultConfig(sharedProc, l)
+		cfg.ClockSlack = c.spec.ClockSlack
+		base, err := PrepareBase(c.spec.Module, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, technique := range []string{"Dual-Vth", "Conventional-SMT", "Improved-SMT"} {
+			for _, parts := range []int{0, 4} {
+				name := fmt.Sprintf("%s/%s/partitions=%d", c.name, technique, parts)
+				run := *cfg
+				run.Partitions = parts
+				p, ok := LookupPipeline(technique)
+				if !ok {
+					t.Fatalf("no pipeline %q", technique)
+				}
+				// After every stage, price the design it left from
+				// scratch; at the end, read the carried simulator's
+				// counters.
+				fresh := map[string]float64{}
+				var stats sim.Stats
+				var stages []Stage
+				for _, st := range p.Stages() {
+					stages = append(stages, st, NewStage("check", func(_ context.Context, s *FlowState) (*flow.StageReport, error) {
+						rep, err := power.Standby(s.Design, power.StandbyOptions{
+							Inputs: s.Config.StandbyInputs, Gated: s.Result.gatedFn, HolderOn: s.Result.holderFn,
+						})
+						if err != nil {
+							return nil, err
+						}
+						fresh[st.Name()] = rep.StandbyLeakMW
+						return nil, nil
+					}))
+				}
+				stages = append(stages, NewStage("simulator", func(_ context.Context, s *FlowState) (*flow.StageReport, error) {
+					stats = s.sim.Stats()
+					return nil, nil
+				}))
+				res, err := RunPipeline(context.Background(), NewPipeline(technique, stages...), base, &run, nil)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				for _, sr := range res.Stages {
+					if want, ok := fresh[sr.Name]; !ok || !same(sr.LeakMW, want) {
+						t.Errorf("%s: stage %q leakage %v, fresh standby %v", name, sr.Name, sr.LeakMW, want)
+					}
+				}
+				rep, err := power.Standby(res.Design, power.StandbyOptions{
+					Inputs: run.StandbyInputs, Gated: res.gatedFn, HolderOn: res.holderFn,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !same(res.StandbyLeakMW, rep.StandbyLeakMW) || len(res.Breakdown) != len(rep.Breakdown) {
+					t.Errorf("%s: final leakage %v over %d categories, fresh standby %v over %d",
+						name, res.StandbyLeakMW, len(res.Breakdown), rep.StandbyLeakMW, len(rep.Breakdown))
+				}
+				for cat, mw := range rep.Breakdown { // rangemap:ok each entry checked on its own
+					if got, ok := res.Breakdown[cat]; !ok || !same(got, mw) {
+						t.Errorf("%s: %s leakage %v, fresh standby %v", name, cat, got, mw)
+					}
+				}
+				act, err := sim.EstimateActivity(res.Design, run.ActivityCycles, run.Seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				dyn, err := power.Dynamic(res.Design, act, run.Proc, run.ClockPeriodNs,
+					&parasitics.SteinerExtractor{Proc: run.Proc, TrunkNets: func(n *netlist.Net) bool { return n.IsVGND }})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !same(res.DynamicMW, dyn) {
+					t.Errorf("%s: final dynamic power %v, fresh estimate %v", name, res.DynamicMW, dyn)
+				}
+				if stats.Compiles != 1 {
+					t.Errorf("%s: the carried simulator compiled %d times, want once (%+v)", name, stats.Compiles, stats)
+				}
+				bare := (&FlowState{Design: res.Design, Config: &run, Result: res}).StageVitals("probe")
+				if !same(bare.LeakMW, rep.StandbyLeakMW) {
+					t.Errorf("%s: a bare FlowState reports leakage %v, fresh standby %v", name, bare.LeakMW, rep.StandbyLeakMW)
 				}
 			}
 		}

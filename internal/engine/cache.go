@@ -21,7 +21,8 @@ import (
 // misses. Per-stage timing is not cached: every stage of a flow sees a
 // different design state, so the flow carries incremental timers from
 // stage to stage instead (core.FlowState). Activity estimation is not
-// cached either, for the same reason.
+// cached either, for the same reason: the flow's carried simulator keeps
+// its own estimate while the logic is unchanged.
 //
 // The cache is safe for concurrent use and deduplicates in-flight
 // computations: when two workers ask for the same key at once, one

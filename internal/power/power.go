@@ -63,13 +63,17 @@ func Standby(d *netlist.Design, opts StandbyOptions) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	return standby(d, s, opts)
+	return StandbyWith(s, opts)
 }
 
-// standby is Standby on a simulator already compiled for d.
-func standby(d *netlist.Design, s *sim.Simulator, opts StandbyOptions) (*Report, error) {
+// StandbyWith is Standby on an existing simulator, for the design as of
+// its last compile or Update. It starts from a fresh state (every net X),
+// so it answers what Standby would, and walks the simulator's instances
+// in d.Instances() order, so every sum adds up in Standby's order.
+func StandbyWith(s *sim.Simulator, opts StandbyOptions) (*Report, error) {
+	s.Reset()
 	s.ResetState(logic.V0)
-	for _, p := range d.Ports() {
+	for _, p := range s.Design().Ports() {
 		if p.Dir != netlist.DirInput {
 			continue
 		}
@@ -90,7 +94,7 @@ func standby(d *netlist.Design, s *sim.Simulator, opts StandbyOptions) (*Report,
 		rep.Breakdown[cat] += mw
 		rep.StandbyLeakMW += mw
 	}
-	for _, inst := range d.Instances() {
+	for i, inst := range s.Instances() {
 		c := inst.Cell
 		switch c.Kind {
 		case liberty.KindSwitch:
@@ -106,7 +110,7 @@ func standby(d *netlist.Design, s *sim.Simulator, opts StandbyOptions) (*Report,
 				add(CatMT, c.StandbyLeakMW)
 				continue
 			}
-			leak := c.LeakageAt(s.InstanceInputState(inst))
+			leak := s.Leakage(i)
 			if c.Vth == tech.VthLow {
 				add(CatLVT, leak)
 			} else {
@@ -128,10 +132,14 @@ func ActiveLeakage(d *netlist.Design) float64 {
 
 // Dynamic estimates switching power at the given clock frequency (GHz =
 // 1/ns): P = Σ_nets toggle·C_net·Vdd²·f, plus a 10% short-circuit adder.
+// A nil activity means no switching, as in Currents: 0 mW.
 func Dynamic(d *netlist.Design, act *sim.Activity, proc *tech.Process,
 	clockPeriodNs float64, ex parasitics.Extractor) (float64, error) {
 	if clockPeriodNs <= 0 {
 		return 0, fmt.Errorf("power: clock period must be positive")
+	}
+	if act == nil {
+		return 0, nil
 	}
 	f := 1 / clockPeriodNs // GHz = 1/ns
 	var mw float64

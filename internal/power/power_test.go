@@ -204,6 +204,28 @@ func TestDynamicPower(t *testing.T) {
 	}
 }
 
+// TestDynamicNilActivity: a nil activity is no switching, as in
+// Currents: 0 mW rather than a nil dereference, with the period still
+// checked.
+func TestDynamicNilActivity(t *testing.T) {
+	d := mixed(t)
+	ex := &parasitics.EstimateExtractor{Proc: sharedProc}
+	mw, err := Dynamic(d, nil, sharedProc, 2.0, ex)
+	if err != nil || mw != 0 {
+		t.Errorf("Dynamic with no activity = %v, %v; want 0 mW", mw, err)
+	}
+	if _, err := Dynamic(d, nil, sharedProc, 0, ex); err == nil {
+		t.Error("zero period accepted")
+	}
+	cc, err := Currents(d, nil, sharedProc, 2.0, ex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if avg := cc.AvgMA[d.Instance("inv")]; avg != 0 {
+		t.Errorf("Currents with no activity: average %v mA, want 0", avg)
+	}
+}
+
 func TestCurrents(t *testing.T) {
 	d := mixed(t)
 	act, err := sim.EstimateActivity(d, 128, 9)

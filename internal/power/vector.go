@@ -33,7 +33,7 @@ func OptimizeStandbyVector(d *netlist.Design, opts StandbyOptions,
 		}
 		o := opts
 		o.Inputs = vec
-		rep, err := standby(d, s, o)
+		rep, err := StandbyWith(s, o)
 		if err != nil {
 			return 0, err
 		}

@@ -34,6 +34,9 @@ type persister struct {
 	// on them (memory stays authoritative) but /v1/stats surfaces the
 	// counter so an operator sees a sick state directory.
 	writeErrs atomic.Uint64
+	// quarantined counts the job files load could not decode and renamed
+	// to .corrupt; written before the server accepts traffic.
+	quarantined int
 }
 
 // persistedJob is the on-disk form of a Job. It carries the spec —
@@ -106,30 +109,48 @@ func (p *persister) remove(id string) {
 }
 
 // load reads every persisted job, in ID order (which is submission
-// order — IDs are a zero-padded sequence), skipping torn or foreign
-// files rather than refusing to start.
-func (p *persister) load() ([]*Job, error) {
+// order — IDs are a zero-padded sequence), and returns the highest job
+// sequence any job file name carries, decodable, quarantined or not, so
+// a new job can never take the ID of a file on disk. A file that does not decode
+// into a job (a torn write, or corruption outside the atomic-rename
+// protocol) is renamed to <name>.corrupt: kept for inspection, never
+// deleted, and never in the way of a restart. Stale .json.tmp leftovers
+// of a write the process died in are removed.
+func (p *persister) load() ([]*Job, uint64, error) {
 	entries, err := os.ReadDir(p.dir)
 	if err != nil {
-		return nil, fmt.Errorf("server: state dir: %w", err)
+		return nil, 0, fmt.Errorf("server: state dir: %w", err)
 	}
 	var names []string
+	var lastSeq uint64
 	for _, e := range entries {
-		if name := e.Name(); !e.IsDir() && strings.HasSuffix(name, ".json") {
+		switch name := e.Name(); {
+		case e.IsDir():
+		case strings.HasSuffix(name, ".json.tmp"):
+			if err := os.Remove(filepath.Join(p.dir, name)); err != nil && !os.IsNotExist(err) {
+				p.writeErrs.Add(1)
+			}
+		case strings.HasSuffix(name, ".json"):
 			names = append(names, name)
+		case strings.HasSuffix(name, ".json.corrupt"):
+			lastSeq = max(lastSeq, jobSeq(name)) // a quarantined job keeps its ID
 		}
 	}
 	sort.Strings(names)
 	jobs := make([]*Job, 0, len(names))
 	for _, name := range names {
-		data, err := os.ReadFile(filepath.Join(p.dir, name))
-		if err != nil {
-			continue
-		}
+		lastSeq = max(lastSeq, jobSeq(name))
+		path := filepath.Join(p.dir, name)
+		data, err := os.ReadFile(path)
 		var pj persistedJob
-		if err := json.Unmarshal(data, &pj); err != nil || pj.ID == "" {
-			// A torn write can only be a stale .tmp leftover or a file
-			// corrupted outside our atomic-rename protocol; skip it.
+		if err == nil {
+			err = json.Unmarshal(data, &pj)
+		}
+		if err != nil || pj.ID == "" {
+			if err := os.Rename(path, path+".corrupt"); err != nil {
+				p.writeErrs.Add(1)
+			}
+			p.quarantined++
 			continue
 		}
 		jobs = append(jobs, &Job{
@@ -146,5 +167,5 @@ func (p *persister) load() ([]*Job, error) {
 			Finished: pj.Finished,
 		})
 	}
-	return jobs, nil
+	return jobs, lastSeq, nil
 }

@@ -337,3 +337,85 @@ func TestSubmitRollbackReleasesContext(t *testing.T) {
 		t.Errorf("after 20 refused submits: %d records / %d order entries, want 2/2", live, order)
 	}
 }
+
+// TestCorruptStateFileKeepsItsID is the regression for an ID reused after
+// a restart on a state directory with a corrupt job file: recovery
+// skipped the file and advanced the ID sequence only past the jobs it
+// decoded, so the next submission took the damaged file's ID and its
+// first write overwrote the evidence. Now the file is renamed to
+// .corrupt with its bytes intact, its ID stays taken, a stale .json.tmp
+// leftover is removed, and /v1/stats counts the quarantined file.
+func TestCorruptStateFileKeepsItsID(t *testing.T) {
+	env := testEnv(t)
+	dir := t.TempDir()
+	fake := func(ctx context.Context, spec selectivemt.JobSpec, progress func(selectivemt.BatchEvent)) (*selectivemt.JobOutcome, error) {
+		return &selectivemt.JobOutcome{Circuit: spec.Circuit, Report: "report for " + spec.Circuit}, nil
+	}
+
+	s1, err := New(env, Options{Workers: 1, StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1.run = fake
+	ts1 := httptest.NewServer(s1.Handler())
+	for _, want := range []string{"job-00000001", "job-00000002"} {
+		if id, final := submitAndWait(t, ts1, `{"circuit":"small"}`); id != want || !strings.Contains(final, `"status": "done"`) {
+			t.Fatalf("job %s: %s", id, final)
+		}
+	}
+	ts1.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s1.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	torn := []byte("{torn")
+	damaged := filepath.Join(dir, "job-00000002.json")
+	if err := os.WriteFile(damaged, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "job-00000001.json.tmp"), []byte(`{"id":`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, ts2 := newTestServer(t, Options{Workers: 1, StateDir: dir})
+	s2.run = fake
+	if id, final := submitAndWait(t, ts2, `{"circuit":"small"}`); id != "job-00000003" || !strings.Contains(final, `"status": "done"`) {
+		t.Fatalf("first job after the restart is %s (%s), want job-00000003", id, final)
+	}
+	if got, err := os.ReadFile(damaged + ".corrupt"); err != nil || string(got) != string(torn) {
+		t.Errorf("quarantined file holds %q (%v), want the original %q", got, err, torn)
+	}
+	if _, err := os.Stat(damaged); !os.IsNotExist(err) {
+		t.Errorf("the damaged file is still in place: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "job-00000001.json.tmp")); !os.IsNotExist(err) {
+		t.Errorf("the stale temp file survived the restart: %v", err)
+	}
+	if code, _ := doJSON(t, "GET", ts2.URL+"/v1/jobs/job-00000001", ""); code != http.StatusOK {
+		t.Errorf("the intact job is gone after the restart: %d", code)
+	}
+	st := fetchStats(t, ts2.URL)
+	if st.Durable == nil || st.Durable.Quarantined != 1 || st.Durable.WriteErrs != 0 {
+		t.Errorf("durable stats = %+v, want 1 quarantined file and no write errors", st.Durable)
+	}
+
+	// The quarantined file keeps its ID taken on later restarts too, even
+	// once no intact file above it is left, and is not quarantined again.
+	ts2.Close()
+	if err := s2.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, "job-00000003.json")); err != nil {
+		t.Fatal(err)
+	}
+	s3, ts3 := newTestServer(t, Options{Workers: 1, StateDir: dir})
+	s3.run = fake
+	if id, _ := submitAndWait(t, ts3, `{"circuit":"small"}`); id != "job-00000003" {
+		t.Errorf("first job after the second restart is %s, want job-00000003 (past the quarantined job-00000002)", id)
+	}
+	if st := fetchStats(t, ts3.URL); st.Durable == nil || st.Durable.Quarantined != 0 {
+		t.Errorf("durable stats after the second restart = %+v, want nothing quarantined again", st.Durable)
+	}
+}

@@ -179,11 +179,12 @@ func (s *Server) recover(dir string) error {
 	if err != nil {
 		return err
 	}
-	jobs, err := p.load()
+	jobs, lastSeq, err := p.load()
 	if err != nil {
 		return err
 	}
 	s.store.persist = p
+	s.store.reserve(lastSeq)
 	for _, j := range jobs {
 		if j.Status.finished() {
 			s.store.restore(j)
@@ -588,9 +589,10 @@ type rateLimitView struct {
 }
 
 type durableView struct {
-	StateDir  string `json:"state_dir"`
-	Recovered int    `json:"recovered"`
-	WriteErrs uint64 `json:"write_errors"`
+	StateDir    string `json:"state_dir"`
+	Recovered   int    `json:"recovered"`
+	Quarantined int    `json:"quarantined"`
+	WriteErrs   uint64 `json:"write_errors"`
 }
 
 // assignStats accumulates Vth-assignment strategy internals across the
@@ -662,9 +664,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	if p := s.store.persist; p != nil {
 		v.Durable = &durableView{
-			StateDir:  p.dir,
-			Recovered: s.recovered,
-			WriteErrs: p.writeErrs.Load(),
+			StateDir:    p.dir,
+			Recovered:   s.recovered,
+			Quarantined: p.quarantined,
+			WriteErrs:   p.writeErrs.Load(),
 		}
 	}
 	if n := s.assign.stages.Load(); n > 0 {

@@ -155,8 +155,18 @@ func (st *store) restore(j *Job) context.Context {
 	return ctx
 }
 
-// jobSeq parses the numeric suffix of a "job-%08d" ID; malformed IDs
-// map to 0 (they never collide with generated ones).
+// reserve advances the sequence counter past seq, so no new job takes
+// an ID up to it: startup recovery reserves every ID a file on disk
+// carries, including files it could not decode.
+func (st *store) reserve(seq uint64) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.seq = max(st.seq, seq)
+}
+
+// jobSeq parses the numeric suffix of a "job-%08d" ID, or of a file name
+// that starts with one; malformed IDs map to 0 (they never collide with
+// generated ones).
 func jobSeq(id string) uint64 {
 	var n uint64
 	if _, err := fmt.Sscanf(id, "job-%d", &n); err != nil {

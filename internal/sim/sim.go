@@ -9,22 +9,33 @@
 //     either hold at 1 (output holder present) or float to X, which is
 //     exactly the input-state information state-dependent leakage needs.
 //
-// New compiles the design once into slice-indexed form. Every net gets a
-// dense ID in d.Nets() order, and one extra slot holds a constant X that
-// open pins read. Flops become (Q, D) ID pairs with their state in a slice.
-// Combinational gates become, in TopoOrder, an output ID, a run of input
-// IDs in one shared slab and the offset of their cell's truth table. Each
-// cell's table has 3^k entries for its k data inputs (at most maxInputs),
-// filled by calling the cell's own Function.Eval on every 0/1/X input
-// combination, so a table lookup returns exactly what evaluating the
-// function would. Eval, Step and EvalStandby are loops over these slices
-// and allocate nothing.
+// New compiles the design into slice-indexed form. Net ID 0 is a constant
+// X that open pins read; IDs 1 to n are the design's nets in d.Nets()
+// order, and any net an instance pin reaches that d.Nets() does not list
+// comes after them. Instances keep their d.Instances() positions. Every
+// instance with a connected output is compiled: its output ID and the IDs
+// of its data pins (every input but the enable and VGND pins, in pin
+// order) as one run in a shared slab; a flop's run is its D pin. Each cell
+// gets two tables over its data pins, 3^k entries for k pins (at most
+// maxInputs): a truth table filled by its output function's own Eval on
+// every 0/1/X combination (clock-flagged pins left out of the environment,
+// so they are don't-cares), and a leakage table filled by Cell.LeakageAt
+// on the same combinations. A lookup returns exactly what evaluating the
+// function or LeakageAt would. A Kahn pass over the runs lists the
+// compiled instances in the order netlist.TopoOrder gives them; the gates
+// and flops are laid out in that order. Eval, Step and EvalStandby are
+// loops over these slices and allocate nothing.
 //
-// EstimateActivity evaluates the design once per cycle: it drives the
-// inputs, evaluates, counts toggles and ones per net ID in []int32, and
-// captures the flops without re-evaluating, because the next cycle's
-// evaluation overwrites every value a second one would produce. It builds
-// the Activity maps once, at the end.
+// Update follows the design's change journal the way sta.Incremental
+// does (follow.go): swaps re-point tables in place, insertion batches are
+// patched, and removals or a lost journal recompile. After an Update that
+// saw an edit the simulator is in the state New would leave it in.
+//
+// Activity evaluates the design once per cycle: it drives the inputs,
+// evaluates, counts toggles and ones per net ID in []int32, and captures
+// the flops without re-evaluating, because the next cycle's evaluation
+// overwrites every value a second one would produce. It keeps the counts
+// until the logic changes and builds the Activity maps from them.
 //
 // oracle_test.go keeps a direct map-keyed evaluator of the same semantics
 // (one Function.Eval per gate per evaluation); a property test holds the
@@ -34,176 +45,360 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"selectivemt/internal/liberty"
 	"selectivemt/internal/logic"
 	"selectivemt/internal/netlist"
 )
 
-// maxInputs bounds the data inputs of a tabulated cell: 3^8 = 6561 table
+// maxInputs bounds the data pins of a tabulated cell: 3^8 = 6561 table
 // entries. The generated library's widest cell has 4.
 const maxInputs = 8
 
 // Simulator evaluates a design combinationally and steps flops on demand.
 type Simulator struct {
-	d *netlist.Design
-	// nets, id and val are indexed by net ID: the design's nets in
-	// d.Nets() order, then the constant-X slot (nets[nNets] is nil), then
-	// any net an instance pin reaches that d.Nets() does not list.
+	d   *netlist.Design
+	rev uint64 // the design revision the compiled form reflects
+
+	// nets, val and drv are indexed by net ID; drv holds the position of
+	// the instance whose output the net is, or -1.
 	nets  []*netlist.Net
 	id    map[*netlist.Net]int32
-	nNets int32
+	nNets int32 // the listed nets, IDs 1 to nNets
 	val   []logic.Value
+	drv   []int32
 
-	ffQ, ffD []int32       // per flop: Q and D net IDs
+	// insts and ents are aligned with d.Instances().
+	insts []*netlist.Instance
+	ents  []entry
+	pins  []int32 // data-pin net IDs, one run per compiled instance
+
+	cells map[*liberty.Cell]*cellInfo
+	truth []logic.Value // per-cell truth tables, back to back
+	leak  []float64     // per-cell leakage tables, back to back
+
+	// The compiled instances' positions in topological order, and the
+	// gates and flops among them in that order.
+	order    []int32
+	gates    []gate
+	ffQ, ffD []int32
 	state    []logic.Value // per flop: captured state
 
-	gates  []gate
-	pins   []int32       // gate input net IDs, in cell input order
-	tables []logic.Value // per-cell truth tables, back to back
+	// kept is the last activity estimate's counts, dropped once the
+	// logic changes.
+	kept activityCounts
 
-	// The TopoOrder walk EvalStandby makes, since its predicates take
-	// instances: each entry's output net ID (or -1) and gate index (or -1).
-	order  []*netlist.Instance
-	outID  []int32
-	gateOf []int32
+	broken bool // a failed patch left the compiled form half rebound
+	stats  Stats
+}
+
+// entry is one instance's compiled form.
+type entry struct {
+	cell *cellInfo
+	out  int32 // output net ID, or -1: the instance is not compiled
+	pins int32 // offset of its data-pin run in Simulator.pins
+	gate int32 // index in Simulator.gates, or -1
+}
+
+// cellInfo is what the simulator derives from one cell.
+type cellInfo struct {
+	seq  bool
+	data []string // data pin names in pin order; a flop's is its D pin
+	// key spells out every pin with its direction and flags: a swap
+	// between cells of equal key leaves every run and edge as it was.
+	key string
+	// truth and leak are the offsets of the cell's tables, or -1 for a
+	// cell without one: no truth table for flops and cells without an
+	// output function, neither for cells too wide to tabulate.
+	truth, leak int32
+	wide        bool // a gate cell with more than maxInputs data pins
+}
+
+// activityCounts is an activity estimate as counts per listed net (in
+// ID order), with the cycles and seed it was run with.
+type activityCounts struct {
+	toggles, ones []int32 // nil: no estimate
+	counted       int     // cycles counted after the warmup
+	cycles        int
+	seed          int64
 }
 
 // gate is one compiled combinational instance.
 type gate struct {
 	out   int32 // output net ID
-	pins  int32 // offset of the first input ID in Simulator.pins
-	k     int32 // number of data inputs
-	table int32 // offset of the cell's table in Simulator.tables
+	pins  int32 // offset of its first data-pin ID in Simulator.pins
+	k     int32 // number of data pins
+	truth int32 // offset of the cell's truth table in Simulator.truth
 }
 
-// New compiles a simulator; it fails on combinational cycles and on cells
-// with more than maxInputs data inputs.
+// Stats counts how the simulator has followed its design.
+type Stats struct {
+	// Compiles counts New plus every recompile: a lost journal, a batch
+	// that removes a net or an instance, or a batch the patch could not
+	// apply.
+	Compiles int
+	Patches  int // insertion batches patched in place
+	Swaps    int // swap and move batches applied in place
+	Noops    int // Update calls with a clean journal
+}
+
+// New compiles a simulator; it fails on combinational cycles and on gates
+// with more than maxInputs data pins.
 func New(d *netlist.Design) (*Simulator, error) {
-	order, err := d.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
 	nets := d.Nets()
 	s := &Simulator{
-		d:      d,
-		nets:   make([]*netlist.Net, 0, len(nets)),
-		id:     make(map[*netlist.Net]int32, len(nets)),
-		order:  order,
-		outID:  make([]int32, len(order)),
-		gateOf: make([]int32, len(order)),
+		d:     d,
+		rev:   d.Revision(),
+		nets:  make([]*netlist.Net, 1, len(nets)+1),
+		id:    make(map[*netlist.Net]int32, len(nets)),
+		val:   make([]logic.Value, 1, len(nets)+1),
+		drv:   make([]int32, 1, len(nets)+1),
+		cells: make(map[*liberty.Cell]*cellInfo),
+		stats: Stats{Compiles: 1},
 	}
+	s.val[0], s.drv[0] = logic.VX, -1 // the constant-X slot
 	for _, n := range nets {
 		if _, dup := s.id[n]; !dup {
-			s.id[n] = int32(len(s.nets))
-			s.nets = append(s.nets, n)
+			s.addNet(n)
 		}
 	}
-	s.nNets = int32(len(s.nets))
-	constX := s.nNets
-	s.nets = append(s.nets, nil) // the constant-X slot
-	tableAt := make(map[*liberty.Cell]int32)
-	for i, inst := range order {
-		s.outID[i], s.gateOf[i] = -1, -1
-		out := inst.OutputNet()
-		if out != nil {
-			s.outID[i] = s.netID(out)
+	s.nNets = int32(len(s.nets) - 1)
+	s.insts = d.Instances()
+	s.ents = make([]entry, len(s.insts))
+	for pos := range s.ents {
+		s.ents[pos] = entry{out: -1, pins: -1, gate: -1}
+		if err := s.bind(int32(pos)); err != nil {
+			return nil, err
 		}
-		c := inst.Cell
-		if c.IsSequential() {
-			if out != nil {
-				dID := constX
-				if n := inst.Conns["D"]; n != nil {
-					dID = s.netID(n)
-				}
-				s.ffQ = append(s.ffQ, s.outID[i])
-				s.ffD = append(s.ffD, dID)
-			}
-			continue
-		}
-		if out == nil || c.Output().Function == nil {
-			continue // switches, holders
-		}
-		ins := c.Inputs()
-		if len(ins) > maxInputs {
-			return nil, fmt.Errorf("sim: cell %s has %d data inputs; at most %d are supported",
-				c.Name, len(ins), maxInputs)
-		}
-		tab, ok := tableAt[c]
-		if !ok {
-			tab = int32(len(s.tables))
-			tableAt[c] = tab
-			s.tables = appendTable(s.tables, c.Output().Function, ins)
-		}
-		g := gate{out: s.outID[i], pins: int32(len(s.pins)), k: int32(len(ins)), table: tab}
-		for _, p := range ins {
-			pid := constX
-			if n := inst.Conns[p.Name]; n != nil {
-				pid = s.netID(n)
-			}
-			s.pins = append(s.pins, pid)
-		}
-		s.gateOf[i] = int32(len(s.gates))
-		s.gates = append(s.gates, g)
 	}
-	s.val = make([]logic.Value, len(s.nets))
-	for i := range s.val {
-		s.val[i] = logic.VX
-	}
-	s.state = make([]logic.Value, len(s.ffQ))
-	for i := range s.state {
-		s.state[i] = logic.VX
+	if err := s.levelize(); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
-// netID returns n's ID, giving a net outside d.Nets() a slot past the
-// constant X the first time an instance pin reaches it.
+// Design returns the design the simulator follows.
+func (s *Simulator) Design() *netlist.Design { return s.d }
+
+// Stats returns the update counters.
+func (s *Simulator) Stats() Stats { return s.stats }
+
+// Instances returns the design's instances in d.Instances() order as of
+// the last compile or Update. The slice is the simulator's own.
+func (s *Simulator) Instances() []*netlist.Instance { return s.insts }
+
+// addNet gives n the next ID, with value X and no driver.
+func (s *Simulator) addNet(n *netlist.Net) int32 {
+	id := int32(len(s.nets))
+	s.id[n] = id
+	s.nets = append(s.nets, n)
+	s.val = append(s.val, logic.VX)
+	s.drv = append(s.drv, -1)
+	return id
+}
+
+// netID returns n's ID, giving a net outside d.Nets() one past the listed
+// nets the first time an instance pin reaches it.
 func (s *Simulator) netID(n *netlist.Net) int32 {
 	if id, ok := s.id[n]; ok {
 		return id
 	}
-	id := int32(len(s.nets))
-	s.id[n] = id
-	s.nets = append(s.nets, n)
-	return id
+	return s.addNet(n)
 }
 
-// appendTable appends fn's 3^k-entry truth table over the data inputs ins:
-// entry Σ v_i·3^i holds fn evaluated with input i at value v_i (0, 1, X).
-func appendTable(tables []logic.Value, fn *logic.Expr, ins []*liberty.Pin) []logic.Value {
+// cellOf returns c's derived form, tabulating c on first sight.
+func (s *Simulator) cellOf(c *liberty.Cell) *cellInfo {
+	if ci, ok := s.cells[c]; ok {
+		return ci
+	}
+	ci := &cellInfo{seq: c.IsSequential(), truth: -1, leak: -1}
+	var key strings.Builder
+	var data []*liberty.Pin
+	for _, p := range c.Pins {
+		fmt.Fprintf(&key, "%s:%d:%t:%t:%t;", p.Name, p.Dir, p.IsClock, p.IsEnable, p.IsVGND)
+		if p.Dir == liberty.DirInput && !p.IsEnable && !p.IsVGND {
+			data = append(data, p)
+		}
+	}
+	ci.key = key.String()
+	s.cells[c] = ci
+	if ci.seq {
+		ci.data = []string{"D"}
+		return ci
+	}
+	for _, p := range data {
+		ci.data = append(ci.data, p.Name)
+	}
+	fn := (*logic.Expr)(nil)
+	if out := c.Output(); out != nil {
+		fn = out.Function
+	}
+	if len(data) > maxInputs {
+		ci.wide = fn != nil
+		return ci
+	}
+	if fn != nil {
+		ci.truth = int32(len(s.truth))
+		s.truth = appendTable(s.truth, data, true, func(env map[string]logic.Value) logic.Value {
+			return norm(fn.Eval(env))
+		})
+	}
+	ci.leak = int32(len(s.leak))
+	s.leak = appendTable(s.leak, data, false, c.LeakageAt)
+	return ci
+}
+
+// appendTable appends f's 3^k-entry table over the data pins: entry
+// Σ v_i·3^i holds f with pin i at value v_i (0, 1, X). With skipClock the
+// clock-flagged pins stay out of f's environment.
+func appendTable[T any](table []T, pins []*liberty.Pin, skipClock bool, f func(map[string]logic.Value) T) []T {
 	size := 1
-	for range ins {
+	for range pins {
 		size *= 3
 	}
-	env := make(map[string]logic.Value, len(ins))
+	env := make(map[string]logic.Value, len(pins))
 	for idx := 0; idx < size; idx++ {
 		rest := idx
-		for _, p := range ins {
-			env[p.Name] = logic.Value(rest % 3)
+		for _, p := range pins {
+			if !skipClock || !p.IsClock {
+				env[p.Name] = logic.Value(rest % 3)
+			}
 			rest /= 3
 		}
-		tables = append(tables, norm(fn.Eval(env)))
+		table = append(table, f(env))
 	}
-	return tables
+	return table
+}
+
+// bind compiles the instance at pos from its current cell and pins. An
+// instance without a connected output is not compiled: it writes no net,
+// and its leakage comes from its cell on demand.
+func (s *Simulator) bind(pos int32) error {
+	inst := s.insts[pos]
+	e := &s.ents[pos]
+	old, ci := e.cell, s.cellOf(inst.Cell)
+	e.cell, e.gate = ci, -1
+	out := inst.OutputNet()
+	if out == nil {
+		e.out = -1
+		return nil
+	}
+	if ci.wide {
+		return fmt.Errorf("sim: cell %s has %d data inputs; at most %d are supported",
+			inst.Cell.Name, len(ci.data), maxInputs)
+	}
+	e.out = s.netID(out)
+	s.drv[e.out] = pos
+	if e.pins < 0 || old == nil || len(old.data) != len(ci.data) {
+		e.pins = int32(len(s.pins))
+		s.pins = append(s.pins, make([]int32, len(ci.data))...)
+	}
+	for j, name := range ci.data {
+		id := int32(0)
+		if n := inst.Conns[name]; n != nil {
+			id = s.netID(n)
+		}
+		s.pins[e.pins+int32(j)] = id
+	}
+	return nil
+}
+
+// levelize lists the compiled instances in topological order and lays
+// the gates and flops out in it. It is netlist.TopoOrder's Kahn pass over
+// the simulator's own runs, with the same edges (from the instance
+// driving a data pin's net to the pin's instance, flops neither), the
+// same ready queue and the same tie order, so the order is TopoOrder's
+// with the uncompiled instances left out. Those drive nothing, so leaving
+// them out moves no other instance. It fails on a combinational cycle.
+func (s *Simulator) levelize() error {
+	n := len(s.ents)
+	forEachEdge := func(visit func(drv, sink int32)) {
+		for si := range s.ents {
+			e := &s.ents[si]
+			if e.out < 0 || e.cell.seq {
+				continue
+			}
+			for _, id := range s.pins[e.pins : e.pins+int32(len(e.cell.data))] {
+				if d := s.drv[id]; d >= 0 && !s.ents[d].cell.seq {
+					visit(d, int32(si))
+				}
+			}
+		}
+	}
+	off := make([]int32, n+1)
+	forEachEdge(func(drv, _ int32) { off[drv+1]++ })
+	for i := 0; i < n; i++ {
+		off[i+1] += off[i]
+	}
+	indeg := make([]int32, n)
+	dep := make([]int32, off[n])
+	fill := make([]int32, n)
+	copy(fill, off[:n])
+	forEachEdge(func(drv, sink int32) {
+		dep[fill[drv]] = sink
+		fill[drv]++
+		indeg[sink]++
+	})
+	order := s.order[:0]
+	compiled := 0
+	for i := range s.ents {
+		if s.ents[i].out >= 0 {
+			compiled++
+			if indeg[i] == 0 {
+				order = append(order, int32(i))
+			}
+		}
+	}
+	for qi := 0; qi < len(order); qi++ {
+		i := order[qi]
+		for _, sk := range dep[off[i]:off[i+1]] {
+			indeg[sk]--
+			if indeg[sk] == 0 {
+				order = append(order, sk)
+			}
+		}
+	}
+	s.order = order
+	if len(order) != compiled {
+		return fmt.Errorf("sim: combinational cycle among %d instances", compiled-len(order))
+	}
+	s.gates, s.ffQ, s.ffD = s.gates[:0], s.ffQ[:0], s.ffD[:0]
+	for _, pos := range order {
+		e := &s.ents[pos]
+		switch {
+		case e.cell.seq:
+			s.ffQ = append(s.ffQ, e.out)
+			s.ffD = append(s.ffD, s.pins[e.pins])
+		case e.cell.truth >= 0:
+			e.gate = int32(len(s.gates))
+			s.gates = append(s.gates, gate{out: e.out, pins: e.pins, k: int32(len(e.cell.data)), truth: e.cell.truth})
+		}
+	}
+	s.state = make([]logic.Value, len(s.ffQ))
+	s.ResetState(logic.VX)
+	return nil
 }
 
 // slot returns the value slot of a net, or the constant X for a net the
 // simulator has never seen.
-func (s *Simulator) slot(n *netlist.Net) int32 {
-	if id, ok := s.id[n]; ok {
-		return id
-	}
-	return s.nNets
-}
+func (s *Simulator) slot(n *netlist.Net) int32 { return s.id[n] }
 
 // norm maps anything but 0 and 1 to X, so every stored value indexes a
-// truth table.
+// table.
 func norm(v logic.Value) logic.Value {
 	if v > logic.VX {
 		return logic.VX
 	}
 	return v
+}
+
+// Reset returns every net and flop to X, the state New leaves them in.
+func (s *Simulator) Reset() {
+	for i := range s.val {
+		s.val[i] = logic.VX
+	}
+	s.ResetState(logic.VX)
 }
 
 // ResetState forces every flop's state to v.
@@ -220,7 +415,9 @@ func (s *Simulator) SetInput(port string, v logic.Value) error {
 	if p == nil || p.Dir != netlist.DirInput {
 		return fmt.Errorf("sim: no input port %q", port)
 	}
-	s.val[s.slot(p.Net)] = norm(v)
+	if id := s.slot(p.Net); id > 0 {
+		s.val[id] = norm(v)
+	}
 	return nil
 }
 
@@ -252,19 +449,18 @@ func (s *Simulator) Eval() {
 // the improved MT-cell to one when a circuit is on standby").
 func (s *Simulator) EvalStandby(gated func(*netlist.Instance) bool, holderOn func(*netlist.Net) bool) {
 	s.presentState()
-	for i, inst := range s.order {
-		if gated != nil && gated(inst) {
-			if out := s.outID[i]; out >= 0 {
-				if holderOn != nil && holderOn(s.nets[out]) {
-					s.val[out] = logic.V1
-				} else {
-					s.val[out] = logic.VX
-				}
+	for _, pos := range s.order {
+		e := &s.ents[pos]
+		if gated != nil && gated(s.insts[pos]) {
+			if holderOn != nil && holderOn(s.nets[e.out]) {
+				s.val[e.out] = logic.V1
+			} else {
+				s.val[e.out] = logic.VX
 			}
 			continue
 		}
-		if g := s.gateOf[i]; g >= 0 {
-			s.evalGate(&s.gates[g])
+		if e.gate >= 0 {
+			s.evalGate(&s.gates[e.gate])
 		}
 	}
 }
@@ -275,12 +471,30 @@ func (s *Simulator) presentState() {
 	}
 }
 
-func (s *Simulator) evalGate(g *gate) {
+// index is the table index of a data-pin run's current values.
+func (s *Simulator) index(pins, k int32) int32 {
 	idx := int32(0)
-	for i := g.pins + g.k - 1; i >= g.pins; i-- {
+	for i := pins + k - 1; i >= pins; i-- {
 		idx = idx*3 + int32(s.val[s.pins[i]])
 	}
-	s.val[g.out] = s.tables[g.table+idx]
+	return idx
+}
+
+func (s *Simulator) evalGate(g *gate) {
+	s.val[g.out] = s.truth[g.truth+s.index(g.pins, g.k)]
+}
+
+// Leakage returns the powered leakage of the instance at position i of
+// Instances in the current net values: a lookup in its cell's leakage
+// table, or Cell.LeakageAt on InstanceInputState for an instance the
+// simulator does not compile or a cell without a table.
+func (s *Simulator) Leakage(i int) float64 {
+	e := &s.ents[i]
+	if e.out < 0 || e.cell.leak < 0 {
+		inst := s.insts[i]
+		return inst.Cell.LeakageAt(s.InstanceInputState(inst))
+	}
+	return s.leak[e.cell.leak+s.index(e.pins, int32(len(e.cell.data)))]
 }
 
 // Step captures every flop's D input into its state (a global clock edge)
@@ -359,7 +573,6 @@ func (s *Simulator) inputSlots(names []string) ([]int32, error) {
 func (s *Simulator) portSlots(names []string) []int32 {
 	out := make([]int32, len(names))
 	for i, name := range names {
-		out[i] = s.nNets
 		if p := s.d.PortByName(name); p != nil {
 			out[i] = s.slot(p.Net)
 		}
@@ -434,23 +647,57 @@ type Activity struct {
 	Cycles  int
 }
 
-// EstimateActivity runs nCycles random cycles and gathers toggle and
-// level statistics. Flops start at 0; the first warmup cycles (one eighth)
-// are excluded from the statistics. A net toggles in a counted cycle when
-// it carries 0 in the previous cycle and 1 in this one, or the reverse.
+// EstimateActivity compiles d and runs its Activity.
 func EstimateActivity(d *netlist.Design, nCycles int, seed int64) (*Activity, error) {
 	s, err := New(d)
 	if err != nil {
 		return nil, err
 	}
+	return s.Activity(nCycles, seed)
+}
+
+// Activity runs nCycles random cycles from a fresh state and gathers
+// toggle and level statistics. Flops start at 0; the first warmup cycles
+// (one eighth) are excluded from the statistics. A net toggles in a
+// counted cycle when it carries 0 in the previous cycle and 1 in this
+// one, or the reverse.
+//
+// The counts are kept: asked again with the same cycles and seed, the
+// simulator answers from them, without simulating, as long as no Update
+// has seen a logic edit since (anything but moves and swaps that keep
+// every truth table).
+func (s *Simulator) Activity(nCycles int, seed int64) (*Activity, error) {
+	k := &s.kept
+	if k.toggles == nil || k.cycles != nCycles || k.seed != seed {
+		if err := s.countActivity(nCycles, seed); err != nil {
+			return nil, err
+		}
+	}
+	act := &Activity{
+		Toggle:  make(map[*netlist.Net]float64, len(k.toggles)),
+		ProbOne: make(map[*netlist.Net]float64, len(k.ones)),
+		Cycles:  k.counted,
+	}
+	counted := max(k.counted, 1)
+	for i, n := range s.nets[1 : 1+s.nNets] {
+		act.Toggle[n] = float64(k.toggles[i]) / float64(counted)
+		act.ProbOne[n] = float64(k.ones[i]) / float64(counted)
+	}
+	return act, nil
+}
+
+// countActivity runs Activity's simulation and keeps its counts.
+func (s *Simulator) countActivity(nCycles int, seed int64) error {
+	s.kept = activityCounts{}
+	s.Reset()
 	s.ResetState(logic.V0)
-	ins, err := s.inputSlots(InputNames(d))
+	ins, err := s.inputSlots(InputNames(s.d))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	rng := rand.New(rand.NewSource(seed))
 	warmup := nCycles / 8
-	cur := s.val[:s.nNets]
+	cur := s.val[1 : 1+s.nNets]
 	toggles := make([]int32, len(cur))
 	ones := make([]int32, len(cur))
 	// prev starts all X, so nothing toggles in the first cycle: for values
@@ -481,19 +728,8 @@ func EstimateActivity(d *netlist.Design, nCycles int, seed int64) (*Activity, er
 		// would produce, so the clock edge only captures.
 		s.capture()
 	}
-	act := &Activity{
-		Toggle:  make(map[*netlist.Net]float64, len(cur)),
-		ProbOne: make(map[*netlist.Net]float64, len(cur)),
-		Cycles:  counted,
-	}
-	if counted == 0 {
-		counted = 1
-	}
-	for i, n := range s.nets[:s.nNets] {
-		act.Toggle[n] = float64(toggles[i]) / float64(counted)
-		act.ProbOne[n] = float64(ones[i]) / float64(counted)
-	}
-	return act, nil
+	s.kept = activityCounts{toggles: toggles, ones: ones, counted: counted, cycles: nCycles, seed: seed}
+	return nil
 }
 
 // InstanceInputState returns the input-pin environment of an instance given

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -352,4 +353,74 @@ func TestEvalStepStandbyAllocateNothing(t *testing.T) {
 			t.Errorf("%s allocates %v times per call", name, n)
 		}
 	}
+}
+
+// checkTables requires c's leakage table to hold Cell.LeakageAt and its
+// truth table (if any) the output function on every 0/1/X state of the
+// data pins, clock-flagged pins left out of the function's environment.
+func checkTables(t *testing.T, s *Simulator, c *liberty.Cell) {
+	t.Helper()
+	ci := s.cellOf(c)
+	if ci.leak < 0 {
+		t.Fatalf("%s has no leakage table", c.Name)
+	}
+	var pins []*liberty.Pin
+	for _, name := range ci.data {
+		pins = append(pins, c.Pin(name))
+	}
+	size := 1
+	for range pins {
+		size *= 3
+	}
+	for idx := 0; idx < size; idx++ {
+		env := map[string]logic.Value{}
+		fnEnv := map[string]logic.Value{}
+		rest := idx
+		for _, p := range pins {
+			env[p.Name] = logic.Value(rest % 3)
+			if !p.IsClock {
+				fnEnv[p.Name] = env[p.Name]
+			}
+			rest /= 3
+		}
+		if got, want := s.leak[ci.leak+int32(idx)], c.LeakageAt(env); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s in %v: leakage table %v, LeakageAt %v", c.Name, env, got, want)
+		}
+		if ci.truth >= 0 {
+			if got, want := s.truth[ci.truth+int32(idx)], norm(c.Output().Function.Eval(fnEnv)); got != want {
+				t.Fatalf("%s in %v: truth table %v, function %v", c.Name, env, got, want)
+			}
+		}
+	}
+}
+
+// TestLeakageTables: every combinational library cell's tables equal
+// LeakageAt and its function on all 3^k states, and so do those of a cell
+// whose data pins include a clock-flagged one, which its function
+// ignores and its leakage states read.
+func TestLeakageTables(t *testing.T) {
+	l := lib(t)
+	s, err := New(netlist.New("empty", l))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range l.CellNames() {
+		if c := l.Cell(name); !c.IsSequential() {
+			checkTables(t, s, c)
+		}
+	}
+	gatedAnd := &liberty.Cell{
+		Name: "CKAND_X1", Kind: liberty.KindComb,
+		Pins: []*liberty.Pin{
+			{Name: "CK", Dir: liberty.DirInput, IsClock: true},
+			{Name: "A", Dir: liberty.DirInput},
+			{Name: "Z", Dir: liberty.DirOutput, Function: logic.And(logic.Var("CK"), logic.Var("A"))},
+		},
+		LeakageMW: 3,
+		LeakageStates: []liberty.LeakageState{
+			{When: logic.And(logic.Var("CK"), logic.Var("A")), PowerMW: 1},
+			{When: logic.Not(logic.Var("CK")), PowerMW: 2},
+		},
+	}
+	checkTables(t, s, gatedAnd)
 }

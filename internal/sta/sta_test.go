@@ -30,6 +30,7 @@ func lib(t *testing.T) *liberty.Library {
 }
 
 func cfg(t *testing.T, period float64) Config {
+	lib(t) // sets sharedProc, which a test may reach before any design
 	return Config{
 		ClockPeriodNs: period,
 		ClockPort:     "clk",
