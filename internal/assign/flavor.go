@@ -176,7 +176,7 @@ func delayDelta(inst *netlist.Instance, v *liberty.Cell, timing *sta.Result) flo
 	}
 	var worstOld, worstNew float64
 	for _, arc := range inst.Cell.Arcs {
-		inNet := inst.Conns[arc.From]
+		inNet := inst.Net(arc.From)
 		if inNet == nil {
 			continue
 		}

@@ -539,8 +539,8 @@ func (e *laneEngine) propose(l *lane, timing *sta.Result) {
 func (e *laneEngine) admit(m Move) bool {
 	used := 0.0
 	boundary := false
-	for _, pin := range m.Inst.Cell.Pins {
-		n := m.Inst.Conns[pin.Name]
+	for k := range m.Inst.Cell.Pins {
+		n := m.Inst.NetAt(k)
 		if n == nil || !e.inc.BoundaryNet(n) {
 			continue
 		}
@@ -559,8 +559,8 @@ func (e *laneEngine) admit(m Move) bool {
 	if charge <= 0 {
 		return true // a free move books nothing
 	}
-	for _, pin := range m.Inst.Cell.Pins {
-		n := m.Inst.Conns[pin.Name]
+	for k := range m.Inst.Cell.Pins {
+		n := m.Inst.NetAt(k)
 		if n == nil || !e.inc.BoundaryNet(n) {
 			continue
 		}

@@ -131,7 +131,7 @@ func BuildMTE(d *netlist.Design, maxFanout int, placeOpts place.Options) (int, e
 	d.NoteNetChanged(mteNet)
 	for _, inst := range d.Instances() {
 		p := mtePin(inst)
-		if p == "" || inst.Conns[p] != nil {
+		if p == "" || inst.Net(p) != nil {
 			continue
 		}
 		if err := d.Connect(inst, p, mteNet); err != nil {

@@ -120,7 +120,7 @@ func Synthesize(d *netlist.Design, clockPort string, opts Options) (*Result, err
 			}
 			for _, ref := range refs {
 				if ref.Inst != nil {
-					if ref.Inst.Conns[ref.Pin] != nil {
+					if ref.Inst.Net(ref.Pin) != nil {
 						if err := d.Disconnect(ref.Inst, ref.Pin); err != nil {
 							return nil, err
 						}
@@ -144,7 +144,7 @@ func Synthesize(d *netlist.Design, clockPort string, opts Options) (*Result, err
 		if ep.ref.Inst == nil {
 			continue
 		}
-		if ep.ref.Inst.Conns[ep.ref.Pin] == nil {
+		if ep.ref.Inst.Net(ep.ref.Pin) == nil {
 			if err := d.Connect(ep.ref.Inst, ep.ref.Pin, rootNet); err != nil {
 				return nil, err
 			}

@@ -109,7 +109,7 @@ func legacyDelayDelta(inst *netlist.Instance, v *liberty.Cell, timing *sta.Resul
 	}
 	var worstOld, worstNew float64
 	for _, arc := range inst.Cell.Arcs {
-		inNet := inst.Conns[arc.From]
+		inNet := inst.Net(arc.From)
 		if inNet == nil {
 			continue
 		}

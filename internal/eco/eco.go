@@ -71,7 +71,7 @@ func FixHoldWith(inc *sta.Incremental, opts Options) (*Result, error) {
 			return res, nil
 		}
 		for _, ff := range timing.HoldViolations {
-			dNet := ff.Conns["D"]
+			dNet := ff.Net("D")
 			if dNet == nil {
 				continue
 			}
@@ -106,7 +106,7 @@ func FixHoldWith(inc *sta.Incremental, opts Options) (*Result, error) {
 // through, so a recorded fix and its replay cannot diverge.
 func insertPadding(d *netlist.Design, ff *netlist.Instance, buf *liberty.Cell, n int, opts Options) error {
 	for i := 0; i < n; i++ {
-		dNet := ff.Conns["D"]
+		dNet := ff.Net("D")
 		if dNet == nil {
 			return fmt.Errorf("eco: flop %s has no D net", ff.Name)
 		}
@@ -147,7 +147,7 @@ func Replay(d *netlist.Design, log []Insertion, opts Options) error {
 
 // holdSlackAt recomputes one flop's hold slack from the analysis.
 func holdSlackAt(timing *sta.Result, ff *netlist.Instance) float64 {
-	dNet := ff.Conns["D"]
+	dNet := ff.Net("D")
 	if dNet == nil {
 		return 0
 	}

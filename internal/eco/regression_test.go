@@ -36,7 +36,7 @@ func referenceFixHold(t *testing.T, d *netlist.Design, cfg sta.Config, opts Opti
 			return res
 		}
 		for _, ff := range timing.HoldViolations {
-			dNet := ff.Conns["D"]
+			dNet := ff.Net("D")
 			if dNet == nil {
 				continue
 			}
@@ -50,7 +50,7 @@ func referenceFixHold(t *testing.T, d *netlist.Design, cfg sta.Config, opts Opti
 				n = 24
 			}
 			for i := 0; i < n; i++ {
-				b, err := d.InsertBuffer(ff.Conns["D"], buf, []netlist.PinRef{{Inst: ff, Pin: "D"}})
+				b, err := d.InsertBuffer(ff.Net("D"), buf, []netlist.PinRef{{Inst: ff, Pin: "D"}})
 				if err != nil {
 					t.Fatal(err)
 				}

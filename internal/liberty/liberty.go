@@ -214,6 +214,16 @@ func (c *Cell) Pin(name string) *Pin {
 	return nil
 }
 
+// PinIndex returns the position of the named pin in Pins, or -1.
+func (c *Cell) PinIndex(name string) int {
+	for k, p := range c.Pins {
+		if p.Name == name {
+			return k
+		}
+	}
+	return -1
+}
+
 // Output returns the first output pin, or nil (switch cells have none).
 func (c *Cell) Output() *Pin {
 	for _, p := range c.Pins {

@@ -2,6 +2,7 @@ package netlist
 
 import (
 	"fmt"
+	"slices"
 
 	"selectivemt/internal/liberty"
 )
@@ -14,11 +15,11 @@ func (d *Design) ReplaceCell(inst *Instance, newCell *liberty.Cell) error {
 	if newCell == nil {
 		return fmt.Errorf("netlist: ReplaceCell(%s): nil cell", inst.Name)
 	}
-	// Connect only accepts pins the cell declares, and every swap keeps
-	// them declared, so the cell's pin list covers the connections and
-	// fixes which violation is reported first.
-	for _, op := range inst.Cell.Pins {
-		if inst.Conns[op.Name] == nil {
+	// The connections are aligned with the old cell's pins, so walking
+	// them fixes which violation is reported first.
+	old := inst.Cell
+	for k, op := range old.Pins {
+		if inst.conns[k] == nil {
 			continue
 		}
 		np := newCell.Pin(op.Name)
@@ -30,10 +31,36 @@ func (d *Design) ReplaceCell(inst *Instance, newCell *liberty.Cell) error {
 			return fmt.Errorf("netlist: ReplaceCell(%s): pin %q direction differs", inst.Name, op.Name)
 		}
 	}
-	old := inst.Cell
+	inst.conns = realign(inst.conns, old, newCell)
 	inst.Cell = newCell
 	d.record(Change{Kind: ChangeCellReplaced, Inst: inst, OldCell: old})
 	return nil
+}
+
+// realign lays connections aligned with old's pins out for newCell's.
+// When one pin list is a name-for-name prefix of the other, as between
+// all generated variants of a cell (inputs, the output, then MTE or
+// VGND), the slice is resized and kept; otherwise every connection moves
+// to its pin's position on newCell. The caller has checked that the pins
+// newCell lacks are unconnected.
+func realign(conns []*Net, old, newCell *liberty.Cell) []*Net {
+	n := len(newCell.Pins)
+	for k := range min(len(old.Pins), n) {
+		if old.Pins[k].Name != newCell.Pins[k].Name {
+			out := make([]*Net, n)
+			for j, p := range old.Pins {
+				if conns[j] != nil {
+					out[newCell.PinIndex(p.Name)] = conns[j]
+				}
+			}
+			return out
+		}
+	}
+	if n > len(conns) {
+		conns = slices.Grow(conns, n-len(conns))
+		clear(conns[len(conns):n])
+	}
+	return conns[:n]
 }
 
 // InsertBuffer splits a net: the original driver keeps driving net, a new
@@ -106,93 +133,64 @@ func (d *Design) InsertBuffer(net *Net, bufCell *liberty.Cell, sinks []PinRef) (
 	return buf, nil
 }
 
-// Fanout returns the instances and ports fed by the instance's output net.
-func (d *Design) Fanout(inst *Instance) []PinRef {
-	n := inst.OutputNet()
-	if n == nil {
-		return nil
-	}
-	out := make([]PinRef, len(n.Sinks))
-	copy(out, n.Sinks)
-	return out
-}
-
-// Fanin returns the driving PinRef of each connected data-input pin.
-func (d *Design) Fanin(inst *Instance) []PinRef {
-	var out []PinRef
-	for _, p := range inst.Cell.Pins {
-		if p.Dir != liberty.DirInput {
-			continue
-		}
-		net := inst.Conns[p.Name]
-		if net != nil && net.HasDriver() {
-			out = append(out, net.Driver)
-		}
-	}
-	return out
-}
-
 // TopoOrder returns instances in combinational topological order: an
 // instance appears after every combinational instance that feeds its data
 // inputs. Flop outputs and primary inputs are sources; flop D/CK pins are
 // sinks and impose no ordering. An error reports a combinational cycle.
 func (d *Design) TopoOrder() ([]*Instance, error) {
-	insts := d.Instances()
-	ni := len(insts)
-	idx := make(map[*Instance]int32, ni)
-	for i, inst := range insts {
-		idx[inst] = int32(i)
-	}
-	// Slice-indexed Kahn over a CSR dependents array: two passes over the
-	// edges (count, then fill). The fill pass visits edges in the same
-	// insts × input-pins order a per-driver append would, so each driver's
-	// dependent list — and therefore the output order — is unchanged from
-	// the map-based build this replaces.
+	slots := d.insts
+	ns := len(slots)
+	// Slice-indexed Kahn over a CSR dependents array indexed by instance
+	// ID: two passes over the edges (count, then fill). The fill pass
+	// visits edges in instances × input-pins order, so each driver's
+	// dependent list, and with it the output order, is the one a
+	// per-driver append would build.
 	forEachEdge := func(visit func(drv, sink int32)) {
-		for si, inst := range insts {
-			if inst.Cell.IsSequential() {
+		for _, inst := range slots {
+			if inst == nil || inst.Cell.IsSequential() {
 				continue // flops are sources; their inputs don't order them
 			}
-			for _, p := range inst.Cell.Pins {
+			for k, p := range inst.Cell.Pins {
 				if p.Dir != liberty.DirInput || p.IsVGND || p.IsEnable {
 					continue
 				}
-				net := inst.Conns[p.Name]
+				net := inst.conns[k]
 				if net == nil || net.Driver.Inst == nil {
 					continue
 				}
 				drv := net.Driver.Inst
-				if drv.Cell.IsSequential() {
+				if drv.Cell.IsSequential() || !d.hasInstance(drv) {
 					continue
 				}
-				visit(idx[drv], int32(si))
+				visit(drv.id, inst.id)
 			}
 		}
 	}
-	off := make([]int32, ni+1)
+	off := make([]int32, ns+1)
 	forEachEdge(func(drv, _ int32) { off[drv+1]++ })
-	for i := 0; i < ni; i++ {
+	for i := 0; i < ns; i++ {
 		off[i+1] += off[i]
 	}
-	indeg := make([]int32, ni)
-	dep := make([]int32, off[ni])
-	fill := make([]int32, ni)
-	copy(fill, off[:ni])
+	indeg := make([]int32, ns)
+	dep := make([]int32, off[ns])
+	fill := make([]int32, ns)
+	copy(fill, off[:ns])
 	forEachEdge(func(drv, sink int32) {
 		dep[fill[drv]] = sink
 		fill[drv]++
 		indeg[sink]++
 	})
-	queue := make([]int32, 0, ni)
-	for i := range insts {
-		if indeg[i] == 0 {
+	n := d.NumInstances()
+	queue := make([]int32, 0, n)
+	for i, inst := range slots {
+		if inst != nil && indeg[i] == 0 {
 			queue = append(queue, int32(i))
 		}
 	}
-	out := make([]*Instance, 0, ni)
+	out := make([]*Instance, 0, n)
 	for qi := 0; qi < len(queue); qi++ {
 		i := queue[qi]
-		out = append(out, insts[i])
+		out = append(out, slots[i])
 		for _, s := range dep[off[i]:off[i+1]] {
 			indeg[s]--
 			if indeg[s] == 0 {
@@ -200,69 +198,91 @@ func (d *Design) TopoOrder() ([]*Instance, error) {
 			}
 		}
 	}
-	if len(out) != ni {
-		return nil, fmt.Errorf("netlist: combinational cycle among %d instances", ni-len(out))
+	if len(out) != n {
+		return nil, fmt.Errorf("netlist: combinational cycle among %d instances", n-len(out))
 	}
 	return out, nil
 }
 
 // Clone returns a deep copy of the design sharing the (immutable) library.
-// The clone starts with an empty change journal (construction entries are
-// dropped): observers of the original cannot follow it into the copy, and
-// observers of the copy start from its post-clone revision.
+// The copy lists every element and every net endpoint in the original's
+// order, with the IDs compacted. It starts with an empty change journal:
+// observers of the original cannot follow it into the copy, and observers
+// of the copy start from its post-clone revision, which counts one entry
+// per net as if the nets had been added one by one.
 func (d *Design) Clone() *Design {
-	c := New(d.Name, d.Lib)
-	c.Core = d.Core
-	c.anon = d.anon
-	c.journalCapOverride = d.journalCapOverride
-	for _, name := range d.netOrder {
-		src := d.nets[name]
-		n, _ := c.ensureNet(name)
-		n.IsClock, n.IsMTE, n.IsVGND = src.IsClock, src.IsMTE, src.IsVGND
+	insts, nets := d.Instances(), d.Nets()
+	c := &Design{
+		Name:               d.Name,
+		Lib:                d.Lib,
+		Core:               d.Core,
+		anon:               d.anon,
+		journalCapOverride: d.journalCapOverride,
+		insts:              make([]*Instance, len(insts)),
+		nets:               make([]*Net, len(nets)),
+		ports:              make([]*Port, len(d.ports)),
+		instByName:         make(map[string]*Instance, len(insts)),
+		netByName:          make(map[string]*Net, len(nets)),
+		portByName:         make(map[string]*Port, len(d.ports)),
+		rev:                uint64(len(nets)),
+		journalBase:        uint64(len(nets)),
 	}
-	for _, name := range d.portOrder {
-		src := d.ports[name]
-		p := &Port{Name: src.Name, Dir: src.Dir, IsClock: src.IsClock, Net: c.nets[src.Net.Name],
-			Pos: src.Pos, Placed: src.Placed}
-		c.ports[name] = p
-		c.portOrder = append(c.portOrder, name)
-		if src.Dir == DirInput {
-			p.Net.Driver = PinRef{Port: p}
-		} else {
-			p.Net.Sinks = append(p.Net.Sinks, PinRef{Port: p})
+	// The copies are carved from slabs; instOf and netOf find the copy of
+	// an element by its ID in d.
+	pins, sinks := 0, 0
+	for _, inst := range insts {
+		pins += len(inst.conns)
+	}
+	for _, n := range nets {
+		sinks += len(n.Sinks)
+	}
+	instSlab, netSlab, portSlab := make([]Instance, len(insts)), make([]Net, len(nets)), make([]Port, len(d.ports))
+	connSlab, sinkSlab := make([]*Net, pins), make([]PinRef, sinks)
+	instOf, netOf := make([]*Instance, len(d.insts)), make([]*Net, len(d.nets))
+	for i, src := range nets {
+		n := &netSlab[i]
+		*n = *src
+		n.id = int32(i)
+		netOf[src.id], c.nets[i], c.netByName[n.Name] = n, n, n
+	}
+	copyOf := func(n *Net) *Net {
+		if n == nil || !d.hasNet(n) {
+			return nil
+		}
+		return netOf[n.id]
+	}
+	for i, src := range d.ports {
+		p := &portSlab[i]
+		*p = *src
+		p.Net = copyOf(src.Net)
+		c.ports[i], c.portByName[p.Name] = p, p
+	}
+	for i, src := range insts {
+		inst := &instSlab[i]
+		*inst = *src
+		inst.id = int32(i)
+		inst.conns, connSlab = connSlab[:len(src.conns):len(src.conns)], connSlab[len(src.conns):]
+		for k, n := range src.conns {
+			inst.conns[k] = copyOf(n)
+		}
+		instOf[src.id], c.insts[i], c.instByName[inst.Name] = inst, inst, inst
+	}
+	ref := func(r PinRef) PinRef {
+		switch {
+		case r.Inst != nil && d.hasInstance(r.Inst):
+			return PinRef{Inst: instOf[r.Inst.id], Pin: r.Pin}
+		case r.Port != nil && int(r.Port.id) < len(d.ports) && d.ports[r.Port.id] == r.Port:
+			return PinRef{Port: c.ports[r.Port.id]}
+		}
+		return PinRef{}
+	}
+	for i, src := range nets {
+		n := c.nets[i]
+		n.Driver = ref(src.Driver)
+		n.Sinks, sinkSlab = sinkSlab[:len(src.Sinks):len(src.Sinks)], sinkSlab[len(src.Sinks):]
+		for j, s := range src.Sinks {
+			n.Sinks[j] = ref(s)
 		}
 	}
-	for _, name := range d.instOrder {
-		src := d.insts[name]
-		inst := &Instance{
-			Name: src.Name, Cell: src.Cell, Conns: make(map[string]*Net, len(src.Conns)),
-			Pos: src.Pos, Placed: src.Placed, Fixed: src.Fixed,
-		}
-		c.insts[name] = inst
-		c.instOrder = append(c.instOrder, name)
-	}
-	// Reconnect pins in the original net-endpoint order so clone equality
-	// is exact.
-	for _, name := range d.netOrder {
-		src := d.nets[name]
-		dst := c.nets[name]
-		if src.Driver.Inst != nil {
-			inst := c.insts[src.Driver.Inst.Name]
-			dst.Driver = PinRef{Inst: inst, Pin: src.Driver.Pin}
-			inst.Conns[src.Driver.Pin] = dst
-		}
-		for _, s := range src.Sinks {
-			if s.Inst != nil {
-				inst := c.insts[s.Inst.Name]
-				dst.Sinks = append(dst.Sinks, PinRef{Inst: inst, Pin: s.Pin})
-				inst.Conns[s.Pin] = dst
-			}
-			// Port sinks were added by the port loop above.
-		}
-	}
-	// Drop the construction entries recorded above: nobody can have
-	// observed a revision of the clone before it existed.
-	c.journal = nil
-	c.journalBase = c.rev
 	return c
 }

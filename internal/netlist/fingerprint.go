@@ -36,8 +36,7 @@ func (d *Design) Fingerprint() string {
 	w.u64(uint64(reflect.ValueOf(d.Lib).Pointer()))
 	w.point(d.Core.Lo)
 	w.point(d.Core.Hi)
-	for _, name := range d.portOrder {
-		p := d.ports[name]
+	for _, p := range d.ports {
 		w.tag(fpPort)
 		w.str(p.Name)
 		w.u64(uint64(p.Dir))
@@ -45,8 +44,10 @@ func (d *Design) Fingerprint() string {
 		w.point(p.Pos)
 		w.str(p.Net.Name)
 	}
-	for _, name := range d.instOrder {
-		inst := d.insts[name]
+	for _, inst := range d.insts {
+		if inst == nil {
+			continue
+		}
 		w.tag(fpInst)
 		w.str(inst.Name)
 		w.str(inst.Cell.Name)
@@ -55,8 +56,10 @@ func (d *Design) Fingerprint() string {
 	}
 	// Endpoint order matters: extraction and timing walk sinks in stored
 	// order, so two designs that differ only there are not interchangeable.
-	for _, name := range d.netOrder {
-		n := d.nets[name]
+	for _, n := range d.nets {
+		if n == nil {
+			continue
+		}
 		w.tag(fpNet)
 		w.str(n.Name)
 		w.flags(n.IsClock, n.IsMTE, n.IsVGND)

@@ -68,7 +68,7 @@ func (d *Design) journalCap() int {
 	if d.journalCapOverride > 0 {
 		return d.journalCapOverride
 	}
-	c := 4 * (len(d.insts) + len(d.nets))
+	c := 4 * (len(d.instByName) + len(d.netByName))
 	if c < journalFloor {
 		c = journalFloor
 	}

@@ -2,7 +2,7 @@ package netlist
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"selectivemt/internal/liberty"
 )
@@ -23,73 +23,77 @@ type ValidateOptions struct {
 //   - each net has at most one driver (exactly one unless allowed),
 //   - every cell input is connected unless explicitly allowed to float.
 //
-// It returns the first violation found.
+// It returns the first violation found, walking instances, nets and pins
+// in their stored order.
 func (d *Design) Validate(opts ValidateOptions) error {
-	var pins []string
-	for _, inst := range d.Instances() {
-		// Walk the connections in sorted pin order so the same violation
-		// is reported first on every run; the map may hold pins the cell
-		// lacks, so the cell's own pin list would not cover it.
-		pins = pins[:0]
-		for pin := range inst.Conns { // rangemap:ok sorted before use
-			pins = append(pins, pin)
+	// inputs counts, per net ID, the instance input pins connected to the
+	// net. Each of them must be listed as a sink, and every listed sink
+	// must connect back, so a net with more input-pin sinks than that
+	// lists one twice.
+	inputs := make([]int32, len(d.nets))
+	for _, inst := range d.insts {
+		if inst == nil {
+			continue
 		}
-		sort.Strings(pins)
-		for _, pin := range pins {
-			net := inst.Conns[pin]
-			if d.nets[net.Name] != net {
-				return fmt.Errorf("netlist: %s.%s connects to stale net %q", inst.Name, pin, net.Name)
-			}
-			cp := inst.Cell.Pin(pin)
-			if cp == nil {
-				return fmt.Errorf("netlist: %s connected on nonexistent pin %q of %s",
-					inst.Name, pin, inst.Cell.Name)
-			}
-			if cp.Dir == liberty.DirOutput {
-				if net.Driver.Inst != inst || net.Driver.Pin != pin {
-					return fmt.Errorf("netlist: %s.%s claims to drive %s but the net disagrees",
-						inst.Name, pin, net.Name)
+		for k, cp := range inst.Cell.Pins {
+			net := inst.conns[k]
+			switch {
+			case net == nil:
+				if cp.Dir == liberty.DirInput && !opts.AllowUnconnected[cp.Name] {
+					return fmt.Errorf("netlist: %s.%s (%s) is unconnected", inst.Name, cp.Name, inst.Cell.Name)
 				}
-			} else if !sinkListed(net, inst, pin) {
-				return fmt.Errorf("netlist: %s.%s not listed as sink of %s", inst.Name, pin, net.Name)
-			}
-		}
-		// Required pins.
-		for _, p := range inst.Cell.Pins {
-			if p.Dir != liberty.DirInput {
-				continue
-			}
-			if inst.Conns[p.Name] == nil && !opts.AllowUnconnected[p.Name] {
-				return fmt.Errorf("netlist: %s.%s (%s) is unconnected", inst.Name, p.Name, inst.Cell.Name)
+			case !d.hasNet(net):
+				return fmt.Errorf("netlist: %s.%s connects to stale net %q", inst.Name, cp.Name, net.Name)
+			case cp.Dir == liberty.DirOutput:
+				if net.Driver.Inst != inst || net.Driver.Pin != cp.Name {
+					return fmt.Errorf("netlist: %s.%s claims to drive %s but the net disagrees",
+						inst.Name, cp.Name, net.Name)
+				}
+			case !sinkListed(net, inst, cp.Name):
+				return fmt.Errorf("netlist: %s.%s not listed as sink of %s", inst.Name, cp.Name, net.Name)
+			default:
+				inputs[net.id]++
 			}
 		}
 	}
-	for _, net := range d.Nets() {
-		if net.Driver.Inst != nil {
-			inst := net.Driver.Inst
-			if d.insts[inst.Name] != inst {
+	for _, net := range d.nets {
+		if net == nil {
+			continue
+		}
+		if inst := net.Driver.Inst; inst != nil {
+			if !d.hasInstance(inst) {
 				return fmt.Errorf("netlist: net %s driven by removed instance %q", net.Name, inst.Name)
 			}
-			if inst.Conns[net.Driver.Pin] != net {
+			if inst.Net(net.Driver.Pin) != net {
 				return fmt.Errorf("netlist: net %s driver %s does not connect back", net.Name, net.Driver)
 			}
 		}
 		if !net.HasDriver() && len(net.Sinks) > 0 && !opts.AllowUndrivenNets {
 			return fmt.Errorf("netlist: net %s has %d sinks but no driver", net.Name, len(net.Sinks))
 		}
-		seen := make(map[string]bool, len(net.Sinks))
-		for _, s := range net.Sinks {
-			key := s.String()
-			if seen[key] {
-				return fmt.Errorf("netlist: net %s lists sink %s twice", net.Name, key)
-			}
-			seen[key] = true
-			if s.Inst != nil {
-				if d.insts[s.Inst.Name] != s.Inst {
-					return fmt.Errorf("netlist: net %s sinks removed instance %q", net.Name, s.Inst.Name)
+		listed := int32(0)
+		for i, s := range net.Sinks {
+			if s.Inst == nil {
+				if slices.Contains(net.Sinks[:i], s) {
+					return fmt.Errorf("netlist: net %s lists sink %s twice", net.Name, s)
 				}
-				if s.Inst.Conns[s.Pin] != net {
-					return fmt.Errorf("netlist: net %s sink %s does not connect back", net.Name, s)
+				continue
+			}
+			if !d.hasInstance(s.Inst) {
+				return fmt.Errorf("netlist: net %s sinks removed instance %q", net.Name, s.Inst.Name)
+			}
+			k := s.Inst.Cell.PinIndex(s.Pin)
+			if k < 0 || s.Inst.conns[k] != net {
+				return fmt.Errorf("netlist: net %s sink %s does not connect back", net.Name, s)
+			}
+			if s.Inst.Cell.Pins[k].Dir == liberty.DirInput {
+				listed++
+			}
+		}
+		if listed != inputs[net.id] {
+			for i, s := range net.Sinks {
+				if s.Inst != nil && slices.Contains(net.Sinks[:i], s) {
+					return fmt.Errorf("netlist: net %s lists sink %s twice", net.Name, s)
 				}
 			}
 		}

@@ -106,8 +106,8 @@ func Cluster(d *netlist.Design, opts Options) (*Clustering, error) {
 		// Count fanin drivers per already-assigned cluster, in
 		// pin-declaration order (determinism; the counts themselves are
 		// order-independent, the tie-break below is not).
-		for _, p := range inst.Cell.Pins {
-			n := inst.Conns[p.Name]
+		for k := range inst.Cell.Pins {
+			n := inst.NetAt(k)
 			if n == nil {
 				continue
 			}

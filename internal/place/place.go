@@ -175,8 +175,8 @@ func globalIterations(d *netlist.Design, insts []*netlist.Instance, core geom.Re
 			// centroid sum is float accumulation, so iteration order leaks
 			// into positions and — compounded over sweeps — made placement
 			// (and every timing number derived from it) nondeterministic.
-			for _, p := range inst.Cell.Pins {
-				net := inst.Conns[p.Name]
+			for k := range inst.Cell.Pins {
+				net := inst.NetAt(k)
 				if net == nil || net.Degree() > 64 {
 					continue // clock/MTE megafanout nets don't drag placement
 				}

@@ -91,7 +91,7 @@ func (s *Simulator) recompile() error {
 // slot of its output net.
 func (s *Simulator) locate(inst *netlist.Instance) (int32, bool) {
 	if out := inst.OutputNet(); out != nil {
-		if id, ok := s.id[out]; ok {
+		if id := s.slot(out); id > 0 {
 			if pos := s.drv[id]; pos >= 0 && s.insts[pos] == inst {
 				return pos, true
 			}
@@ -155,7 +155,7 @@ func (s *Simulator) patch(delta []netlist.Change) error {
 	for _, ch := range delta {
 		switch ch.Kind {
 		case netlist.ChangeNetAdded:
-			s.addNet(ch.Net)
+			s.listNet(ch.Net)
 			s.nNets++
 		case netlist.ChangeInstanceAdded:
 			s.insts = append(s.insts, ch.Inst)

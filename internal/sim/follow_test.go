@@ -234,8 +234,8 @@ func applyEdit(t *testing.T, d *netlist.Design, rng *rand.Rand, kind int) {
 		var sinks []netlist.PinRef
 		switch rng.Intn(3) {
 		case 0: // in front of a flop's D pin
-			if ff := pick(func(inst *netlist.Instance) bool { return inst.Cell.IsSequential() && inst.Conns["D"] != nil }); ff != nil {
-				net, sinks = ff.Conns["D"], []netlist.PinRef{{Inst: ff, Pin: "D"}}
+			if ff := pick(func(inst *netlist.Instance) bool { return inst.Cell.IsSequential() && inst.Net("D") != nil }); ff != nil {
+				net, sinks = ff.Net("D"), []netlist.PinRef{{Inst: ff, Pin: "D"}}
 			}
 		case 1: // in front of an output port
 			for _, p := range d.Ports() {
@@ -287,7 +287,7 @@ func applyEdit(t *testing.T, d *netlist.Design, rng *rand.Rand, kind int) {
 			}
 			if inst := pick(comb); inst != nil {
 				for _, pin := range dataPins(inst.Cell) {
-					if inst.Conns[pin.Name] != nil {
+					if inst.Net(pin.Name) != nil {
 						if err := d.Disconnect(inst, pin.Name); err != nil {
 							t.Fatal(err)
 						}
@@ -325,7 +325,7 @@ func applyEdit(t *testing.T, d *netlist.Design, rng *rand.Rand, kind int) {
 		if inst.Cell.IsSequential() {
 			pin = "D"
 		}
-		if inst.Conns[pin] != nil {
+		if inst.Net(pin) != nil {
 			if err := d.Disconnect(inst, pin); err != nil {
 				t.Fatal(err)
 			}

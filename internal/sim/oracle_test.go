@@ -90,20 +90,32 @@ func (o *oracle) Eval() {
 	}
 }
 
+// EvalStandby forces every gated flop's output before it evaluates a gate,
+// so each net carries one value through the evaluation.
 func (o *oracle) EvalStandby(gated func(*netlist.Instance) bool, holderOn func(*netlist.Net) bool) {
 	o.presentState()
-	for _, inst := range o.order {
-		if gated != nil && gated(inst) {
-			if out := inst.OutputNet(); out != nil {
-				if holderOn != nil && holderOn(out) {
-					o.val[out] = logic.V1
-				} else {
-					o.val[out] = logic.VX
-				}
+	hold := func(inst *netlist.Instance) {
+		if out := inst.OutputNet(); out != nil {
+			if holderOn != nil && holderOn(out) {
+				o.val[out] = logic.V1
+			} else {
+				o.val[out] = logic.VX
 			}
-			continue
 		}
-		o.evalInstance(inst)
+	}
+	for _, inst := range o.order {
+		if inst.Cell.IsSequential() && gated != nil && gated(inst) {
+			hold(inst)
+		}
+	}
+	for _, inst := range o.order {
+		switch {
+		case inst.Cell.IsSequential():
+		case gated != nil && gated(inst):
+			hold(inst)
+		default:
+			o.evalInstance(inst)
+		}
 	}
 }
 
@@ -115,13 +127,13 @@ func (o *oracle) evalInstance(inst *netlist.Instance) {
 	if out == nil || out.Function == nil {
 		return
 	}
-	outNet := inst.Conns[out.Name]
+	outNet := inst.Net(out.Name)
 	if outNet == nil {
 		return
 	}
 	env := make(map[string]logic.Value, 4)
 	for _, p := range inst.Cell.Inputs() {
-		if n := inst.Conns[p.Name]; n != nil {
+		if n := inst.Net(p.Name); n != nil {
 			env[p.Name] = o.val[n]
 		} else {
 			env[p.Name] = logic.VX
@@ -133,7 +145,7 @@ func (o *oracle) evalInstance(inst *netlist.Instance) {
 func (o *oracle) Step() {
 	next := make(map[*netlist.Instance]logic.Value, len(o.state))
 	for inst := range o.state {
-		if d := inst.Conns["D"]; d != nil {
+		if d := inst.Net("D"); d != nil {
 			next[inst] = o.val[d]
 		} else {
 			next[inst] = logic.VX

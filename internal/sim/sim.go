@@ -11,8 +11,9 @@
 //
 // New compiles the design into slice-indexed form. Net ID 0 is a constant
 // X that open pins read; IDs 1 to n are the design's nets in d.Nets()
-// order, and any net an instance pin reaches that d.Nets() does not list
-// comes after them. Instances keep their d.Instances() positions. Every
+// order, found through a table indexed by netlist.Net.ID, and any net an
+// instance pin reaches that d.Nets() does not list comes after them.
+// Instances keep their d.Instances() positions. Every
 // instance with a connected output is compiled: its output ID and the IDs
 // of its data pins (every input but the enable and VGND pins, in pin
 // order) as one run in a shared slab; a flop's run is its D pin. Each cell
@@ -62,9 +63,10 @@ type Simulator struct {
 	rev uint64 // the design revision the compiled form reflects
 
 	// nets, val and drv are indexed by net ID; drv holds the position of
-	// the instance whose output the net is, or -1.
+	// the instance whose output the net is, or -1. idOf maps a listed
+	// net's netlist.Net.ID to its ID here (0: not listed).
 	nets  []*netlist.Net
-	id    map[*netlist.Net]int32
+	idOf  []int32
 	nNets int32 // the listed nets, IDs 1 to nNets
 	val   []logic.Value
 	drv   []int32
@@ -104,7 +106,7 @@ type entry struct {
 // cellInfo is what the simulator derives from one cell.
 type cellInfo struct {
 	seq  bool
-	data []string // data pin names in pin order; a flop's is its D pin
+	data []int // positions of the data pins in the cell's Pins; a flop's is its D pin (-1: none)
 	// key spells out every pin with its direction and flags: a swap
 	// between cells of equal key leaves every run and edge as it was.
 	key string
@@ -151,7 +153,7 @@ func New(d *netlist.Design) (*Simulator, error) {
 		d:     d,
 		rev:   d.Revision(),
 		nets:  make([]*netlist.Net, 1, len(nets)+1),
-		id:    make(map[*netlist.Net]int32, len(nets)),
+		idOf:  make([]int32, d.NetSlots()),
 		val:   make([]logic.Value, 1, len(nets)+1),
 		drv:   make([]int32, 1, len(nets)+1),
 		cells: make(map[*liberty.Cell]*cellInfo),
@@ -159,9 +161,7 @@ func New(d *netlist.Design) (*Simulator, error) {
 	}
 	s.val[0], s.drv[0] = logic.VX, -1 // the constant-X slot
 	for _, n := range nets {
-		if _, dup := s.id[n]; !dup {
-			s.addNet(n)
-		}
+		s.listNet(n)
 	}
 	s.nNets = int32(len(s.nets) - 1)
 	s.insts = d.Instances()
@@ -191,17 +191,25 @@ func (s *Simulator) Instances() []*netlist.Instance { return s.insts }
 // addNet gives n the next ID, with value X and no driver.
 func (s *Simulator) addNet(n *netlist.Net) int32 {
 	id := int32(len(s.nets))
-	s.id[n] = id
 	s.nets = append(s.nets, n)
 	s.val = append(s.val, logic.VX)
 	s.drv = append(s.drv, -1)
 	return id
 }
 
+// listNet adds one of d.Nets() and indexes it by its netlist ID.
+func (s *Simulator) listNet(n *netlist.Net) {
+	k := int(n.ID())
+	if k >= len(s.idOf) {
+		s.idOf = append(s.idOf, make([]int32, k+1-len(s.idOf))...)
+	}
+	s.idOf[k] = s.addNet(n)
+}
+
 // netID returns n's ID, giving a net outside d.Nets() one past the listed
 // nets the first time an instance pin reaches it.
 func (s *Simulator) netID(n *netlist.Net) int32 {
-	if id, ok := s.id[n]; ok {
+	if id := s.slot(n); id > 0 {
 		return id
 	}
 	return s.addNet(n)
@@ -215,20 +223,18 @@ func (s *Simulator) cellOf(c *liberty.Cell) *cellInfo {
 	ci := &cellInfo{seq: c.IsSequential(), truth: -1, leak: -1}
 	var key strings.Builder
 	var data []*liberty.Pin
-	for _, p := range c.Pins {
+	for k, p := range c.Pins {
 		fmt.Fprintf(&key, "%s:%d:%t:%t:%t;", p.Name, p.Dir, p.IsClock, p.IsEnable, p.IsVGND)
 		if p.Dir == liberty.DirInput && !p.IsEnable && !p.IsVGND {
 			data = append(data, p)
+			ci.data = append(ci.data, k)
 		}
 	}
 	ci.key = key.String()
 	s.cells[c] = ci
 	if ci.seq {
-		ci.data = []string{"D"}
+		ci.data = []int{c.PinIndex("D")}
 		return ci
-	}
-	for _, p := range data {
-		ci.data = append(ci.data, p.Name)
 	}
 	fn := (*logic.Expr)(nil)
 	if out := c.Output(); out != nil {
@@ -294,10 +300,12 @@ func (s *Simulator) bind(pos int32) error {
 		e.pins = int32(len(s.pins))
 		s.pins = append(s.pins, make([]int32, len(ci.data))...)
 	}
-	for j, name := range ci.data {
+	for j, k := range ci.data {
 		id := int32(0)
-		if n := inst.Conns[name]; n != nil {
-			id = s.netID(n)
+		if k >= 0 {
+			if n := inst.NetAt(k); n != nil {
+				id = s.netID(n)
+			}
 		}
 		s.pins[e.pins+int32(j)] = id
 	}
@@ -381,8 +389,21 @@ func (s *Simulator) levelize() error {
 }
 
 // slot returns the value slot of a net, or the constant X for a net the
-// simulator has never seen.
-func (s *Simulator) slot(n *netlist.Net) int32 { return s.id[n] }
+// simulator has never seen. A net of another design can carry a listed
+// net's netlist ID, so the table's answer counts only when it holds n.
+func (s *Simulator) slot(n *netlist.Net) int32 {
+	if k := int(n.ID()); k < len(s.idOf) {
+		if id := s.idOf[k]; s.nets[id] == n {
+			return id
+		}
+	}
+	for id := 1 + s.nNets; id < int32(len(s.nets)); id++ {
+		if s.nets[id] == n {
+			return id // a net outside d.Nets()
+		}
+	}
+	return 0
+}
 
 // norm maps anything but 0 and 1 to X, so every stored value indexes a
 // table.
@@ -448,20 +469,38 @@ func (s *Simulator) Eval() {
 // This realizes the paper's output-holder semantics ("sets the output of
 // the improved MT-cell to one when a circuit is on standby").
 func (s *Simulator) EvalStandby(gated func(*netlist.Instance) bool, holderOn func(*netlist.Net) bool) {
+	if gated == nil {
+		s.Eval()
+		return
+	}
 	s.presentState()
+	// Gated flops first: flops sit among the sources in the order, so a
+	// gate listed before one would otherwise read its state, and the net
+	// would carry two values in one evaluation.
+	for _, pos := range s.order {
+		if e := &s.ents[pos]; e.cell.seq && gated(s.insts[pos]) {
+			s.hold(e.out, holderOn)
+		}
+	}
 	for _, pos := range s.order {
 		e := &s.ents[pos]
-		if gated != nil && gated(s.insts[pos]) {
-			if holderOn != nil && holderOn(s.nets[e.out]) {
-				s.val[e.out] = logic.V1
-			} else {
-				s.val[e.out] = logic.VX
-			}
-			continue
-		}
-		if e.gate >= 0 {
+		switch {
+		case e.cell.seq:
+		case gated(s.insts[pos]):
+			s.hold(e.out, holderOn)
+		case e.gate >= 0:
 			s.evalGate(&s.gates[e.gate])
 		}
+	}
+}
+
+// hold sets a gated instance's output net: 1 under an output holder, X
+// otherwise.
+func (s *Simulator) hold(out int32, holderOn func(*netlist.Net) bool) {
+	if holderOn != nil && holderOn(s.nets[out]) {
+		s.val[out] = logic.V1
+	} else {
+		s.val[out] = logic.VX
 	}
 }
 
@@ -737,11 +776,11 @@ func (s *Simulator) countActivity(nCycles int, seed int64) error {
 // Cell.LeakageAt consumes.
 func (s *Simulator) InstanceInputState(inst *netlist.Instance) map[string]logic.Value {
 	env := make(map[string]logic.Value, 4)
-	for _, p := range inst.Cell.Pins {
+	for k, p := range inst.Cell.Pins {
 		if p.Dir != liberty.DirInput || p.IsEnable || p.IsVGND {
 			continue
 		}
-		if n := inst.Conns[p.Name]; n != nil {
+		if n := inst.NetAt(k); n != nil {
 			env[p.Name] = s.Value(n)
 		} else {
 			env[p.Name] = logic.VX

@@ -66,6 +66,30 @@ func TestCombEval(t *testing.T) {
 	}
 }
 
+// TestCloneNetsReadX: a clone's nets carry the netlist IDs of the
+// original's, but the original's simulator has never seen them, so they
+// read the constant X.
+func TestCloneNetsReadX(t *testing.T) {
+	d := buildComb(t)
+	s, err := New(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetInput("a", logic.V0)
+	s.SetInput("b", logic.V1)
+	s.Eval()
+	nets, c := d.Nets(), d.Clone()
+	for i, n := range c.Nets() {
+		orig := nets[i]
+		if orig.ID() != n.ID() || s.Value(orig) == logic.VX {
+			t.Fatalf("net %s: original ID %d reads %v, clone ID %d", n.Name, orig.ID(), s.Value(orig), n.ID())
+		}
+		if got := s.Value(n); got != logic.VX {
+			t.Errorf("clone net %s reads %v, want X", n.Name, got)
+		}
+	}
+}
+
 func TestSetInputErrors(t *testing.T) {
 	d := buildComb(t)
 	s, _ := New(d)
@@ -210,6 +234,51 @@ func TestEvalStandbyHolderSemantics(t *testing.T) {
 	}
 	if got, _ := s.PortValue("y"); got != logic.V0 {
 		t.Errorf("downstream of held net = %v, want 0", got)
+	}
+}
+
+// TestEvalStandbyGatedFlopOneValue: a gated flop listed between two gates
+// that read its output. Flops are sources, so the order keeps instance
+// order here; both readers must see the forced value, not the first one
+// the flop's state.
+func TestEvalStandbyGatedFlopOneValue(t *testing.T) {
+	l := lib(t)
+	d := netlist.New("gff", l)
+	d.AddPort("d", netlist.DirInput)
+	d.AddPort("clk", netlist.DirInput)
+	q, _ := d.AddNet("q")
+	g1, _ := d.AddInstance("g1", l.Cell("INV_X1_L"))
+	ff, _ := d.AddInstance("ff", l.Cell("DFF_X1_L"))
+	g2, _ := d.AddInstance("g2", l.Cell("INV_X1_L"))
+	o1, _ := d.AddNet("o1")
+	o2, _ := d.AddNet("o2")
+	for _, c := range []struct {
+		inst *netlist.Instance
+		pin  string
+		net  *netlist.Net
+	}{{g1, "A", q}, {g1, "ZN", o1}, {ff, "D", d.NetByName("d")}, {ff, "CK", d.NetByName("clk")},
+		{ff, "Q", q}, {g2, "A", q}, {g2, "ZN", o2}} {
+		if err := d.Connect(c.inst, c.pin, c.net); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := New(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Instances(); got[0] != g1 || got[1] != ff || got[2] != g2 {
+		t.Fatalf("instance order %v, want g1 ff g2", got)
+	}
+	gated := func(i *netlist.Instance) bool { return i == ff }
+	for _, c := range []struct {
+		holder bool
+		want   logic.Value // on both readers
+	}{{false, logic.VX}, {true, logic.V0}} {
+		s.ResetState(logic.V0)
+		s.EvalStandby(gated, func(n *netlist.Net) bool { return c.holder && n == q })
+		if v1, v2 := s.Value(o1), s.Value(o2); v1 != c.want || v2 != c.want {
+			t.Errorf("holder %v: g1 = %v, g2 = %v, want both %v", c.holder, v1, v2, c.want)
+		}
 	}
 }
 
@@ -365,8 +434,8 @@ func checkTables(t *testing.T, s *Simulator, c *liberty.Cell) {
 		t.Fatalf("%s has no leakage table", c.Name)
 	}
 	var pins []*liberty.Pin
-	for _, name := range ci.data {
-		pins = append(pins, c.Pin(name))
+	for _, k := range ci.data {
+		pins = append(pins, c.Pins[k])
 	}
 	size := 1
 	for range pins {

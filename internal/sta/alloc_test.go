@@ -56,11 +56,11 @@ func requireRetimeZeroAlloc(t *testing.T, d *netlist.Design, sg *ShardedGraph) {
 	if inst == nil {
 		t.Fatal("no comb instance with both Vth variants")
 	}
-	ci := cg.combIdx[inst]
+	ci, _ := cg.combOf(inst)
 	var touched []int32
-	for _, p := range inst.Cell.Pins {
-		if n := inst.Conns[p.Name]; n != nil {
-			if id, ok := cg.netID[n]; ok {
+	for k := range inst.Cell.Pins {
+		if n := inst.NetAt(k); n != nil {
+			if id, ok := cg.lookup(n); ok {
 				touched = append(touched, id)
 			}
 		}

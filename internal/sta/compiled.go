@@ -95,9 +95,11 @@ type reqConsumer struct {
 
 // netState is the per-net timing state a Result reads, indexed by net ID.
 // Absent quantities (has* false) keep zeroed values, so reading an absent
-// net yields the zero a map lookup would.
+// net yields the zero a map lookup would. netID maps a netlist.Net.ID to
+// the graph's net ID (-1: none).
 type netState struct {
-	netID   map[*netlist.Net]int32
+	nets    []*netlist.Net
+	netID   []int32
 	rc      []*parasitics.RCTree
 	arrMax  []float64
 	arrMin  []float64
@@ -112,17 +114,18 @@ type CompiledGraph struct {
 	d   *netlist.Design
 	cfg Config // normalized
 
-	nets []*netlist.Net
 	netState
 
 	outPorts []int32 // nets sunk by output ports, port order
 
+	// seqIdx and combIdx map a netlist.Instance.ID to the instance's index
+	// in seqs or combs (-1: none).
 	seqs     []seqInfo // sequential instances, instance order
-	seqIdx   map[*netlist.Instance]int32
+	seqIdx   []int32
 	combs    []*netlist.Instance // comb instances with an output, topo order
 	combOut  []int32             // their output net IDs
 	combArcs [][]combArc         // their flattened arcs (rebuilt on cell swap)
-	combIdx  map[*netlist.Instance]int32
+	combIdx  []int32
 
 	drvKind []uint8 // per net
 	drvIdx  []int32 // seq/comb index for drvSeq/drvComb, else -1
@@ -165,11 +168,11 @@ func compile(d *netlist.Design, cfg Config) (*CompiledGraph, error) {
 	nets := d.Nets()
 	nn := len(nets)
 	cg := &CompiledGraph{
-		d:    d,
-		cfg:  cfg,
-		nets: nets,
+		d:   d,
+		cfg: cfg,
 		netState: netState{
-			netID:   make(map[*netlist.Net]int32, nn),
+			nets:    nets,
+			netID:   make([]int32, 0, d.NetSlots()),
 			rc:      make([]*parasitics.RCTree, nn),
 			arrMax:  make([]float64, nn),
 			arrMin:  make([]float64, nn),
@@ -178,8 +181,8 @@ func compile(d *netlist.Design, cfg Config) (*CompiledGraph, error) {
 			hasArr:  make([]bool, nn),
 			hasReq:  make([]bool, nn),
 		},
-		seqIdx:  make(map[*netlist.Instance]int32),
-		combIdx: make(map[*netlist.Instance]int32),
+		seqIdx:  make([]int32, 0, d.InstanceSlots()),
+		combIdx: make([]int32, 0, d.InstanceSlots()),
 		drvKind: make([]uint8, nn),
 		drvIdx:  make([]int32, nn),
 		level:   make([]int32, nn),
@@ -188,7 +191,7 @@ func compile(d *netlist.Design, cfg Config) (*CompiledGraph, error) {
 		sinkD:    make([][]float64, nn),
 	}
 	for i, n := range nets {
-		cg.netID[n] = int32(i)
+		cg.netID = setAt(cg.netID, n.ID(), int32(i))
 		cg.drvIdx[i] = -1
 	}
 
@@ -230,7 +233,7 @@ func compile(d *netlist.Design, cfg Config) (*CompiledGraph, error) {
 	// required-time endpoints.
 	for _, p := range d.Ports() {
 		if p.Dir == netlist.DirInput && p.Name != cfg.ClockPort {
-			cg.drvKind[cg.netID[p.Net]] = drvPort
+			cg.drvKind[cg.idOf(p.Net)] = drvPort
 		}
 	}
 	cg.bindPorts()
@@ -245,7 +248,7 @@ func compile(d *netlist.Design, cfg Config) (*CompiledGraph, error) {
 			cg.drvKind[si.q] = drvSeq
 			cg.drvIdx[si.q] = int32(len(cg.seqs))
 		}
-		cg.seqIdx[inst] = int32(len(cg.seqs))
+		cg.seqIdx = setAt(cg.seqIdx, inst.ID(), int32(len(cg.seqs)))
 		cg.seqs = append(cg.seqs, si)
 	}
 
@@ -262,15 +265,15 @@ func compile(d *netlist.Design, cfg Config) (*CompiledGraph, error) {
 			continue
 		}
 		ci := int32(len(cg.combs))
-		oid := cg.netID[out]
-		cg.combIdx[inst] = ci
+		oid := cg.idOf(out)
+		cg.combIdx = setAt(cg.combIdx, inst.ID(), ci)
 		cg.combs = append(cg.combs, inst)
 		cg.combOut = append(cg.combOut, oid)
 		cg.drvKind[oid] = drvComb
 		cg.drvIdx[oid] = ci
 		cnt := int32(0)
 		for _, arc := range inst.Cell.Arcs {
-			if inst.Conns[arc.From] != nil {
+			if inst.Net(arc.From) != nil {
 				cnt++
 			}
 		}
@@ -318,7 +321,7 @@ func (cg *CompiledGraph) bindPorts() {
 	cg.outPorts = cg.outPorts[:0]
 	for _, p := range cg.d.Ports() {
 		if p.Dir != netlist.DirInput {
-			cg.outPorts = append(cg.outPorts, cg.netID[p.Net])
+			cg.outPorts = append(cg.outPorts, cg.idOf(p.Net))
 		}
 	}
 }
@@ -327,10 +330,10 @@ func (cg *CompiledGraph) bindPorts() {
 func (cg *CompiledGraph) seqEntry(inst *netlist.Instance) seqInfo {
 	si := seqInfo{inst: inst, q: -1, dNet: -1, dSinkPos: -1}
 	if q := inst.OutputNet(); q != nil {
-		si.q = cg.netID[q]
+		si.q = cg.idOf(q)
 	}
-	if dn := inst.Conns["D"]; dn != nil {
-		si.dNet = cg.netID[dn]
+	if dn := inst.Net("D"); dn != nil {
+		si.dNet = cg.idOf(dn)
 		si.dSinkPos = sinkPos(dn, inst, "D")
 	}
 	return si
@@ -361,10 +364,11 @@ func (cg *CompiledGraph) appendConsumers(n *netlist.Net, seen []int32) []int32 {
 			// detached ref: nothing
 		case s.Inst.Cell.IsSequential():
 			if s.Pin == "D" {
-				cg.reqConsArr = append(cg.reqConsArr, reqConsumer{kind: rcFlopD, idx: cg.seqIdx[s.Inst]})
+				si, _ := cg.seqOf(s.Inst)
+				cg.reqConsArr = append(cg.reqConsArr, reqConsumer{kind: rcFlopD, idx: si})
 			}
 		default:
-			ci, ok := cg.combIdx[s.Inst]
+			ci, ok := cg.combOf(s.Inst)
 			if !ok || slices.Contains(seen, ci) {
 				continue // no output (switch/holder) or already listed
 			}
@@ -382,18 +386,67 @@ func (cg *CompiledGraph) appendConsumers(n *netlist.Net, seen []int32) []int32 {
 func (cg *CompiledGraph) buildArcs(inst *netlist.Instance, buf []combArc) []combArc {
 	buf = buf[:0]
 	for _, arc := range inst.Cell.Arcs {
-		inNet := inst.Conns[arc.From]
+		inNet := inst.Net(arc.From)
 		if inNet == nil {
 			continue
 		}
 		buf = append(buf, combArc{
-			in:      cg.netID[inNet],
+			in:      cg.idOf(inNet),
 			sinkPos: sinkPos(inNet, inst, arc.From),
 			arc:     arc,
 			cSlewIn: math.NaN(), // empty memo
 		})
 	}
 	return buf
+}
+
+// lookup returns n's graph net ID; ok is false, and the ID 0, for a net
+// the graph does not hold, whatever netlist ID it carries.
+func (st *netState) lookup(n *netlist.Net) (id int32, ok bool) {
+	if id := at(st.netID, n.ID()); id >= 0 && st.nets[id] == n {
+		return id, true
+	}
+	return 0, false
+}
+
+// idOf returns the graph net ID of one of the design's nets.
+func (st *netState) idOf(n *netlist.Net) int32 {
+	id, _ := st.lookup(n)
+	return id
+}
+
+// seqOf returns a flop's index in seqs; ok is false when it has none.
+func (cg *CompiledGraph) seqOf(inst *netlist.Instance) (int32, bool) {
+	if si := at(cg.seqIdx, inst.ID()); si >= 0 && cg.seqs[si].inst == inst {
+		return si, true
+	}
+	return 0, false
+}
+
+// combOf returns a combinational instance's index in combs; ok is false
+// when it has none.
+func (cg *CompiledGraph) combOf(inst *netlist.Instance) (int32, bool) {
+	if ci := at(cg.combIdx, inst.ID()); ci >= 0 && cg.combs[ci] == inst {
+		return ci, true
+	}
+	return 0, false
+}
+
+// at reads entry k of an ID table, -1 (unset) past its end.
+func at(t []int32, k int32) int32 {
+	if int(k) < len(t) {
+		return t[k]
+	}
+	return -1
+}
+
+// setAt stores v as entry k of an ID table, growing it with unset entries.
+func setAt(t []int32, k, v int32) []int32 {
+	for int(k) >= len(t) {
+		t = append(t, -1)
+	}
+	t[k] = v
+	return t
 }
 
 // consumers returns net id's required-time candidate sources (CSR view).

@@ -140,7 +140,7 @@ func (inc *Incremental) ShardCount() int { return len(inc.sg.shards) }
 // the clustering. Sink-only instances report shard 0.
 func (inc *Incremental) ShardOf(inst *netlist.Instance) int {
 	if out := inst.OutputNet(); out != nil {
-		if id, ok := inc.sg.cg.netID[out]; ok {
+		if id, ok := inc.sg.cg.lookup(out); ok {
 			return int(inc.sg.owner[id])
 		}
 	}
@@ -151,7 +151,7 @@ func (inc *Incremental) ShardOf(inst *netlist.Instance) int {
 // across a partition cut, so concurrent decisions in different shards can
 // share its slack. Always false on a one-shard timer.
 func (inc *Incremental) BoundaryNet(n *netlist.Net) bool {
-	id, ok := inc.sg.cg.netID[n]
+	id, ok := inc.sg.cg.lookup(n)
 	return ok && inc.sg.bSlot[id] >= 0
 }
 
@@ -228,7 +228,7 @@ func (inc *Incremental) Update() (*Result, error) {
 		cg := inc.sg.cg
 		for _, ch := range delta {
 			if ch.Kind == netlist.ChangeCellReplaced && ch.Inst != nil {
-				if ci, ok := cg.combIdx[ch.Inst]; ok {
+				if ci, ok := cg.combOf(ch.Inst); ok {
 					cg.combArcs[ci] = cg.buildArcs(ch.Inst, cg.combArcs[ci])
 				}
 			}
@@ -277,11 +277,11 @@ func (inc *Incremental) patch(delta []netlist.Change) error {
 // moved one changes the RC of everything it touches). Nets that left the
 // design are gone from the graph already.
 func (inc *Incremental) collectTouched(delta []netlist.Change) {
-	netID := inc.sg.cg.netID
+	cg := inc.sg.cg
 	seen := make(map[int32]bool, len(delta))
 	touched := inc.touched[:0]
 	note := func(n *netlist.Net) {
-		if id, ok := netID[n]; ok && !seen[id] {
+		if id, ok := cg.lookup(n); ok && !seen[id] {
 			seen[id] = true
 			touched = append(touched, id)
 		}
@@ -293,8 +293,8 @@ func (inc *Incremental) collectTouched(delta []netlist.Change) {
 		if ch.Inst != nil {
 			// Pin-declaration order, not map order, so the retime seed
 			// sequence is reproducible run to run.
-			for _, p := range ch.Inst.Cell.Pins {
-				if n := ch.Inst.Conns[p.Name]; n != nil {
+			for k := range ch.Inst.Cell.Pins {
+				if n := ch.Inst.NetAt(k); n != nil {
 					note(n)
 				}
 			}

@@ -299,10 +299,10 @@ func TestIncrementalStructuralEdits(t *testing.T) {
 		live := inc.Result()
 		inserted := 0
 		for _, inst := range d.Instances() {
-			if !inst.Cell.IsSequential() || inst.Conns["D"] == nil {
+			if !inst.Cell.IsSequential() || inst.Net("D") == nil {
 				continue
 			}
-			b, err := d.InsertBuffer(inst.Conns["D"], buf, []netlist.PinRef{{Inst: inst, Pin: "D"}})
+			b, err := d.InsertBuffer(inst.Net("D"), buf, []netlist.PinRef{{Inst: inst, Pin: "D"}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -339,7 +339,7 @@ func TestIncrementalStructuralEdits(t *testing.T) {
 				break
 			}
 		}
-		in, out := b.Conns["A"], b.Conns["Z"]
+		in, out := b.Net("A"), b.Net("Z")
 		sink := out.Sinks[0]
 		if err := d.Disconnect(sink.Inst, sink.Pin); err != nil {
 			t.Fatal(err)

@@ -113,7 +113,7 @@ func combArrival(r *legacyResult, inst *netlist.Instance) (out *netlist.Net, ama
 	amin = math.Inf(1)
 	smax = 0.0
 	for _, arc := range inst.Cell.Arcs {
-		inNet := inst.Conns[arc.From]
+		inNet := inst.Net(arc.From)
 		if inNet == nil {
 			continue
 		}
@@ -196,7 +196,7 @@ func backwardCands(r *legacyResult, inst *netlist.Instance, visit func(inNet *ne
 	}
 	load := r.RC[out].TotalCap()
 	for _, arc := range inst.Cell.Arcs {
-		inNet := inst.Conns[arc.From]
+		inNet := inst.Net(arc.From)
 		if inNet == nil {
 			continue
 		}
@@ -222,7 +222,7 @@ func propagateRequired(r *legacyResult, order []*netlist.Instance) {
 		if !inst.Cell.IsSequential() {
 			continue
 		}
-		dNet := inst.Conns["D"]
+		dNet := inst.Net("D")
 		if dNet == nil {
 			continue
 		}
@@ -273,7 +273,7 @@ func endpointChecks(r *legacyResult) {
 		if !inst.Cell.IsSequential() {
 			continue
 		}
-		dNet := inst.Conns["D"]
+		dNet := inst.Net("D")
 		if dNet == nil {
 			continue
 		}

@@ -44,7 +44,7 @@ func (cg *CompiledGraph) intern(delta []netlist.Change) error {
 			cg.addNet(ch.Net)
 		case netlist.ChangeInstanceAdded:
 			if ch.Inst.Cell.IsSequential() {
-				cg.seqIdx[ch.Inst] = int32(len(cg.seqs))
+				cg.seqIdx = setAt(cg.seqIdx, ch.Inst.ID(), int32(len(cg.seqs)))
 				cg.seqs = append(cg.seqs, seqInfo{inst: ch.Inst, q: -1, dNet: -1, dSinkPos: -1})
 			}
 		}
@@ -57,7 +57,7 @@ func (cg *CompiledGraph) intern(delta []netlist.Change) error {
 
 // addNet appends one net with empty timing state and no consumers.
 func (cg *CompiledGraph) addNet(n *netlist.Net) {
-	cg.netID[n] = int32(len(cg.nets))
+	cg.netID = setAt(cg.netID, n.ID(), int32(len(cg.nets)))
 	cg.nets = append(cg.nets, n)
 	var t *parasitics.RCTree
 	if cg.intoEx != nil {
@@ -117,7 +117,7 @@ func (cg *CompiledGraph) patch(delta []netlist.Change, touched []int32) error {
 // cell that has just gained its output. Instances without an output
 // (switches, holders) have no entry.
 func (cg *CompiledGraph) bindInst(inst *netlist.Instance) error {
-	si, seq := cg.seqIdx[inst]
+	si, seq := cg.seqOf(inst)
 	switch {
 	case seq != inst.Cell.IsSequential():
 		return errUnpatchable
@@ -126,7 +126,7 @@ func (cg *CompiledGraph) bindInst(inst *netlist.Instance) error {
 		return nil
 	}
 	out := inst.OutputNet()
-	ci, ok := cg.combIdx[inst]
+	ci, ok := cg.combOf(inst)
 	switch {
 	case !ok && out == nil:
 		return nil
@@ -134,12 +134,12 @@ func (cg *CompiledGraph) bindInst(inst *netlist.Instance) error {
 		return errUnpatchable
 	case !ok:
 		ci = int32(len(cg.combs))
-		cg.combIdx[inst] = ci
+		cg.combIdx = setAt(cg.combIdx, inst.ID(), ci)
 		cg.combs = append(cg.combs, inst)
 		cg.combOut = append(cg.combOut, 0)
 		cg.combArcs = append(cg.combArcs, nil)
 	}
-	cg.combOut[ci] = cg.netID[out]
+	cg.combOut[ci] = cg.idOf(out)
 	cg.combArcs[ci] = cg.buildArcs(inst, cg.combArcs[ci])
 	return nil
 }
@@ -155,9 +155,9 @@ func (cg *CompiledGraph) bindDriver(id int32) {
 			kind = drvPort
 		}
 	case drv.Inst != nil && drv.Inst.OutputNet() == n:
-		if si, ok := cg.seqIdx[drv.Inst]; ok {
+		if si, ok := cg.seqOf(drv.Inst); ok {
 			kind, idx = drvSeq, si
-		} else if ci, ok := cg.combIdx[drv.Inst]; ok {
+		} else if ci, ok := cg.combOf(drv.Inst); ok {
 			kind, idx = drvComb, ci
 		}
 	}

@@ -116,11 +116,11 @@ func flowEditSteps() []editStep {
 			buf := d.Lib.Cell("BUF_X1_H")
 			chains := 0
 			for _, ff := range d.Instances() {
-				if !ff.Cell.IsSequential() || ff.Conns["D"] == nil {
+				if !ff.Cell.IsSequential() || ff.Net("D") == nil {
 					continue
 				}
 				for i := 0; i < 3; i++ {
-					b, err := d.InsertBuffer(ff.Conns["D"], buf, []netlist.PinRef{{Inst: ff, Pin: "D"}})
+					b, err := d.InsertBuffer(ff.Net("D"), buf, []netlist.PinRef{{Inst: ff, Pin: "D"}})
 					must(t, err)
 					place.PlaceNear(d, b, ff.Pos, po)
 				}
@@ -241,7 +241,7 @@ func TestIncrementalPatchesStructuralEdits(t *testing.T) {
 				b = inst
 			}
 		}
-		in, out := b.Conns["A"], b.Conns["Z"]
+		in, out := b.Net("A"), b.Net("Z")
 		sink := out.Sinks[0]
 		for _, err := range []error{
 			d.Disconnect(sink.Inst, sink.Pin), d.RemoveInstance(b),
@@ -293,7 +293,7 @@ func TestIncrementalPatchRejectsCycle(t *testing.T) {
 			t.Fatal("no comb-to-comb edge")
 		}
 		pin := x.Cell.Arcs[0].From
-		orig := x.Conns[pin]
+		orig := x.Net(pin)
 		if err := d.Disconnect(x, pin); err != nil {
 			t.Fatal(err)
 		}
@@ -375,7 +375,7 @@ func TestPatchedGraphMatchesRecompile(t *testing.T) {
 		t.Fatalf("%d combinational instances, recompile %d", len(got.combs), len(want.combs))
 	}
 	for wi, inst := range want.combs {
-		gi, ok := got.combIdx[inst]
+		gi, ok := got.combOf(inst)
 		if !ok || got.combOut[gi] != want.combOut[wi] || len(got.combArcs[gi]) != len(want.combArcs[wi]) {
 			t.Errorf("%s: comb entry differs from a recompile", inst.Name)
 			continue

@@ -111,7 +111,7 @@ func (r *Result) Design() *netlist.Design { return r.design }
 // Arrival returns the latest and earliest signal arrival at a net's
 // driver output, ns; ok=false for nets with no constrained arrival.
 func (r *Result) Arrival(n *netlist.Net) (amax, amin float64, ok bool) {
-	id, ok := r.st.netID[n]
+	id, ok := r.st.lookup(n)
 	if !ok || !r.st.hasArr[id] {
 		return 0, 0, false
 	}
@@ -121,7 +121,7 @@ func (r *Result) Arrival(n *netlist.Net) (amax, amin float64, ok bool) {
 // Slew returns the worst slew at a net's driver output (0 for nets with
 // no constrained arrival).
 func (r *Result) Slew(n *netlist.Net) float64 {
-	if id, ok := r.st.netID[n]; ok {
+	if id, ok := r.st.lookup(n); ok {
 		return r.st.slewMax[id]
 	}
 	return 0
@@ -130,7 +130,7 @@ func (r *Result) Slew(n *netlist.Net) float64 {
 // Required returns the latest allowed arrival at a net; ok=false for nets
 // with no constrained fanout cone.
 func (r *Result) Required(n *netlist.Net) (float64, bool) {
-	id, ok := r.st.netID[n]
+	id, ok := r.st.lookup(n)
 	if !ok || !r.st.hasReq[id] {
 		return 0, false
 	}
@@ -140,7 +140,7 @@ func (r *Result) Required(n *netlist.Net) (float64, bool) {
 // RC returns the extracted parasitics of a net (nil for a net the
 // analysis did not cover).
 func (r *Result) RC(n *netlist.Net) *parasitics.RCTree {
-	if id, ok := r.st.netID[n]; ok {
+	if id, ok := r.st.lookup(n); ok {
 		return r.st.rc[id]
 	}
 	return nil
@@ -149,7 +149,7 @@ func (r *Result) RC(n *netlist.Net) *parasitics.RCTree {
 // Slack returns the setup slack of a net (required - arrival); +Inf for
 // nets with no constrained fanout cone.
 func (r *Result) Slack(n *netlist.Net) float64 {
-	id, ok := r.st.netID[n]
+	id, ok := r.st.lookup(n)
 	if !ok || !r.st.hasReq[id] {
 		return math.Inf(1)
 	}
@@ -247,7 +247,7 @@ func (r *Result) WorstPaths(k int) []Path {
 		if !inst.Cell.IsSequential() {
 			continue
 		}
-		if dNet := inst.Conns["D"]; dNet != nil {
+		if dNet := inst.Net("D"); dNet != nil {
 			if arr, _, ok := r.Arrival(dNet); ok {
 				eps = append(eps, endpoint{dNet, r.Config.setupRequired(inst) - arr})
 			}
@@ -280,7 +280,7 @@ func (r *Result) backtrack(n *netlist.Net, slack float64) Path {
 		var bestNet *netlist.Net
 		bestErr := math.Inf(1)
 		for _, arc := range drv.Cell.Arcs {
-			inNet := drv.Conns[arc.From]
+			inNet := drv.Net(arc.From)
 			if inNet == nil {
 				continue
 			}

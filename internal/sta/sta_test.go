@@ -16,7 +16,7 @@ var (
 	sharedProc *tech.Process
 )
 
-func lib(t *testing.T) *liberty.Library {
+func lib(t testing.TB) *liberty.Library {
 	t.Helper()
 	if sharedLib == nil {
 		sharedProc = tech.Default130()
@@ -29,7 +29,7 @@ func lib(t *testing.T) *liberty.Library {
 	return sharedLib
 }
 
-func cfg(t *testing.T, period float64) Config {
+func cfg(t testing.TB, period float64) Config {
 	lib(t) // sets sharedProc, which a test may reach before any design
 	return Config{
 		ClockPeriodNs: period,
@@ -106,7 +106,7 @@ func TestAnalyzeBasics(t *testing.T) {
 	}
 	// Arrival grows along the chain.
 	q1 := d.NetByName("q1")
-	dIn := d.Instance("ff2").Conns["D"]
+	dIn := d.Instance("ff2").Net("D")
 	aq, _, _ := r.Arrival(q1)
 	if ad, _, _ := r.Arrival(dIn); !(ad > aq) {
 		t.Error("arrival does not accumulate along the chain")
@@ -324,5 +324,48 @@ func TestMinPeriodAchievable(t *testing.T) {
 	}
 	if r2.WNS >= 0 {
 		t.Errorf("analysis below min period passes: WNS=%v", r2.WNS)
+	}
+}
+
+// TestResultTreatsCloneNetsAsAbsent: a clone's nets carry the netlist IDs
+// of the original's, but a Result of the original, frozen or live, must
+// answer for them as for any net it does not cover.
+func TestResultTreatsCloneNetsAsAbsent(t *testing.T) {
+	d := synthSmall(t)
+	c := cfg(t, 3)
+	frozen, err := Analyze(d, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc, err := NewIncremental(d, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nets, clone := d.Nets(), d.Clone()
+	for _, r := range []*Result{frozen, inc.Result()} {
+		finite := 0
+		for i, n := range clone.Nets() {
+			if _, _, ok := r.Arrival(n); ok || !math.IsInf(r.Slack(n), 1) || r.RC(n) != nil || r.Slew(n) != 0 {
+				t.Fatalf("clone net %s answered as covered", n.Name)
+			}
+			if _, ok := r.Required(n); ok {
+				t.Fatalf("clone net %s has a required time", n.Name)
+			}
+			orig := nets[i]
+			if orig.ID() != n.ID() || r.RC(orig) == nil {
+				t.Fatalf("net %s: original ID %d (RC %v), clone ID %d", n.Name, orig.ID(), r.RC(orig), n.ID())
+			}
+			if !math.IsInf(r.Slack(orig), 1) {
+				finite++
+			}
+		}
+		if finite == 0 {
+			t.Fatal("no net of the original has a finite slack")
+		}
+	}
+	for _, n := range clone.Nets() {
+		if inc.BoundaryNet(n) {
+			t.Fatalf("clone net %s reported on the boundary", n.Name)
+		}
 	}
 }

@@ -85,5 +85,10 @@ func FuzzParseVerilog(f *testing.F) {
 		if _, err := Parse(strings.NewReader(out.String()), lib); err != nil {
 			t.Fatalf("re-parse of written netlist: %v\n%s", err, out.String())
 		}
+		// A clone is interchangeable with its original: same elements,
+		// same endpoint order.
+		if d.Clone().Fingerprint() != d.Fingerprint() {
+			t.Fatalf("clone fingerprint differs from the parsed design's:\n%s", src)
+		}
 	})
 }

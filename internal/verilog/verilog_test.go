@@ -194,10 +194,14 @@ func compareDesigns(t *testing.T, a, b *netlist.Design) {
 		if ia.Cell.Name != ib.Cell.Name {
 			t.Errorf("%s: cell %s != %s", ia.Name, ib.Cell.Name, ia.Cell.Name)
 		}
-		for pin, na := range ia.Conns {
-			nb := ib.Net(pin)
+		for k, p := range ia.Cell.Pins {
+			na := ia.NetAt(k)
+			if na == nil {
+				continue
+			}
+			nb := ib.Net(p.Name)
 			if nb == nil || nb.Name != na.Name {
-				t.Errorf("%s.%s: net differs", ia.Name, pin)
+				t.Errorf("%s.%s: net differs", ia.Name, p.Name)
 			}
 		}
 	}

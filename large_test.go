@@ -2,8 +2,10 @@
 // (gen.Large, fixed seed) big enough that the timing kernel's asymptotics
 // and allocation behavior dominate. The Large timing benchmarks here are
 // the source of BENCH_sta_pr6.json, BenchmarkLargeActivity times the
-// logic simulator's activity estimation, and the test is the
-// journal-capacity regression for design-wide edit passes.
+// logic simulator's activity estimation, BenchmarkClone, BenchmarkInstances,
+// BenchmarkTopoOrder and BenchmarkSimNew time the netlist walks at 10k and
+// 100k instances, and the test is the journal-capacity regression for
+// design-wide edit passes.
 package selectivemt
 
 import (
@@ -12,6 +14,7 @@ import (
 	"testing"
 
 	"selectivemt/internal/core"
+	"selectivemt/internal/gen"
 	"selectivemt/internal/liberty"
 	"selectivemt/internal/netlist"
 	"selectivemt/internal/parasitics"
@@ -183,6 +186,79 @@ func BenchmarkLargeActivity(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// tierDesigns holds the placed gen.Large designs the netlist benchmarks
+// share, by instance target.
+var tierDesigns = map[int]*netlist.Design{}
+
+// benchTiers runs one benchmark on the placed gen.Large design (design
+// seed 3) at 10k and 100k instances:
+//
+//	go test -run '^$' -bench '^Benchmark(Clone|Instances|TopoOrder|SimNew)$' -benchmem .
+func benchTiers(b *testing.B, run func(b *testing.B, d *netlist.Design)) {
+	for _, n := range []int{10_000, 100_000} {
+		b.Run(fmt.Sprintf("%dk", n/1000), func(b *testing.B) {
+			d := tierDesigns[n]
+			if d == nil {
+				env, err := NewEnvironment()
+				if err != nil {
+					b.Fatal(err)
+				}
+				cfg := env.NewConfig()
+				cfg.ClockPeriodNs = 1 // no min-period probe: nothing here times
+				if d, err = core.PrepareBase(gen.Large(n, 3).Module, cfg); err != nil {
+					b.Fatal(err)
+				}
+				tierDesigns[n] = d
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			run(b, d)
+		})
+	}
+}
+
+// BenchmarkClone times one deep copy of the design, which every technique
+// run makes of its circuit's base.
+func BenchmarkClone(b *testing.B) {
+	benchTiers(b, func(b *testing.B, d *netlist.Design) {
+		for i := 0; i < b.N; i++ {
+			d.Clone()
+		}
+	})
+}
+
+// BenchmarkInstances times the instance list in insertion order.
+func BenchmarkInstances(b *testing.B) {
+	benchTiers(b, func(b *testing.B, d *netlist.Design) {
+		for i := 0; i < b.N; i++ {
+			d.Instances()
+		}
+	})
+}
+
+// BenchmarkTopoOrder times the combinational topological order the timer
+// compiles from.
+func BenchmarkTopoOrder(b *testing.B) {
+	benchTiers(b, func(b *testing.B, d *netlist.Design) {
+		for i := 0; i < b.N; i++ {
+			if _, err := d.TopoOrder(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkSimNew times one compile of the logic simulator.
+func BenchmarkSimNew(b *testing.B) {
+	benchTiers(b, func(b *testing.B, d *netlist.Design) {
+		for i := 0; i < b.N; i++ {
+			if _, err := sim.New(d); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // benchFullSharded times steady-state full analysis through the sharded
