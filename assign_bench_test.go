@@ -30,17 +30,16 @@ type strategyOutcome struct {
 }
 
 // assignClone runs one Dual-Vth assignment with the named strategy at
-// the given lane width on a clone of d, and returns the result and the
-// clone's active leakage.
+// the given timer width (which the lanes fan out at) on a clone of d,
+// and returns the result and the clone's active leakage.
 func assignClone(b *testing.B, d *netlist.Design, cfg sta.Config, name string, workers int) (*assign.Result, float64) {
 	s, err := assign.Parse(name)
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := assign.DefaultOptions()
-	opts.Workers = workers
+	cfg.ShardJobs = workers
 	clone := d.Clone()
-	r, err := dualvth.Assign(clone, cfg, s, opts)
+	r, err := dualvth.Assign(clone, cfg, s, assign.DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -86,8 +85,9 @@ func BenchmarkAssignStrategies(b *testing.B) {
 }
 
 // BenchmarkAssignSensitivityLanes runs the sensitivity strategy on the
-// 100k tier with a 16-way partitioned timer — 16 commit lanes — at 1, 2
-// and 4 lane workers. The engine is bit-exact across worker counts
+// 100k tier with a 16-way partitioned timer — 16 commit lanes — at timer
+// widths (ShardJobs) of 1, 2 and 4, which the lanes fan out at too. The
+// engine is bit-exact across worker counts
 // (TestLaneDeterminismAcrossWorkers pins that), so the widths differ
 // only in wall-clock; each must end violation-free with leakage no
 // worse than greedy's, run once untimed on a clone of the same design.

@@ -61,8 +61,7 @@ func main() {
 	maxJobs := flag.Int("max-jobs", server.DefaultMaxJobs, "finished-job retention cap (oldest evicted past it)")
 	drainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "how long a shutdown waits for accepted jobs")
 	partitions := flag.Int("partitions", 0, "default timing shards for specs that leave partitions unset (<= 1 = one shard)")
-	shardJobs := flag.Int("shard-jobs", 0, "default per-shard fan-out for specs that leave shard_jobs unset (0 = GOMAXPROCS)")
-	assignJobs := flag.Int("assign-jobs", 0, "default assignment-lane fan-out for specs that leave assign_jobs unset (0 = GOMAXPROCS)")
+	shardJobs := flag.Int("shard-jobs", 0, "default per-design fan-out (timing shards and sensitivity assignment lanes) for specs that leave shard_jobs unset (0 = GOMAXPROCS)")
 	strategy := flag.String("strategy", "", "default Vth-assignment strategy for specs that leave strategy unset (greedy or sensitivity)")
 	stateDir := flag.String("state-dir", "", "durable job store directory: jobs survive restarts, interrupted ones are re-enqueued (empty = in-memory only)")
 	rate := flag.Float64("rate", 0, "per-client submit rate limit in jobs/s, keyed by X-Client-ID or remote host (0 = unlimited)")
@@ -82,9 +81,6 @@ func main() {
 	if *shardJobs < 0 {
 		log.Fatalf("smtd: -shard-jobs must be >= 0 (0 = all %d CPUs), got %d", runtime.GOMAXPROCS(0), *shardJobs)
 	}
-	if *assignJobs < 0 {
-		log.Fatalf("smtd: -assign-jobs must be >= 0 (0 = all %d CPUs), got %d", runtime.GOMAXPROCS(0), *assignJobs)
-	}
 
 	start := time.Now()
 	env, err := selectivemt.NewEnvironment()
@@ -100,7 +96,6 @@ func main() {
 		MaxJobs:        *maxJobs,
 		Partitions:     *partitions,
 		ShardJobs:      *shardJobs,
-		AssignJobs:     *assignJobs,
 		Strategy:       *strategy,
 		StateDir:       *stateDir,
 		RatePerSec:     *rate,

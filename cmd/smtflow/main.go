@@ -45,8 +45,7 @@ func main() {
 	technique := flag.String("technique", "improved", "improved, conventional, dual, all, or a registered pipeline name")
 	jobs := flag.Int("jobs", 0, "max concurrent technique jobs (0 = GOMAXPROCS)")
 	partitions := flag.Int("partitions", 0, "timing shards per analysis (<= 1 = one shard; timing and greedy results are bit-identical, sensitivity commits one lane per shard so its result follows the count)")
-	shardJobs := flag.Int("shard-jobs", 0, "max concurrent timing shards when -partitions > 1 (0 = GOMAXPROCS)")
-	assignJobs := flag.Int("assign-jobs", 0, "max concurrent assignment lanes for the sensitivity strategy when -partitions > 1 (0 = GOMAXPROCS)")
+	shardJobs := flag.Int("shard-jobs", 0, "max concurrent timing shards and sensitivity assignment lanes when -partitions > 1 (0 = GOMAXPROCS)")
 	strategy := flag.String("strategy", "", "Vth-assignment strategy: greedy (paper default) or sensitivity (leakage-per-slack LUT ordering)")
 	outVerilog := flag.String("out-verilog", "", "write the final netlist here")
 	outSpef := flag.String("out-spef", "", "write the VGND parasitics here")
@@ -66,9 +65,6 @@ func main() {
 	if *shardJobs < 0 {
 		log.Fatalf("smtflow: -shard-jobs must be >= 0 (0 = all %d CPUs), got %d", runtime.GOMAXPROCS(0), *shardJobs)
 	}
-	if *assignJobs < 0 {
-		log.Fatalf("smtflow: -assign-jobs must be >= 0 (0 = all %d CPUs), got %d", runtime.GOMAXPROCS(0), *assignJobs)
-	}
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
 		log.Fatal(err)
@@ -81,7 +77,6 @@ func main() {
 	cfg := env.NewConfig()
 	cfg.Partitions = *partitions
 	cfg.ShardJobs = *shardJobs
-	cfg.AssignJobs = *assignJobs
 	if cfg.Strategy, err = selectivemt.ParseStrategy(*strategy); err != nil {
 		log.Fatalf("smtflow: %v", err)
 	}

@@ -40,8 +40,7 @@ func main() {
 	detail := flag.Bool("detail", false, "print per-technique detail (counts, clusters, stages)")
 	jobs := flag.Int("jobs", 0, "max concurrent flow jobs (0 = GOMAXPROCS, 1 = sequential)")
 	partitions := flag.Int("partitions", 0, "timing shards per analysis (<= 1 = one shard; timing and greedy results are bit-identical, sensitivity commits one lane per shard so its result follows the count)")
-	shardJobs := flag.Int("shard-jobs", 0, "max concurrent timing shards when -partitions > 1 (0 = GOMAXPROCS)")
-	assignJobs := flag.Int("assign-jobs", 0, "max concurrent assignment lanes for the sensitivity strategy when -partitions > 1 (0 = GOMAXPROCS)")
+	shardJobs := flag.Int("shard-jobs", 0, "max concurrent timing shards and sensitivity assignment lanes when -partitions > 1 (0 = GOMAXPROCS)")
 	strategy := flag.String("strategy", "", "Vth-assignment strategy: greedy (paper default) or sensitivity (leakage-per-slack LUT ordering)")
 	cornersFlag := flag.String("corners", "", "PVT sign-off corners: all, or comma-separated typ,slow,fast-hot,fast-cold")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile here (go tool pprof format)")
@@ -57,9 +56,6 @@ func main() {
 	}
 	if *shardJobs < 0 {
 		log.Fatalf("table1: -shard-jobs must be >= 0 (0 = all %d CPUs), got %d", runtime.GOMAXPROCS(0), *shardJobs)
-	}
-	if *assignJobs < 0 {
-		log.Fatalf("table1: -assign-jobs must be >= 0 (0 = all %d CPUs), got %d", runtime.GOMAXPROCS(0), *assignJobs)
 	}
 	stopProf, err := prof.Start(*cpuprofile, *memprofile)
 	if err != nil {
@@ -84,7 +80,6 @@ func main() {
 			Corners:    strings.Split(*cornersFlag, ","),
 			Partitions: *partitions,
 			ShardJobs:  *shardJobs,
-			AssignJobs: *assignJobs,
 			Strategy:   *strategy,
 		}
 	}

@@ -53,8 +53,6 @@ var (
 	ErrNonPositiveBatch = errors.New("assign: BatchSize must be positive")
 	// ErrBadSlackMargin rejects a negative or non-finite slack margin.
 	ErrBadSlackMargin = errors.New("assign: SlackMarginNs must be finite and non-negative")
-	// ErrNegativeWorkers rejects Workers < 0.
-	ErrNegativeWorkers = errors.New("assign: Workers must be >= 0")
 )
 
 // Options tunes an assignment run. The zero value is deliberately
@@ -74,16 +72,6 @@ type Options struct {
 	// adaptive commit batch, and its unwind batch. Greedy commits a
 	// whole pass at once and ignores it, but it must still be positive.
 	BatchSize int
-	// Workers bounds the sensitivity lane fan-out width (0 means
-	// GOMAXPROCS; always capped at the timer's shard count). It only
-	// changes scheduling, never results: the lane engine is bit-exact
-	// at any worker count.
-	Workers int
-	// Run, when set, executes a lane fan-out of `tasks` tasks on an
-	// external scheduler (internal/core wires the flow engine's pool
-	// here, mirroring sta.Config.ShardRun). Nil uses an internal worker
-	// group; one worker runs inline with no goroutines.
-	Run func(tasks, workers int, run func(task int))
 }
 
 // DefaultOptions returns the options used in the experiments.
@@ -111,9 +99,6 @@ func (o Options) Validate() error {
 	}
 	if math.IsNaN(o.SlackMarginNs) || math.IsInf(o.SlackMarginNs, 0) || o.SlackMarginNs < 0 {
 		return fmt.Errorf("%w, got %v", ErrBadSlackMargin, o.SlackMarginNs)
-	}
-	if o.Workers < 0 {
-		return fmt.Errorf("%w, got %d", ErrNegativeWorkers, o.Workers)
 	}
 	return nil
 }

@@ -2,14 +2,13 @@ package assign
 
 import (
 	"context"
-	"runtime"
+	"fmt"
 	"runtime/pprof"
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
+	"selectivemt/internal/engine"
 	"selectivemt/internal/netlist"
 	"selectivemt/internal/sta"
 )
@@ -159,29 +158,13 @@ func phaseLabels(phase string) pprof.LabelSet {
 	return pprof.Labels("assign_phase", phase)
 }
 
-// laneWorkers resolves the effective fan-out width: Options.Workers,
-// defaulting to GOMAXPROCS, capped at the shard count.
-func laneWorkers(opts Options, shards int) int {
-	w := opts.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > shards {
-		w = shards
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 func newLaneEngine(inc *sta.Incremental, p Problem, opts Options) *laneEngine {
 	shards := inc.ShardCount()
 	e := &laneEngine{
 		inc:   inc,
 		p:     p,
 		opts:  opts,
-		res:   &Result{Workers: laneWorkers(opts, shards)},
+		res:   &Result{Workers: inc.Workers()},
 		lanes: make([]lane, shards),
 		dirty: make(map[*netlist.Instance]uint32),
 		bound: make(map[*netlist.Net]float64),
@@ -402,41 +385,20 @@ func (e *laneEngine) collectActive() bool {
 	return e.res.Workers > 1 && len(active) > 1
 }
 
-// fanOut runs n lane tasks on the engine's workers: the external
-// scheduler when Options.Run is wired, an internal worker group
-// otherwise, inline (no goroutines, no allocations) when one worker
-// suffices. Tasks must be lane-local; completion order is irrelevant.
+// fanOut runs n lane tasks on engine.Map at the timer's width. Callers
+// take it only when collectActive reports a fan-out, and otherwise run
+// their tasks inline with no closure, so the one-worker path allocates
+// nothing. Tasks must be lane-local; completion order is irrelevant.
+// Lane tasks return no errors, so a Map error is a task panic: it panics
+// again here rather than commit from half-scored lanes.
 func (e *laneEngine) fanOut(n int, task func(k int)) {
-	workers := e.res.Workers
-	if workers > n {
-		workers = n
+	_, err := engine.Map(context.Background(), n, e.res.Workers, func(_ context.Context, k int) (struct{}, error) {
+		task(k)
+		return struct{}{}, nil
+	})
+	if err != nil {
+		panic(fmt.Sprintf("assign: lane fan-out: %v", err))
 	}
-	if workers <= 1 {
-		for k := 0; k < n; k++ {
-			task(k)
-		}
-		return
-	}
-	if run := e.opts.Run; run != nil {
-		run(n, workers, task)
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= n {
-					return
-				}
-				task(k)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // commitBatch drains up to one adaptive batch: lanes propose their

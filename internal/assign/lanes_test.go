@@ -1,13 +1,12 @@
 package assign
 
 // White-box tests for the shard-parallel lane engine: the strict heap
-// order, the adaptive batch arithmetic, the worker resolution, and the
+// order, the adaptive batch arithmetic, and the
 // PR 10 satellite contract — the steady-state score / commit-selection
 // / unwind-selection phases allocate nothing once their reuse buffers
 // are warm (testing.AllocsPerRun guards, below the pprof wrappers).
 
 import (
-	"runtime"
 	"testing"
 
 	"selectivemt/internal/gen"
@@ -61,6 +60,7 @@ func laneFixture(t *testing.T, partitions int, slack float64) (*laneEngine, *sta
 		InputSlewNs:   0.03,
 		Extractor:     &parasitics.EstimateExtractor{Proc: laneProc},
 		Partitions:    partitions,
+		ShardJobs:     1,
 	}
 	pmin, err := sta.MinPeriod(d, cfg)
 	if err != nil {
@@ -75,7 +75,6 @@ func laneFixture(t *testing.T, partitions int, slack float64) (*laneEngine, *sta
 		t.Fatalf("fixture wanted a partitioned timer, got %d shards", inc.ShardCount())
 	}
 	opts := DefaultOptions()
-	opts.Workers = 1
 	e := newLaneEngine(inc, NewFlavorProblem(d, liberty.FlavorHVT, liberty.FlavorLVT, opts), opts)
 	timing, err := e.retime()
 	if err != nil {
@@ -146,24 +145,6 @@ func TestAdaptiveBatchBounds(t *testing.T) {
 	}
 	if e.batch != 8 {
 		t.Fatalf("shrink must floor at BatchSize: got %d", e.batch)
-	}
-}
-
-func TestLaneWorkers(t *testing.T) {
-	gmp := runtime.GOMAXPROCS(0)
-	cases := []struct {
-		workers, shards, want int
-	}{
-		{3, 8, 3},
-		{9, 4, 4},
-		{1, 16, 1},
-		{0, 2, min(gmp, 2)},
-		{0, 1 << 20, gmp},
-	}
-	for _, tc := range cases {
-		if got := laneWorkers(Options{Workers: tc.workers}, tc.shards); got != tc.want {
-			t.Errorf("laneWorkers(%d, %d) = %d, want %d", tc.workers, tc.shards, got, tc.want)
-		}
 	}
 }
 

@@ -7,12 +7,16 @@ package assign_test
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"selectivemt/internal/assign"
+	"selectivemt/internal/liberty"
 	"selectivemt/internal/netlist"
 	"selectivemt/internal/power"
+	"selectivemt/internal/sta"
 	"selectivemt/internal/verilog"
 )
 
@@ -28,8 +32,8 @@ func netlistBytes(t *testing.T, d *netlist.Design) []byte {
 // TestLaneDeterminismAcrossWorkers runs the sensitivity strategy over
 // randomized circuits and partition counts (one shard, and adversarial
 // cuts: prime shard counts leave unbalanced lanes and plenty of
-// boundary nets) at
-// assign-jobs 1, 2 and 4, and demands the outcome of every wider run be
+// boundary nets) at timer widths (ShardJobs, which the lanes fan out at
+// too) of 1, 2 and 4, and demands the outcome of every wider run be
 // indistinguishable from the single-worker one: same netlist bytes,
 // Float64bits-equal WNS/TNS/leakage, identical pass/commit/revert
 // counters. It also pins the violation-free property — at a relaxed
@@ -60,9 +64,9 @@ func TestLaneDeterminismAcrossWorkers(t *testing.T) {
 		}
 		run := func(jobs int) outcome {
 			d := base.Clone()
-			opts := assign.DefaultOptions()
-			opts.Workers = jobs
-			res := runHVT(t, d, cfg, "sensitivity", opts)
+			jcfg := cfg
+			jcfg.ShardJobs = jobs
+			res := runHVT(t, d, jcfg, "sensitivity", assign.DefaultOptions())
 			leak := power.ActiveLeakage(d)
 			return outcome{
 				bytes:   netlistBytes(t, d),
@@ -107,5 +111,49 @@ func TestLaneDeterminismAcrossWorkers(t *testing.T) {
 					tc.seed, tc.partitions, jobs, got.res, ref.res)
 			}
 		}
+	}
+}
+
+// rescorePanics is the Dual-Vth flavor problem with a rigged Rescore.
+type rescorePanics struct{ *assign.FlavorProblem }
+
+func (rescorePanics) Rescore(*assign.Move, *sta.Result) { panic("rigged rescore") }
+
+// TestLanePanicPropagates: a panic inside a parallel lane task (here a
+// stale entry's Rescore during proposal) must reach the caller of Run
+// with the original value in its message, not be swallowed into a result
+// committed from half-scored lanes.
+func TestLanePanicPropagates(t *testing.T) {
+	d, cfg := prepRandom(t, 3, 160, 1.07)
+	cfg.Partitions, cfg.ShardJobs = 5, 2
+	inc, err := sta.NewIncremental(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inc.ShardCount() < 2 || inc.Workers() != 2 {
+		t.Fatalf("want parallel lanes: %d shards at %d workers", inc.ShardCount(), inc.Workers())
+	}
+	s, err := assign.Parse("sensitivity")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := assign.DefaultOptions()
+	p := rescorePanics{assign.NewFlavorProblem(d, liberty.FlavorHVT, liberty.FlavorLVT, opts)}
+
+	var res *assign.Result
+	recovered := func() (r any) {
+		defer func() { r = recover() }()
+		res, _ = assign.Run(s, inc, p, opts)
+		return nil
+	}()
+	if recovered == nil {
+		t.Fatalf("Run returned (result %v) instead of panicking", res != nil)
+	}
+	msg := fmt.Sprint(recovered)
+	if !strings.Contains(msg, "assign: lane fan-out") || !strings.Contains(msg, "rigged rescore") {
+		t.Errorf("panic %q does not carry the lane task's original value", msg)
+	}
+	if res != nil {
+		t.Error("Run handed out a result alongside the panic")
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"selectivemt/internal/assign"
@@ -40,8 +39,8 @@ type Config struct {
 	// Strategy names the Vth-assignment strategy every Dual-Vth/SMT
 	// stage runs with ("greedy", "sensitivity", or any registered
 	// assign.Strategy). Empty means greedy — the paper's policy. The
-	// stages run it with assign.DefaultOptions, a slack reserve of 4% of
-	// the clock period and AssignJobs lanes (see Config.assignment).
+	// stages run it with assign.DefaultOptions and a slack reserve of 4%
+	// of the clock period (see Config.assignment).
 	Strategy string
 
 	MTEMaxFanout   int
@@ -76,14 +75,16 @@ type Config struct {
 	// different (equally violation-free) commit schedule per count,
 	// bit-exact across worker counts. 0 or 1 means one shard.
 	Partitions int
-	// ShardJobs bounds the sharded kernel's per-design fan-out width
-	// (<= 0 means GOMAXPROCS). The corner sign-off fans out across its
-	// corner views at GOMAXPROCS; shards fan out inside one design.
+	// ShardJobs bounds the per-design fan-out width: the timer's shard
+	// drains and the sensitivity strategy's commit lanes, which take
+	// their width from the timer (<= 0 means GOMAXPROCS; capped at the
+	// shard count, so only a partitioned design fans out). It never
+	// changes results, only scheduling. The corner sign-off fans out
+	// across its corner views at GOMAXPROCS.
 	ShardJobs int
-	// AssignJobs bounds the sensitivity strategy's lane fan-out width
-	// (<= 0 means GOMAXPROCS, capped at the shard count, so only a
-	// partitioned timer fans out). It never changes results, only
-	// scheduling.
+	// Deprecated: AssignJobs is ignored. The assignment lanes fan out at
+	// the timer's width, which ShardJobs sets. The field stays only
+	// because cmd/smtbench still assigns it (always equal to ShardJobs).
 	AssignJobs int
 }
 
@@ -124,28 +125,14 @@ func (c *Config) staConfig(ex parasitics.Extractor, clk func(*netlist.Instance) 
 	if c.Partitions > 1 {
 		sc.Partitions = c.Partitions
 		sc.ShardJobs = c.ShardJobs
-		sc.ShardRun = shardRun
 	}
 	return sc
 }
 
-// shardRun executes a sharded-kernel fan-out on engine.Map — the
-// dependency injection that lets sta (which engine imports) run its
-// shard drains on the same fan-out as the rest of the flow. Drains
-// cannot fail; an error here is a drain panic and propagates as a panic
-// rather than silently truncating a timing pass.
-func shardRun(tasks, workers int, run func(int)) {
-	if _, err := engine.Map(context.Background(), tasks, workers, func(_ context.Context, i int) (struct{}, error) {
-		run(i)
-		return struct{}{}, nil
-	}); err != nil {
-		panic(fmt.Sprintf("core: shard fan-out: %v", err))
-	}
-}
-
-// preRoute is the pre-route timing config: estimate extraction and an
-// ideal clock.
-func (c *Config) preRoute() sta.Config {
+// PreRouteConfig is the pre-route timing config: estimate extraction and
+// an ideal clock. Every pre-route analysis of the flow runs under it, and
+// so does ReportDesign's.
+func (c *Config) PreRouteConfig() sta.Config {
 	return c.staConfig(&parasitics.EstimateExtractor{Proc: c.Proc}, nil)
 }
 
@@ -161,20 +148,35 @@ func (c *Config) postRoute(ctsRes *cts.Result) sta.Config {
 		TrunkNets: func(n *netlist.Net) bool { return n.IsVGND }}, ctsArr)
 }
 
-// minPeriod runs the pre-route minimum-period probe, through the shared
-// cache when one is attached.
+// minPeriod runs the pre-route minimum-period probe, memoized in the
+// shared cache when one is attached. The key holds the design's
+// fingerprint and every scalar of cfg; the estimate extractor is keyed
+// by its process, by pointer identity as the fingerprint keys the
+// library, so the fresh extractor each call site allocates still shares
+// entries. A config the key cannot describe is probed uncached: a
+// clock-arrival function has no key, and an address-based key for
+// another extractor type could go stale after garbage collection and
+// alias a different extractor.
 func (c *Config) minPeriod(d *netlist.Design, cfg sta.Config) (float64, error) {
-	if c.Cache != nil {
-		return c.Cache.MinPeriod(d, cfg)
+	ee, ok := cfg.Extractor.(*parasitics.EstimateExtractor)
+	if c.Cache == nil || !ok || cfg.ClockArrival != nil {
+		return sta.MinPeriod(d, cfg)
 	}
-	return sta.MinPeriod(d, cfg)
+	key := fmt.Sprintf("minp|%s|%g|%s|%g|%g|%g|%g|%p",
+		d.Fingerprint(), cfg.ClockPeriodNs, cfg.ClockPort, cfg.InputSlewNs,
+		cfg.InputDelayNs, cfg.OutputDelayNs, cfg.ClockSlewNs, ee.Proc)
+	v, err := c.Cache.Memo(key, func() (any, error) { return sta.MinPeriod(d, cfg) })
+	if err != nil {
+		return 0, err
+	}
+	return v.(float64), nil
 }
 
 // assignment resolves Strategy and the options every Vth stage runs
 // with: the defaults, plus a slack reserve for what the pre-route
-// estimate cannot see (post-route wire RC, clock skew) — the assignment
-// must not consume every picosecond of the budget — and the lane
-// fan-out on engine.Map.
+// estimate cannot see (post-route wire RC, clock skew): the assignment
+// must not consume every picosecond of the budget. The lanes fan out at
+// the width of the timer they run on.
 func (c *Config) assignment() (assign.Strategy, assign.Options, error) {
 	s, err := assign.Parse(c.Strategy)
 	if err != nil {
@@ -182,8 +184,6 @@ func (c *Config) assignment() (assign.Strategy, assign.Options, error) {
 	}
 	o := assign.DefaultOptions()
 	o.SlackMarginNs = 0.04 * c.ClockPeriodNs
-	o.Workers = max(c.AssignJobs, 0)
-	o.Run = shardRun
 	return s, o, nil
 }
 
@@ -287,7 +287,7 @@ func PrepareBase(mod *gen.Module, cfg *Config) (*netlist.Design, error) {
 		if slack <= 0 {
 			slack = 1.1
 		}
-		probe := cfg.preRoute()
+		probe := cfg.PreRouteConfig()
 		probe.ClockPeriodNs = 1000
 		pmin, err := cfg.minPeriod(d, probe)
 		if err != nil {

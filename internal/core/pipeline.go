@@ -188,7 +188,7 @@ func (s *FlowState) SetGating(gated func(*netlist.Instance) bool, holderOn func(
 // gating once known.
 func (s *FlowState) StageVitals(name string) *flow.StageReport {
 	sr := &flow.StageReport{Name: name, AreaUm2: s.Design.TotalArea()}
-	if t, err := s.pre.timing(s.Design, s.Config.preRoute(), nil); err == nil {
+	if t, err := s.pre.timing(s.Design, s.Config.PreRouteConfig(), nil); err == nil {
 		sr.WNSNs = t.WNS
 	}
 	if rep, err := s.standby(); err == nil {
@@ -221,7 +221,7 @@ func stageDualVthAssign() Stage {
 		if err != nil {
 			return nil, err
 		}
-		pre := s.Config.preRoute()
+		pre := s.Config.PreRouteConfig()
 		r, err := dualvth.Assign(s.Design, pre, strat, opts)
 		if err != nil {
 			return nil, err
@@ -241,7 +241,7 @@ func stageAssignMixed(name string, flavor liberty.Flavor) Stage {
 		if err != nil {
 			return nil, err
 		}
-		pre := s.Config.preRoute()
+		pre := s.Config.PreRouteConfig()
 		r, err := dualvth.AssignMixed(s.Design, pre, strat, opts, flavor)
 		if err != nil {
 			return nil, err
@@ -288,7 +288,7 @@ func stageSwitchStructure() Stage {
 		if err != nil {
 			return nil, err
 		}
-		pre, err := s.pre.timing(d, cfg.preRoute(), nil)
+		pre, err := s.pre.timing(d, cfg.PreRouteConfig(), nil)
 		if err != nil {
 			return nil, err
 		}

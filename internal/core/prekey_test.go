@@ -1,10 +1,12 @@
-package engine
+package core
 
 import (
 	"math"
 	"testing"
 
+	"selectivemt/internal/engine"
 	"selectivemt/internal/gen"
+	"selectivemt/internal/geom"
 	"selectivemt/internal/liberty"
 	"selectivemt/internal/netlist"
 	"selectivemt/internal/parasitics"
@@ -13,6 +15,13 @@ import (
 	"selectivemt/internal/synth"
 	"selectivemt/internal/tech"
 )
+
+// cachedConfig is a Config whose min-period probes go through a fresh
+// analysis cache, returned alongside it for the hit/miss counts.
+func cachedConfig() (*Config, *engine.AnalysisCache) {
+	cache := engine.NewAnalysisCache()
+	return &Config{Cache: cache}, cache
+}
 
 // TestAnalyzePreSkipsClockArrival: a clock-arrival function is not part
 // of the pre-route key, so a skewed-clock probe after an ideal-clock
@@ -40,12 +49,12 @@ func TestAnalyzePreSkipsClockArrival(t *testing.T) {
 	}
 	skewed := cfg
 	skewed.ClockArrival = func(*netlist.Instance) float64 { return 0.5 }
-	cache := NewAnalysisCache()
-	ideal, err := cache.MinPeriod(d, cfg)
+	c, cache := cachedConfig()
+	ideal, err := c.minPeriod(d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := cache.MinPeriod(d, skewed)
+	got, err := c.minPeriod(d, skewed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,8 +101,8 @@ func TestAnalyzePreSeesSubNanometreMoves(t *testing.T) {
 				ClockPort:     "clk",
 				Extractor:     &parasitics.EstimateExtractor{Proc: proc},
 			}
-			cache := NewAnalysisCache()
-			before, err := cache.MinPeriod(d, cfg)
+			c, _ := cachedConfig()
+			before, err := c.minPeriod(d, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,7 +123,7 @@ func TestAnalyzePreSeesSubNanometreMoves(t *testing.T) {
 				d.NotePlacement(st.Inst)
 				moved++
 			}
-			got, err := cache.MinPeriod(d, cfg)
+			got, err := c.minPeriod(d, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,5 +139,84 @@ func TestAnalyzePreSeesSubNanometreMoves(t *testing.T) {
 					moved, got, fresh)
 			}
 		})
+	}
+}
+
+// tinyDesign builds a small placed combinational design: a NAND feeding
+// an inverter between two inputs and one output.
+func tinyDesign(t *testing.T, lib *liberty.Library) *netlist.Design {
+	t.Helper()
+	d := netlist.New("tiny", lib)
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range []string{"a", "b"} {
+		_, err := d.AddPort(p, netlist.DirInput)
+		must(err)
+	}
+	_, err := d.AddPort("y", netlist.DirOutput)
+	must(err)
+	nd, err := d.AddInstance("u1", lib.Cell("NAND2_X1_L"))
+	must(err)
+	inv, err := d.AddInstance("u2", lib.Cell("INV_X1_L"))
+	must(err)
+	mid, err := d.AddNet("mid")
+	must(err)
+	must(d.Connect(nd, "A", d.NetByName("a")))
+	must(d.Connect(nd, "B", d.NetByName("b")))
+	must(d.Connect(nd, "ZN", mid))
+	must(d.Connect(inv, "A", mid))
+	must(d.Connect(inv, "ZN", d.NetByName("y")))
+	nd.Pos, nd.Placed = geom.Pt(0, 0), true
+	inv.Pos, inv.Placed = geom.Pt(4, 0), true
+	return d
+}
+
+func TestCacheKeyDistinguishesDesigns(t *testing.T) {
+	proc := tech.Default130()
+	lib, err := liberty.Generate(proc, liberty.DefaultBuildOptions(proc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d1 := tinyDesign(t, lib)
+	d2 := tinyDesign(t, lib)
+	if d1.Fingerprint() != d2.Fingerprint() {
+		t.Fatal("identical construction should fingerprint equal")
+	}
+	// Mutate d2: swap the inverter to HVT.
+	if err := d2.ReplaceCell(d2.Instance("u2"), lib.Cell("INV_X1_H")); err != nil {
+		t.Fatal(err)
+	}
+	if d1.Fingerprint() == d2.Fingerprint() {
+		t.Fatal("mutated design should fingerprint differently")
+	}
+	cfg := sta.Config{ClockPeriodNs: 1, Extractor: &parasitics.EstimateExtractor{Proc: proc}}
+	c, cache := cachedConfig()
+	p1, err := c.minPeriod(d1, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p2, err := c.minPeriod(d2, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h, m := cache.Stats(); h != 0 || m != 2 {
+		t.Errorf("different designs must not share entries: %d hits / %d misses", h, m)
+	}
+	if cache.Len() != 2 {
+		t.Errorf("len = %d, want 2", cache.Len())
+	}
+	if p1 == p2 {
+		t.Errorf("an HVT swap left the minimum period at %v; the designs are not distinguished", p1)
+	}
+	// A clone of d1 fingerprints equal and hits its entry.
+	if _, err := c.minPeriod(d1.Clone(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	if h, _ := cache.Stats(); h != 1 {
+		t.Errorf("a clone should hit the cache: %d hits", h)
 	}
 }

@@ -209,7 +209,7 @@ func TestCarriedTimersMatchFreshAnalysis(t *testing.T) {
 				var stages []Stage
 				for _, st := range p.Stages() {
 					stages = append(stages, st, NewStage("check", func(_ context.Context, s *FlowState) (*flow.StageReport, error) {
-						r, err := sta.Analyze(s.Design, s.Config.preRoute())
+						r, err := sta.Analyze(s.Design, s.Config.PreRouteConfig())
 						if err != nil {
 							return nil, err
 						}

@@ -34,8 +34,6 @@ func TestOptionsValidate(t *testing.T) {
 		{"zero safety", "", func(o *assign.Options) { o.SafetyFactor = 0 }, assign.ErrNonPositiveSafety},
 		{"negative safety", "", func(o *assign.Options) { o.SafetyFactor = -1.5 }, assign.ErrNonPositiveSafety},
 		{"NaN safety", "", func(o *assign.Options) { o.SafetyFactor = math.NaN() }, assign.ErrNonPositiveSafety},
-		{"assign jobs ok", "", func(o *assign.Options) { o.Workers = 4 }, nil},
-		{"negative assign jobs", "", func(o *assign.Options) { o.Workers = -1 }, assign.ErrNegativeWorkers},
 		{"zero batch", "", func(o *assign.Options) { o.BatchSize = 0 }, assign.ErrNonPositiveBatch},
 		{"negative batch", "", func(o *assign.Options) { o.BatchSize = -8 }, assign.ErrNonPositiveBatch},
 		{"negative margin", "", func(o *assign.Options) { o.SlackMarginNs = -0.1 }, assign.ErrBadSlackMargin},

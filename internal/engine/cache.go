@@ -4,25 +4,22 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"selectivemt/internal/netlist"
-	"selectivemt/internal/parasitics"
-	"selectivemt/internal/sta"
 )
 
 // AnalysisCache memoizes the deterministic per-design analyses the flow
 // repeats on identical inputs: the minimum-period probe of a prepared
-// base design, and (through Memo) the multi-corner sign-off. Entries are
-// keyed by the design's content fingerprint (netlist.Design.Fingerprint:
-// SHA-256 over names, cells, connectivity and the exact bits of every
-// coordinate) plus the analysis parameters, so a clone (or a re-run of
-// the same circuit in a batch or benchmark) hits the cache even though
-// every run works on its own Design instance, while a move of any size
-// misses. Per-stage timing is not cached: every stage of a flow sees a
-// different design state, so the flow carries incremental timers from
-// stage to stage instead (core.FlowState). Activity estimation is not
-// cached either, for the same reason: the flow's carried simulator keeps
-// its own estimate while the logic is unchanged.
+// base design (core.Config.minPeriod) and the multi-corner sign-off
+// (mcmm). Callers compose the keys: the design's content fingerprint
+// (netlist.Design.Fingerprint: SHA-256 over names, cells, connectivity
+// and the exact bits of every coordinate) plus the analysis parameters,
+// so a clone (or a re-run of the same circuit in a batch or benchmark)
+// hits the cache even though every run works on its own Design instance,
+// while a move of any size misses. Per-stage timing is not cached: every
+// stage of a flow sees a different design state, so the flow carries
+// incremental timers from stage to stage instead (core.FlowState).
+// Activity estimation is not cached either, for the same reason: the
+// flow's carried simulator keeps its own estimate while the logic is
+// unchanged.
 //
 // The cache is safe for concurrent use and deduplicates in-flight
 // computations: when two workers ask for the same key at once, one
@@ -47,10 +44,25 @@ func NewAnalysisCache() *AnalysisCache {
 	return &AnalysisCache{entries: make(map[string]*cacheEntry)}
 }
 
-// do returns the memoized value for key, computing it at most once even
-// under concurrent callers. Errors are cached too: the computations are
-// deterministic, so a retry would fail identically.
-func (c *AnalysisCache) do(key string, compute func() (any, error)) (any, error) {
+// runCompute converts a compute panic into a (cached) error: the ready
+// channel must close no matter what, or every waiter on the key — and
+// every future lookup — would block forever.
+func runCompute(compute func() (any, error)) (val any, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("engine: cached analysis panicked: %v", r)
+		}
+	}()
+	return compute()
+}
+
+// Memo returns the memoized value for a caller-composed key, computing
+// it at most once even under concurrent callers. Callers own the key
+// namespace: prefix keys with a unique tag ("minp|" for the min-period
+// probe, "mcmm-sig|"/"mcmm-hold|" for the sign-off) so independent
+// subsystems cannot collide. The compute function must be deterministic:
+// errors are cached like values, since a retry would fail identically.
+func (c *AnalysisCache) Memo(key string, compute func() (any, error)) (any, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.mu.Unlock()
@@ -65,29 +77,6 @@ func (c *AnalysisCache) do(key string, compute func() (any, error)) (any, error)
 	e.val, e.err = runCompute(compute)
 	close(e.ready)
 	return e.val, e.err
-}
-
-// runCompute converts a compute panic into a (cached) error: the ready
-// channel must close no matter what, or every waiter on the key — and
-// every future lookup — would block forever.
-func runCompute(compute func() (any, error)) (val any, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("engine: cached analysis panicked: %v", r)
-		}
-	}()
-	return compute()
-}
-
-// Memo returns the memoized value for an arbitrary caller-composed key,
-// computing it at most once even under concurrent callers (the same
-// in-flight deduplication the built-in analyses use). Callers own the key
-// namespace: prefix keys with a unique tag so independent subsystems —
-// the multi-corner sign-off keys its entries by (fingerprint, corner) —
-// cannot collide with the built-in "minp|" entries. The
-// compute function must be deterministic; errors are cached like values.
-func (c *AnalysisCache) Memo(key string, compute func() (any, error)) (any, error) {
-	return c.do(key, compute)
 }
 
 // Stats reports lifetime hit/miss counts.
@@ -117,41 +106,4 @@ func (c *AnalysisCache) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.entries = make(map[string]*cacheEntry)
-}
-
-// preKey encodes every scalar field of a pre-route STA config. Only
-// configs with no clock-arrival override and the estimate extractor are
-// fully described by these scalars (the extractor is represented by its
-// process, pointer identity matching the fingerprint's treatment of the
-// library, so the fresh extractor struct each call site allocates still
-// shares entries). Any other config returns ok=false and must not be
-// cached: a clock-arrival function has no key, and an address-based key
-// for another extractor type could go stale after garbage collection and
-// alias a different extractor.
-func preKey(d *netlist.Design, cfg sta.Config) (string, bool) {
-	ee, ok := cfg.Extractor.(*parasitics.EstimateExtractor)
-	if !ok || cfg.ClockArrival != nil {
-		return "", false
-	}
-	return fmt.Sprintf("minp|%s|%g|%s|%g|%g|%g|%g|%p",
-		d.Fingerprint(), cfg.ClockPeriodNs, cfg.ClockPort, cfg.InputSlewNs,
-		cfg.InputDelayNs, cfg.OutputDelayNs, cfg.ClockSlewNs, ee.Proc), true
-}
-
-// MinPeriod runs the pre-route minimum-period probe and memoizes it.
-// Configs the key cannot describe are computed directly, uncached.
-func (c *AnalysisCache) MinPeriod(d *netlist.Design, cfg sta.Config) (float64, error) {
-	probe := func() (any, error) { return sta.MinPeriod(d, cfg) }
-	key, ok := preKey(d, cfg)
-	var v any
-	var err error
-	if ok {
-		v, err = c.do(key, probe)
-	} else {
-		v, err = probe()
-	}
-	if err != nil {
-		return 0, err
-	}
-	return v.(float64), nil
 }

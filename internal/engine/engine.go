@@ -1,10 +1,14 @@
 // Package engine holds the flow's concurrency primitives. Map is a
 // bounded fan-out with index-ordered results: the facade runs each
 // batch's prepare tasks and then its technique flows on it, and the
-// sharded timer, the assignment lanes and the corner sign-off fan out on
-// it too. Pool (pool.go) is the resident bounded queue behind the smtd
-// service, and AnalysisCache (cache.go) memoizes the per-design analyses
-// concurrent flows would otherwise recompute.
+// sharded timer's drains, the assignment lanes and the corner sign-off
+// call it directly. Pool (pool.go) is the resident bounded queue behind
+// the smtd service, and AnalysisCache (cache.go) memoizes the per-design
+// analyses concurrent flows would otherwise recompute, under keys its
+// callers compose.
+//
+// The package imports the standard library only (CI checks this), so
+// every layer of the flow can depend on it.
 package engine
 
 import (

@@ -2,8 +2,7 @@
 // derates the process, the Liberty library and the wire parasitics to
 // each PVT corner, maintains per-corner views of a finished design with
 // one persistent incremental timing graph each, and fans per-corner
-// analysis out on the flow engine's worker pool with per-(fingerprint,
-// corner) cache keys.
+// analysis out on engine.Map with per-(fingerprint, corner) cache keys.
 //
 // The sign-off discipline it implements is the standard one: setup is
 // checked where it is worst (the slow corner), hold and standby leakage

@@ -1,6 +1,7 @@
 package mcmm_test
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -231,24 +232,27 @@ func TestFixHoldReplayKeepsViewsIdentical(t *testing.T) {
 	}
 }
 
-func signoffOpts(f *testFlow, workers int, cache *engine.AnalysisCache) mcmm.SignoffOptions {
+func signoffOpts(f *testFlow, cache *engine.AnalysisCache) mcmm.SignoffOptions {
 	return mcmm.SignoffOptions{
 		Standby: power.StandbyOptions{},
 		FixHold: true,
 		ECO:     f.ecoOpts(),
-		Workers: workers,
 		Cache:   cache,
 	}
 }
 
+// TestSignoffParallelMatchesSequential: sign-off fans its corners out at
+// GOMAXPROCS, so the sequential runs pin it to 1 and the parallel ones
+// raise it to 4.
 func TestSignoffParallelMatchesSequential(t *testing.T) {
 	f := buildFlow(t)
-	run := func(workers int, cache *engine.AnalysisCache) string {
+	run := func(procs int, cache *engine.AnalysisCache) string {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		sess, err := mcmm.NewSession(f.design, f.set, nil, f.mkCfg(0))
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := mcmm.Signoff(sess, signoffOpts(f, workers, cache))
+		rep, err := mcmm.Signoff(sess, signoffOpts(f, cache))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,7 +289,7 @@ func TestSignoffReportShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := mcmm.Signoff(sess, signoffOpts(f, 0, nil))
+	rep, err := mcmm.Signoff(sess, signoffOpts(f, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

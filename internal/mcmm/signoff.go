@@ -62,9 +62,6 @@ type SignoffOptions struct {
 	// reports (smtreport-style analysis).
 	FixHold bool
 	ECO     eco.Options
-	// Workers bounds the corner-parallel fan-out on the engine pool;
-	// 1 forces a sequential corner loop, <= 0 means GOMAXPROCS.
-	Workers int
 	// Cache, when set, memoizes per-corner metrics by (fingerprint,
 	// corner) so repeated sign-off of identical designs is free.
 	Cache *engine.AnalysisCache
@@ -95,10 +92,11 @@ func memo[T any](cache *engine.AnalysisCache, key string, compute func() (any, e
 }
 
 // Signoff measures the session's design at every corner — setup/hold
-// slack and standby leakage, corner-parallel on the engine worker pool —
-// and, when FixHold is set, first repairs hold at the binding fast
-// corner. The returned report is deterministic: a sequential corner loop
-// (Workers=1) produces byte-identical results to the parallel run.
+// slack and standby leakage, corner-parallel on engine.Map at
+// GOMAXPROCS — and, when FixHold is set, first repairs hold at the
+// binding fast corner. The returned report is deterministic: a
+// sequential corner loop (GOMAXPROCS 1) produces byte-identical results
+// to the parallel run.
 func Signoff(s *Session, opts SignoffOptions) (*Report, error) {
 	rep := &Report{}
 	if opts.FixHold {
@@ -107,9 +105,8 @@ func Signoff(s *Session, opts SignoffOptions) (*Report, error) {
 		}
 	}
 	fp := s.primary.Fingerprint()
-	metrics, err := mapCorners(s, opts.Workers, func(i int) (Metrics, error) {
-		return cornerMetrics(s, i, fp, opts)
-	})
+	metrics, err := engine.Map(context.Background(), len(s.corners), 0,
+		func(_ context.Context, i int) (Metrics, error) { return cornerMetrics(s, i, fp, opts) })
 	if err != nil {
 		return nil, err
 	}
@@ -122,7 +119,7 @@ func Signoff(s *Session, opts SignoffOptions) (*Report, error) {
 
 // fixBindingHold probes hold at the session's fast corners, picks the
 // binding (worst) one and runs the hold ECO there. Fast-corner probes fan
-// out on the pool; the fix itself is sequential netlist surgery.
+// out on engine.Map; the fix itself is sequential netlist surgery.
 func fixBindingHold(s *Session, opts SignoffOptions, rep *Report) error {
 	var fastIdx []int
 	for i, c := range s.corners {
@@ -134,7 +131,7 @@ func fixBindingHold(s *Session, opts SignoffOptions, rep *Report) error {
 		return nil
 	}
 	fp := s.primary.Fingerprint()
-	probes, err := engine.Map(context.Background(), len(fastIdx), opts.Workers,
+	probes, err := engine.Map(context.Background(), len(fastIdx), 0,
 		func(_ context.Context, k int) (holdProbe, error) {
 			i := fastIdx[k]
 			key := fmt.Sprintf("mcmm-hold|%s|%s|%s", fp, s.corners[i], cornerCfgKey(s.cfgs[i]))
@@ -203,13 +200,6 @@ func cornerMetrics(s *Session, i int, fp string, opts SignoffOptions) (Metrics, 
 			StandbyLeakMW:  pw.StandbyLeakMW,
 		}, nil
 	})
-}
-
-// mapCorners fans fn out over the session's corners on the engine pool
-// and returns results in corner order.
-func mapCorners(s *Session, workers int, fn func(i int) (Metrics, error)) ([]Metrics, error) {
-	return engine.Map(context.Background(), len(s.corners), workers,
-		func(_ context.Context, i int) (Metrics, error) { return fn(i) })
 }
 
 // cornerCfgKey serializes the scalar identity of a corner timing config

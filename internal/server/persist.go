@@ -8,17 +8,15 @@ import (
 	"sort"
 	"strings"
 	"sync/atomic"
-	"time"
-
-	"selectivemt"
 )
 
-// persister is the store's durable mirror: one JSON file per job under
-// a state directory, written atomically (temp file + rename) on every
-// state transition. The files are small — a finished job holds only the
-// scalar result view and the rendered report, and a queued Verilog
-// upload keeps its source exactly until the flow consumes it — so the
-// write-per-transition cost stays negligible next to a flow run.
+// persister is the store's durable mirror: one JSON file per job (the
+// Job's own JSON form) under a state directory, written atomically (temp
+// file + rename) on every state transition. The files are small — a
+// finished job holds only the scalar result view and the rendered
+// report, and a queued Verilog upload keeps its source exactly until the
+// flow consumes it — so the write-per-transition cost stays negligible
+// next to a flow run.
 //
 // Durability contract: a restart re-serves every finished job byte-for-
 // byte (result view, report, stage history) and re-enqueues every job
@@ -39,23 +37,6 @@ type persister struct {
 	quarantined int
 }
 
-// persistedJob is the on-disk form of a Job. It carries the spec —
-// including an uploaded Verilog source while the job is live — because
-// a requeued job must be re-runnable from the file alone.
-type persistedJob struct {
-	ID       string              `json:"id"`
-	Spec     selectivemt.JobSpec `json:"spec"`
-	Status   Status              `json:"status"`
-	Circuit  string              `json:"circuit,omitempty"`
-	Stages   []Stage             `json:"stages,omitempty"`
-	Result   *resultView         `json:"result,omitempty"`
-	Report   string              `json:"report,omitempty"`
-	Err      string              `json:"error,omitempty"`
-	Created  time.Time           `json:"created"`
-	Started  time.Time           `json:"started,omitzero"`
-	Finished time.Time           `json:"finished,omitzero"`
-}
-
 // openPersister creates (or reopens) a state directory.
 func openPersister(dir string) (*persister, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -72,20 +53,7 @@ func (p *persister) path(id string) string {
 // lock, which orders the writes: the last rename wins and it is always
 // the newest state.
 func (p *persister) put(j *Job) {
-	pj := persistedJob{
-		ID:       j.ID,
-		Spec:     j.Spec,
-		Status:   j.Status,
-		Circuit:  j.Circuit,
-		Stages:   j.Stages,
-		Result:   j.Result,
-		Report:   j.Report,
-		Err:      j.Err,
-		Created:  j.Created,
-		Started:  j.Started,
-		Finished: j.Finished,
-	}
-	data, err := json.Marshal(pj)
+	data, err := json.Marshal(j)
 	if err != nil {
 		p.writeErrs.Add(1)
 		return
@@ -142,30 +110,18 @@ func (p *persister) load() ([]*Job, uint64, error) {
 		lastSeq = max(lastSeq, jobSeq(name))
 		path := filepath.Join(p.dir, name)
 		data, err := os.ReadFile(path)
-		var pj persistedJob
+		j := new(Job)
 		if err == nil {
-			err = json.Unmarshal(data, &pj)
+			err = json.Unmarshal(data, j)
 		}
-		if err != nil || pj.ID == "" {
+		if err != nil || j.ID == "" {
 			if err := os.Rename(path, path+".corrupt"); err != nil {
 				p.writeErrs.Add(1)
 			}
 			p.quarantined++
 			continue
 		}
-		jobs = append(jobs, &Job{
-			ID:       pj.ID,
-			Spec:     pj.Spec,
-			Status:   pj.Status,
-			Circuit:  pj.Circuit,
-			Stages:   pj.Stages,
-			Result:   pj.Result,
-			Report:   pj.Report,
-			Err:      pj.Err,
-			Created:  pj.Created,
-			Started:  pj.Started,
-			Finished: pj.Finished,
-		})
+		jobs = append(jobs, j)
 	}
 	return jobs, lastSeq, nil
 }

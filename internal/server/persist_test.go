@@ -419,3 +419,71 @@ func TestCorruptStateFileKeepsItsID(t *testing.T) {
 		t.Errorf("durable stats after the second restart = %+v, want nothing quarantined again", st.Durable)
 	}
 }
+
+// TestStateFilesFromEarlierReleases pins the state-file format against
+// two files an earlier smtd wrote: testdata/job-00000001.json, a finished
+// two-technique job, and testdata/job-00000002.json, whose spec still
+// carries "assign_jobs", a field JobSpec no longer has. Both must load
+// and serve their stored report; put must rewrite the first byte for
+// byte, so the store keeps writing the format it reads.
+func TestStateFilesFromEarlierReleases(t *testing.T) {
+	dir := t.TempDir()
+	copyDir(t, "testdata", dir)
+	s, ts := newTestServer(t, Options{Workers: 1, StateDir: dir})
+	if got := s.Recovered(); got != 0 {
+		t.Fatalf("recovered = %d, want 0 (both jobs are finished)", got)
+	}
+	for _, name := range []string{"job-00000001.json", "job-00000002.json"} {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want struct {
+			ID     string `json:"id"`
+			Report string `json:"report"`
+		}
+		if err := json.Unmarshal(data, &want); err != nil {
+			t.Fatal(err)
+		}
+		if want.Report == "" {
+			t.Fatalf("%s holds no report; the fixture shows nothing", name)
+		}
+		code, report := doJSON(t, "GET", ts.URL+"/v1/jobs/"+want.ID+"/report", "")
+		if code != http.StatusOK || report != want.Report {
+			t.Errorf("%s: /report answered %d:\n%q\nwant the stored report\n%q", name, code, report, want.Report)
+		}
+	}
+	if !strings.Contains(readFile(t, filepath.Join("testdata", "job-00000002.json")), `"assign_jobs":2`) {
+		t.Fatal("job-00000002.json lost its assign_jobs field; the fixture shows nothing")
+	}
+
+	// load renames what it cannot decode, so it reads a copy.
+	loadDir := t.TempDir()
+	copyDir(t, "testdata", loadDir)
+	src, err := openPersister(loadDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := openPersister(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs, _, err := src.load()
+	if err != nil || len(jobs) != 2 {
+		t.Fatalf("load = %d jobs, %v; want 2", len(jobs), err)
+	}
+	p.put(jobs[0])
+	want := readFile(t, filepath.Join("testdata", "job-00000001.json"))
+	if got := readFile(t, p.path(jobs[0].ID)); got != want {
+		t.Errorf("put rewrote %s as\n%s\nwant\n%s", jobs[0].ID, got, want)
+	}
+}
+
+func readFile(t *testing.T, path string) string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}

@@ -39,13 +39,10 @@ type Options struct {
 	// shard. Timing and greedy results are bit-identical either way; the
 	// sensitivity strategy's follow the shard count.
 	Partitions int
-	// ShardJobs bounds per-shard fan-out when partitioned timing is on;
-	// same spec-wins default rule as Partitions. <= 0 means GOMAXPROCS.
+	// ShardJobs bounds per-design fan-out (the shard drains and the
+	// sensitivity strategy's lanes) when partitioned timing is on; same
+	// spec-wins default rule as Partitions. <= 0 means GOMAXPROCS.
 	ShardJobs int
-	// AssignJobs bounds the sensitivity lane engine's fan-out width;
-	// same spec-wins default rule as ShardJobs. <= 0 means GOMAXPROCS
-	// (capped at the shard count). Never changes results.
-	AssignJobs int
 	// Strategy is the default Vth-assignment strategy applied to job
 	// specs that leave theirs unset (a spec's own value wins). Empty
 	// means the built-in default (greedy); unknown names fail New.
@@ -145,9 +142,6 @@ func New(env *selectivemt.Environment, opts Options) (*Server, error) {
 		}
 		if spec.ShardJobs == 0 {
 			spec.ShardJobs = opts.ShardJobs
-		}
-		if spec.AssignJobs == 0 {
-			spec.AssignJobs = opts.AssignJobs
 		}
 		if spec.Strategy == "" {
 			spec.Strategy = opts.Strategy

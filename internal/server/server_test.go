@@ -123,6 +123,9 @@ func TestBadRequests(t *testing.T) {
 		// before the DisallowUnknownFields fix this job silently ran
 		// with the default partition count.
 		{"unknown field", "POST", "/v1/jobs", `{"circuit":"small","partitons":4}`, http.StatusBadRequest, "partitons"},
+		// The lane width is the timer's shard_jobs; the old separate
+		// field is now as unknown as a typo.
+		{"removed lane-width field", "POST", "/v1/jobs", `{"circuit":"small","assign_jobs":2}`, http.StatusBadRequest, "assign_jobs"},
 		{"trailing garbage", "POST", "/v1/jobs", `{"circuit":"small"} {"oops":1}`, http.StatusBadRequest, "trailing data"},
 		{"empty spec", "POST", "/v1/jobs", "{}", http.StatusBadRequest, "circuit name or a Verilog"},
 		{"unknown circuit", "POST", "/v1/jobs", `{"circuit":"z"}`, http.StatusBadRequest, "unknown circuit"},

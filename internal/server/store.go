@@ -52,18 +52,23 @@ type Stage struct {
 // report — never the flow's netlists or the uploaded Verilog source:
 // with MaxJobs retained records, holding full designs would grow a
 // resident server by gigabytes.
+//
+// The JSON form is the durable store's file format (persist.go). It
+// carries the spec — including an uploaded Verilog source while the job
+// is live — because a requeued job must be re-runnable from the file
+// alone.
 type Job struct {
-	ID       string
-	Spec     selectivemt.JobSpec
-	Status   Status
-	Circuit  string
-	Stages   []Stage
-	Result   *resultView
-	Report   string
-	Err      string
-	Created  time.Time
-	Started  time.Time
-	Finished time.Time
+	ID       string              `json:"id"`
+	Spec     selectivemt.JobSpec `json:"spec"`
+	Status   Status              `json:"status"`
+	Circuit  string              `json:"circuit,omitempty"`
+	Stages   []Stage             `json:"stages,omitempty"`
+	Result   *resultView         `json:"result,omitempty"`
+	Report   string              `json:"report,omitempty"`
+	Err      string              `json:"error,omitempty"`
+	Created  time.Time           `json:"created"`
+	Started  time.Time           `json:"started,omitzero"`
+	Finished time.Time           `json:"finished,omitzero"`
 
 	cancel context.CancelCauseFunc
 }

@@ -155,3 +155,61 @@ func TestFlatLegacyDifferentialRandomEdits(t *testing.T) {
 		}
 	})
 }
+
+// TestIncrementalSwapUpdateZeroAlloc pins the whole journal path of a
+// swap batch: 64 cell swaps and the Update that follows (journal read,
+// touched-net de-duplication, arc rebind, retime and publish) allocate
+// nothing once warm, on a design with no hold violations (the hold list
+// is the one result slice an endpoint scan may grow). A bounded journal
+// recycles its buffer, so the swaps allocate nothing either.
+func TestIncrementalSwapUpdateZeroAlloc(t *testing.T) {
+	l := lib(t)
+	d := synthSmall(t)
+	d.SetJournalCap(256)
+	c := cfg(t, 3)
+	c.InputDelayNs = 0.1 // as the flow sets it: input-fed flops meet hold
+	inc, err := NewIncremental(d, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(inc.Result().HoldViolations); n != 0 {
+		t.Fatalf("fixture has %d hold violations; the guard needs none", n)
+	}
+	var insts []*netlist.Instance
+	var variants [][2]*liberty.Cell
+	for _, inst := range d.Instances() {
+		hvt, lvt := l.Variant(inst.Cell, liberty.FlavorHVT), l.Variant(inst.Cell, liberty.FlavorLVT)
+		if inst.Cell.Kind != liberty.KindComb || hvt == nil || lvt == nil {
+			continue
+		}
+		insts = append(insts, inst)
+		variants = append(variants, [2]*liberty.Cell{hvt, lvt})
+		if len(insts) == 64 {
+			break
+		}
+	}
+	if len(insts) < 64 {
+		t.Fatalf("only %d swappable instances; the batch needs 64", len(insts))
+	}
+	k := 0
+	batch := func() {
+		for i, inst := range insts {
+			if err := d.ReplaceCell(inst, variants[i][k&1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		k++
+		if _, err := inc.Update(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 8 { // fill the journal to its cap and warm every buffer
+		batch()
+	}
+	if got := inc.Stats().SwapUpdates; got != 8 {
+		t.Fatalf("8 swap batches took the swap path %d times", got)
+	}
+	if n := testing.AllocsPerRun(10, batch); n != 0 {
+		t.Errorf("a 64-swap batch and its Update allocate %v/run, want 0", n)
+	}
+}

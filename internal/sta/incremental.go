@@ -49,6 +49,13 @@ type Incremental struct {
 	// timing state ended unchanged). Persisted so LastRetimeChanged can
 	// report load changes alongside arrival/required changes.
 	touched []int32
+	// touchMark de-duplicates touched: touchMark[id] == touchEpoch marks
+	// a net already collected in the current batch. It is indexed by
+	// graph net ID and grows when a patch appends nets; marks left from
+	// before a rebuild renumbered the IDs carry older epochs, so they read
+	// as unmarked.
+	touchMark  []uint32
+	touchEpoch uint32
 	// broken marks a graph a failed patch left half rebound: the next
 	// Update recompiles.
 	broken bool
@@ -134,6 +141,12 @@ func (inc *Incremental) publish() {
 // Config.Partitions asked for more. Callers that schedule work per shard
 // (the assignment lane engine) size their structures off this.
 func (inc *Incremental) ShardCount() int { return len(inc.sg.shards) }
+
+// Workers reports the timer's fan-out width: Config.ShardJobs (<= 0
+// means GOMAXPROCS) capped at the shard count. Work that fans out per
+// shard of this timer (the assignment lane engine) runs at this width,
+// so one knob bounds a design's parallelism.
+func (inc *Incremental) Workers() int { return inc.sg.workers() }
 
 // ShardOf returns the shard that owns an instance's timing state — the
 // owner of its output net, the same assignment buildSharded derived from
@@ -278,11 +291,19 @@ func (inc *Incremental) patch(delta []netlist.Change) error {
 // design are gone from the graph already.
 func (inc *Incremental) collectTouched(delta []netlist.Change) {
 	cg := inc.sg.cg
-	seen := make(map[int32]bool, len(delta))
+	if grow := len(cg.nets) - len(inc.touchMark); grow > 0 {
+		inc.touchMark = append(inc.touchMark, make([]uint32, grow)...)
+	}
+	inc.touchEpoch++
+	if inc.touchEpoch == 0 { // wrapped: old marks would read as current
+		clear(inc.touchMark)
+		inc.touchEpoch = 1
+	}
+	mark, epoch := inc.touchMark, inc.touchEpoch
 	touched := inc.touched[:0]
 	note := func(n *netlist.Net) {
-		if id, ok := cg.lookup(n); ok && !seen[id] {
-			seen[id] = true
+		if id, ok := cg.lookup(n); ok && mark[id] != epoch {
+			mark[id] = epoch
 			touched = append(touched, id)
 		}
 	}

@@ -596,3 +596,49 @@ func TestWorstPathsAndCriticalsOnDegenerateNets(t *testing.T) {
 	}
 	requireOracle(t, d, cfg(t, 2), got)
 }
+
+// TestCollectTouchedEpochWraparound: the touched-net marks survive their
+// epoch counter wrapping. Marks left at the value the counter restarts
+// from would hide every net of the next batch unless the wrap clears
+// them; the retime must still see the swap and match the oracle.
+func TestCollectTouchedEpochWraparound(t *testing.T) {
+	l := lib(t)
+	d := synthSmall(t)
+	c := cfg(t, 3)
+	inc, err := NewIncremental(d, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inst *netlist.Instance
+	for _, cand := range d.Instances() {
+		if cand.Cell.Kind == liberty.KindComb && l.Variant(cand.Cell, liberty.FlavorHVT) != nil {
+			inst = cand
+			break
+		}
+	}
+	if inst == nil {
+		t.Fatal("no comb instance with an HVT variant")
+	}
+	orig := inst.Cell
+	swap := func(to *liberty.Cell) *Result {
+		t.Helper()
+		if err := d.ReplaceCell(inst, to); err != nil {
+			t.Fatal(err)
+		}
+		res, err := inc.Update()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	swap(l.Variant(orig, liberty.FlavorHVT)) // sizes the marks
+	for i := range inc.touchMark {
+		inc.touchMark[i] = 1
+	}
+	inc.touchEpoch = math.MaxUint32
+	res := swap(orig)
+	if len(inc.touched) == 0 {
+		t.Fatal("the batch after the wrap collected no nets")
+	}
+	requireOracle(t, d, c, res)
+}

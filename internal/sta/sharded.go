@@ -36,11 +36,9 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"runtime/pprof"
-	"sync"
-	"sync/atomic"
 
+	"selectivemt/internal/engine"
 	"selectivemt/internal/netlist"
 	"selectivemt/internal/partition"
 )
@@ -247,14 +245,7 @@ func (sg *ShardedGraph) Rounds() int   { return sg.rounds }
 
 // workers resolves the effective shard fan-out width.
 func (sg *ShardedGraph) workers() int {
-	w := sg.cg.cfg.ShardJobs
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > len(sg.shards) {
-		w = len(sg.shards)
-	}
-	return w
+	return min(engine.NormalizeWorkers(sg.cg.cfg.ShardJobs), len(sg.shards))
 }
 
 // bump* advance a queue epoch, clearing the marks on wraparound (when
@@ -379,10 +370,10 @@ func (sg *ShardedGraph) drain(phase int, s *shard) {
 
 // runActive drains every active shard, serially at one worker (the
 // zero-allocation path the AllocsPerRun guards pin — no closures, no
-// goroutines) or fanned out across workers — through cfg.ShardRun (the
-// flow engine's pool, wired by internal/core) when set, else an internal
-// worker group. Parallel tasks carry pprof labels so -cpuprofile output
-// attributes time per shard and phase.
+// goroutines) or fanned out on engine.Map. Parallel tasks carry pprof
+// labels so -cpuprofile output attributes time per shard and phase.
+// Drains return no errors, so a Map error is a drain panic: it panics
+// again here rather than leave a timing pass half propagated.
 func (sg *ShardedGraph) runActive(phase, workers int) {
 	n := len(sg.active)
 	if workers <= 1 || n <= 1 {
@@ -391,35 +382,15 @@ func (sg *ShardedGraph) runActive(phase, workers int) {
 		}
 		return
 	}
-	task := func(i int) {
+	_, err := engine.Map(context.Background(), n, workers, func(ctx context.Context, i int) (struct{}, error) {
 		s := &sg.shards[sg.active[i]]
-		pprof.Do(context.Background(),
-			pprof.Labels("sta_phase", phaseNames[phase], "sta_shard", s.label),
+		pprof.Do(ctx, pprof.Labels("sta_phase", phaseNames[phase], "sta_shard", s.label),
 			func(context.Context) { sg.drain(phase, s) })
+		return struct{}{}, nil
+	})
+	if err != nil {
+		panic(fmt.Sprintf("sta: shard drain: %v", err))
 	}
-	if run := sg.cg.cfg.ShardRun; run != nil {
-		run(n, workers, task)
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= n {
-					return
-				}
-				task(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // drainExtract re-extracts every net a shard owns, with the shard's own

@@ -1,11 +1,15 @@
 package sta
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 
 	"selectivemt/internal/liberty"
 	"selectivemt/internal/netlist"
+	"selectivemt/internal/parasitics"
 )
 
 // randomCut scatters instances over k shards uniformly at random — the
@@ -230,4 +234,85 @@ func TestShardedRetimeZeroAlloc(t *testing.T) {
 	c.ShardJobs = 1
 	d := synthSmall(t)
 	requireRetimeZeroAlloc(t, d, warmGraph(t, d, c))
+}
+
+// TestIncrementalWorkers: the timer's fan-out width is ShardJobs capped
+// at the shard count, with <= 0 meaning GOMAXPROCS. The assignment lanes
+// run at this width, so it is the one per-design parallelism knob.
+func TestIncrementalWorkers(t *testing.T) {
+	d := synthSmall(t)
+	gmp := runtime.GOMAXPROCS(0)
+	cases := []struct {
+		jobs, shards, want int
+	}{
+		{3, 8, 3},
+		{9, 4, 4},
+		{1, 16, 1},
+		{0, 2, min(gmp, 2)},
+		{0, 16, min(gmp, 16)},
+		{-1, 16, min(gmp, 16)},
+		{4, 1, 1},
+	}
+	for _, tc := range cases {
+		c := cfg(t, 3)
+		c.shardAssign, c.shardCount, c.ShardJobs = randomCut(d, tc.shards, 7), tc.shards, tc.jobs
+		inc, err := NewIncremental(d, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inc.ShardCount() != tc.shards {
+			t.Fatalf("a %d-shard cut built %d shards", tc.shards, inc.ShardCount())
+		}
+		if got := inc.Workers(); got != tc.want {
+			t.Errorf("ShardJobs %d on %d shards: Workers() = %d, want %d", tc.jobs, tc.shards, got, tc.want)
+		}
+	}
+}
+
+// panicExtractor is the estimate extractor with one net rigged to panic.
+// It extracts in place, so a full analysis extracts per shard on the
+// parallel drain path.
+type panicExtractor struct {
+	parasitics.EstimateExtractor
+	net string
+}
+
+func (e *panicExtractor) ExtractInto(n *netlist.Net, t *parasitics.RCTree) *parasitics.RCTree {
+	if n.Name == e.net {
+		panic("rigged extraction of " + n.Name)
+	}
+	return e.EstimateExtractor.ExtractInto(n, t)
+}
+
+// TestShardDrainPanicPropagates: a panic inside a parallel shard drain
+// must reach the caller of Analyze with the original value in its
+// message, not be swallowed into a half-propagated result.
+func TestShardDrainPanicPropagates(t *testing.T) {
+	d := synthSmall(t)
+	c := cfg(t, 3)
+	c.Partitions, c.ShardJobs = 4, 2
+	sg := warmGraph(t, d, c)
+	if sg.Shards() < 2 || sg.workers() != 2 {
+		t.Fatalf("want a parallel drain: %d shards at %d workers", sg.Shards(), sg.workers())
+	}
+	nets := d.Nets()
+	victim := nets[len(nets)/2].Name
+	c.Extractor = &panicExtractor{EstimateExtractor: parasitics.EstimateExtractor{Proc: sharedProc}, net: victim}
+
+	var res *Result
+	recovered := func() (r any) {
+		defer func() { r = recover() }()
+		res, _ = Analyze(d, c)
+		return nil
+	}()
+	if recovered == nil {
+		t.Fatalf("Analyze returned (result %v) instead of panicking", res != nil)
+	}
+	msg := fmt.Sprint(recovered)
+	if !strings.Contains(msg, "sta: shard drain") || !strings.Contains(msg, "rigged extraction of "+victim) {
+		t.Errorf("panic %q does not carry the drain's original value", msg)
+	}
+	if res != nil {
+		t.Error("Analyze handed out a result alongside the panic")
+	}
 }

@@ -43,15 +43,15 @@ type Config struct {
 	// out per shard and the cross-shard interface graph iterates to a
 	// fixed point. Results are bit-identical at any shard and worker count.
 	Partitions int
-	// ShardJobs bounds the shard fan-out width (<= 0 means GOMAXPROCS;
-	// always clamped to the shard count). At 1 propagation stays on the
-	// calling goroutine and allocates nothing.
+	// ShardJobs bounds the per-design fan-out width: the shard drains,
+	// and the assignment lanes that run on this timer
+	// (Incremental.Workers). <= 0 means GOMAXPROCS; always clamped to the
+	// shard count. At 1 propagation stays on the calling goroutine and
+	// allocates nothing.
 	ShardJobs int
-	// ShardRun, when set, runs a sharded fan-out of `tasks` tasks on an
-	// external scheduler (internal/core wires the flow engine's pool in
-	// here; sta cannot import engine). nil uses an internal worker group.
-	// Implementations must call run(t) exactly once for every t in
-	// [0, tasks) and return only after all calls complete.
+	// Deprecated: ShardRun is ignored. The shard drains fan out on
+	// engine.Map. The field stays only because cmd/smtbench still
+	// assigns it.
 	ShardRun func(tasks, workers int, run func(task int))
 
 	// shardAssign overrides the clustering pass with an explicit

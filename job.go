@@ -57,14 +57,11 @@ type JobSpec struct {
 	// follows the shard count (see Config.Partitions). 0 or 1 means one
 	// shard.
 	Partitions int `json:"partitions,omitempty"`
-	// ShardJobs bounds the sharded kernel's fan-out width per design
-	// (<= 0 means GOMAXPROCS). Only meaningful with Partitions > 1.
+	// ShardJobs bounds the per-design fan-out width: the timer's shard
+	// drains and the sensitivity strategy's commit lanes (<= 0 means
+	// GOMAXPROCS, capped at the shard count). Only meaningful with
+	// Partitions > 1; it never changes results, only scheduling.
 	ShardJobs int `json:"shard_jobs,omitempty"`
-	// AssignJobs bounds the sensitivity lane engine's fan-out width
-	// (<= 0 means GOMAXPROCS, capped at the shard count). Only
-	// meaningful with Partitions > 1 and the sensitivity strategy; it
-	// never changes results, only scheduling.
-	AssignJobs int `json:"assign_jobs,omitempty"`
 	// Strategy names the Vth-assignment strategy for every Dual-Vth/SMT
 	// stage of the job: "greedy" (the paper's slack-ordered pass,
 	// the default) or "sensitivity" (leakage-per-slack ordering off the
@@ -274,9 +271,6 @@ func (s JobSpec) Validate() error {
 	if s.ShardJobs < 0 {
 		return fmt.Errorf("selectivemt: negative shard-jobs %d", s.ShardJobs)
 	}
-	if s.AssignJobs < 0 {
-		return fmt.Errorf("selectivemt: negative assign-jobs %d", s.AssignJobs)
-	}
 	switch {
 	case s.Circuit != "" && s.Verilog != "":
 		return fmt.Errorf("selectivemt: job lists both a benchmark circuit and a Verilog netlist")
@@ -319,7 +313,6 @@ func (e *Environment) newJobRun(index int, spec JobSpec) (*jobRun, error) {
 	cfg.Corners, _ = parseCornerNames(spec.Corners)
 	cfg.Partitions = spec.Partitions
 	cfg.ShardJobs = spec.ShardJobs
-	cfg.AssignJobs = spec.AssignJobs
 	// Store the canonical strategy name so stage reports and downstream
 	// lookups agree on spelling.
 	cfg.Strategy, _ = ParseStrategy(spec.Strategy)

@@ -7,7 +7,6 @@ import (
 
 	"selectivemt/internal/core"
 	"selectivemt/internal/mcmm"
-	"selectivemt/internal/parasitics"
 	"selectivemt/internal/power"
 	"selectivemt/internal/report"
 	"selectivemt/internal/sta"
@@ -97,14 +96,7 @@ func (e *Environment) ReportDesign(d *Design, cfg *Config, optVector bool) (stri
 
 	// Timing.
 	if cfg.ClockPeriodNs > 0 {
-		stCfg := sta.Config{
-			ClockPeriodNs: cfg.ClockPeriodNs,
-			ClockPort:     cfg.ClockPort,
-			InputSlewNs:   0.03,
-			InputDelayNs:  0.1,
-			Extractor:     &parasitics.EstimateExtractor{Proc: e.Proc},
-		}
-		timing, err := sta.Analyze(d, stCfg)
+		timing, err := sta.Analyze(d, cfg.PreRouteConfig())
 		if err != nil {
 			return "", err
 		}
