@@ -1,6 +1,6 @@
 // Strategy benchmarks on the big tiers: greedy (the paper's
 // slack-ordered pass) vs sensitivity (leakage-saved-per-slack LUT
-// ordering, committed from per-shard lanes with batched re-timing) on
+// ordering, committed from per-cluster lanes with batched re-timing) on
 // the same 100k-/1M-instance designs the kernel benchmarks use. Each
 // iteration runs the whole assignment on a fresh clone, so ns/op is the
 // full optimization-loop cost, and the reported
@@ -67,8 +67,8 @@ func benchAssignStrategies(b *testing.B, setup func(testing.TB) (*netlist.Design
 	return out
 }
 
-// BenchmarkAssignStrategies: both strategies on the 100k tier with a
-// one-shard timer, so sensitivity runs one lane. The recorded numbers
+// BenchmarkAssignStrategies: both strategies on the 100k tier with an
+// unpartitioned timer, so sensitivity runs one lane. The recorded numbers
 // live in BENCH_assign.json.
 func BenchmarkAssignStrategies(b *testing.B) {
 	out := benchAssignStrategies(b, largeTimingSetup)
@@ -85,8 +85,8 @@ func BenchmarkAssignStrategies(b *testing.B) {
 }
 
 // BenchmarkAssignSensitivityLanes runs the sensitivity strategy on the
-// 100k tier with a 16-way partitioned timer — 16 commit lanes — at timer
-// widths (ShardJobs) of 1, 2 and 4, which the lanes fan out at too. The
+// 100k tier with a 16-lane timer (Partitions 16: 16 commit lanes) at
+// lane widths (ShardJobs) of 1, 2 and 4. The
 // engine is bit-exact across worker counts
 // (TestLaneDeterminismAcrossWorkers pins that), so the widths differ
 // only in wall-clock; each must end violation-free with leakage no
@@ -119,9 +119,9 @@ func BenchmarkAssignSensitivityLanes(b *testing.B) {
 }
 
 // BenchmarkHugeAssignStrategies is the same comparison at the
-// ~1M-instance tier on a 16-shard timer (excluded from CI like the
+// ~1M-instance tier on a 16-lane timer (excluded from CI like the
 // other Huge benches; run locally with -bench '^BenchmarkHugeAssign').
-// This is the tier where the lane engine's dirty-shard re-times and
+// This is the tier where the lane engine's dirty-cone re-times and
 // adaptive batches pay off most.
 func BenchmarkHugeAssignStrategies(b *testing.B) {
 	benchAssignStrategies(b, func(tb testing.TB) (*netlist.Design, sta.Config, *Environment) {

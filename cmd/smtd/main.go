@@ -60,8 +60,8 @@ func main() {
 	maxUpload := flag.Int64("max-upload", server.DefaultMaxUpload, "request body size cap in bytes (413 beyond it)")
 	maxJobs := flag.Int("max-jobs", server.DefaultMaxJobs, "finished-job retention cap (oldest evicted past it)")
 	drainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "how long a shutdown waits for accepted jobs")
-	partitions := flag.Int("partitions", 0, "default timing shards for specs that leave partitions unset (<= 1 = one shard)")
-	shardJobs := flag.Int("shard-jobs", 0, "default per-design fan-out (timing shards and sensitivity assignment lanes) for specs that leave shard_jobs unset (0 = GOMAXPROCS)")
+	partitions := flag.Int("partitions", 0, "default sensitivity-assignment lanes for specs that leave partitions unset (<= 1 = one lane)")
+	shardJobs := flag.Int("shard-jobs", 0, "default per-design fan-out of the sensitivity assignment lanes for specs that leave shard_jobs unset (0 = GOMAXPROCS)")
 	strategy := flag.String("strategy", "", "default Vth-assignment strategy for specs that leave strategy unset (greedy or sensitivity)")
 	stateDir := flag.String("state-dir", "", "durable job store directory: jobs survive restarts, interrupted ones are re-enqueued (empty = in-memory only)")
 	rate := flag.Float64("rate", 0, "per-client submit rate limit in jobs/s, keyed by X-Client-ID or remote host (0 = unlimited)")

@@ -44,8 +44,8 @@ func main() {
 	sdcIn := flag.String("sdc", "", "SDC constraints for -verilog input")
 	technique := flag.String("technique", "improved", "improved, conventional, dual, all, or a registered pipeline name")
 	jobs := flag.Int("jobs", 0, "max concurrent technique jobs (0 = GOMAXPROCS)")
-	partitions := flag.Int("partitions", 0, "timing shards per analysis (<= 1 = one shard; timing and greedy results are bit-identical, sensitivity commits one lane per shard so its result follows the count)")
-	shardJobs := flag.Int("shard-jobs", 0, "max concurrent timing shards and sensitivity assignment lanes when -partitions > 1 (0 = GOMAXPROCS)")
+	partitions := flag.Int("partitions", 0, "sensitivity-assignment lanes per design (<= 1 = one lane; timing and greedy results never depend on it, sensitivity commits one lane per cluster so its result follows the count)")
+	shardJobs := flag.Int("shard-jobs", 0, "max concurrent sensitivity assignment lanes when -partitions > 1 (0 = GOMAXPROCS)")
 	strategy := flag.String("strategy", "", "Vth-assignment strategy: greedy (paper default) or sensitivity (leakage-per-slack LUT ordering)")
 	outVerilog := flag.String("out-verilog", "", "write the final netlist here")
 	outSpef := flag.String("out-spef", "", "write the VGND parasitics here")

@@ -39,8 +39,8 @@ func main() {
 	circuit := flag.String("circuit", "both", "which circuit to run: a, b, small, large or both")
 	detail := flag.Bool("detail", false, "print per-technique detail (counts, clusters, stages)")
 	jobs := flag.Int("jobs", 0, "max concurrent flow jobs (0 = GOMAXPROCS, 1 = sequential)")
-	partitions := flag.Int("partitions", 0, "timing shards per analysis (<= 1 = one shard; timing and greedy results are bit-identical, sensitivity commits one lane per shard so its result follows the count)")
-	shardJobs := flag.Int("shard-jobs", 0, "max concurrent timing shards and sensitivity assignment lanes when -partitions > 1 (0 = GOMAXPROCS)")
+	partitions := flag.Int("partitions", 0, "sensitivity-assignment lanes per design (<= 1 = one lane; timing and greedy results never depend on it, sensitivity commits one lane per cluster so its result follows the count)")
+	shardJobs := flag.Int("shard-jobs", 0, "max concurrent sensitivity assignment lanes when -partitions > 1 (0 = GOMAXPROCS)")
 	strategy := flag.String("strategy", "", "Vth-assignment strategy: greedy (paper default) or sensitivity (leakage-per-slack LUT ordering)")
 	cornersFlag := flag.String("corners", "", "PVT sign-off corners: all, or comma-separated typ,slow,fast-hot,fast-cold")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile here (go tool pprof format)")

@@ -14,7 +14,7 @@
 //     the pre-refactor dualvth loops (oracle-enforced).
 //   - "sensitivity": candidates ordered by leakage saved per slack
 //     consumed using a per-(cell, flavor) leakage LUT built once per
-//     library, committed from per-shard lanes in adaptive batches with
+//     library, committed from per-cluster lanes in adaptive batches with
 //     incremental re-timing between batches, and unwound worst slack
 //     first when a batch overshoots (lanes.go).
 //
@@ -175,7 +175,7 @@ type Result struct {
 	// Phases breaks the run's wall-clock down by phase.
 	Phases PhaseTimes
 	// Workers is the effective lane fan-out the run used (greedy and
-	// one-shard timers run one).
+	// one-lane timers run one).
 	Workers int
 }
 

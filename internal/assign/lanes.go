@@ -14,27 +14,28 @@ import (
 )
 
 // laneEngine is the sensitivity strategy's engine: one commit lane per
-// timer shard, over the same clustering the timer shards by. A
-// one-shard timer is one lane with no boundary nets, fanned out inline.
+// cluster of the timer's lane view (sta.Incremental.ShardCount). An
+// unpartitioned timer is one lane with no boundary nets, run inline.
 //
 // The engine is deterministic by construction at any worker count:
 //
-//   - Every lane owns the candidates whose instance lives in its shard
-//     and orders them in a max-heap under a strict total order
+//   - Every lane owns the candidates whose instance lives in its
+//     cluster and orders them in a max-heap under a strict total order
 //     (priority, then slack, then enumeration sequence). Scoring,
 //     heap maintenance and proposal selection touch only lane-local
 //     state, so fanning lanes out over workers reorders nothing.
-//   - Proposals apply serially in fixed global order — shard ID, then
+//   - Proposals apply serially in fixed global order — lane ID, then
 //     the lane's priority order — under a boundary-slack budget that
-//     keeps lanes from jointly overdrawing slack on an interface net
+//     keeps lanes from jointly overdrawing slack on a boundary net
 //     they share (the same safety-scaled charge greedy levies per
-//     output cone, restricted to cross-shard nets; interior moves are
-//     covered by the one-batch-stale guard plus the post-pass unwind).
-//   - Re-timing between batches runs the timer's own dirty-shard path:
-//     only shards that absorbed commits re-propagate, and the change
-//     journal feeds lazy re-scoring — an entry is re-scored at pop
-//     time iff a re-time actually moved its instance's timing since
-//     the entry was scored.
+//     output cone, restricted to nets a lane cut crosses; interior
+//     moves are covered by the one-batch-stale guard plus the
+//     post-pass unwind).
+//   - Re-timing between batches is the timer's incremental update:
+//     only the dirty cones of the batch's commits re-propagate, and
+//     the change journal feeds lazy re-scoring — an entry is re-scored
+//     at pop time iff a re-time actually moved its instance's timing
+//     since the entry was scored.
 //   - The batch size adapts: it grows geometrically while batches land
 //     violation-free (cutting re-times, the dominant large-tier cost)
 //     and collapses on a violation, so overshoot stays shallow.
@@ -52,17 +53,24 @@ type laneEngine struct {
 
 	revSort movesBySlackAsc
 
+	// The per-element tables below are indexed by Instance.ID or Net.ID
+	// and grow on write, since Problem.Apply may add elements; a read
+	// past the end is a zero.
+	//
 	// epoch counts re-times; dirty[inst] records the epoch whose
 	// re-time last moved the instance's timing, allDirty the last epoch
 	// whose update invalidated everything (full rebuild). An entry is
 	// stale iff it was scored before either mark.
 	epoch    uint32
 	allDirty uint32
-	dirty    map[*netlist.Instance]uint32
+	dirty    []uint32
 
 	// bound is the per-batch boundary-slack budget: safety-scaled delay
-	// charged against every cross-shard net a committed move touches.
-	bound map[*netlist.Net]float64
+	// charged against every boundary net a committed move touches.
+	// charged lists the nets charged in the current batch, so the reset
+	// touches only them.
+	bound   []float64
+	charged []int32
 
 	// vetoed counts how often an unwind reverted each instance's
 	// commit. One revert is often transient — other reverts clear the
@@ -70,14 +78,14 @@ type laneEngine struct {
 	// pass. A second revert pins the instance for good: without that
 	// the same marginal set commits and unwinds until MaxPasses —
 	// measured as ~8 wasted pass/unwind cycles on the 100k tier.
-	vetoed map[*netlist.Instance]uint8
+	vetoed []uint8
 
 	batch    int // adaptive commit batch, >= opts.BatchSize
 	maxBatch int // growth cap: a quarter of the pass's candidates
 	markCap  int // change-record span past which retime marks all-dirty
 }
 
-// lane is one shard's commit lane. All mutable state is lane-local;
+// lane is one cluster's commit lane. All mutable state is lane-local;
 // parallel phases never touch another lane's fields.
 type lane struct {
 	entries []laneEntry // max-heap under entryAbove
@@ -152,22 +160,21 @@ func (s *movesBySlackAsc) Len() int           { return len(s.moves) }
 func (s *movesBySlackAsc) Less(i, j int) bool { return s.moves[i].SlackNs < s.moves[j].SlackNs }
 func (s *movesBySlackAsc) Swap(i, j int)      { s.moves[i], s.moves[j] = s.moves[j], s.moves[i] }
 
-// phaseLabels is the pprof label set for one assignment phase,
-// matching the sta_phase convention of the sharded timing kernel.
+// phaseLabels is the pprof label set for one assignment phase.
 func phaseLabels(phase string) pprof.LabelSet {
 	return pprof.Labels("assign_phase", phase)
 }
 
 func newLaneEngine(inc *sta.Incremental, p Problem, opts Options) *laneEngine {
-	shards := inc.ShardCount()
+	d := inc.Design()
 	e := &laneEngine{
 		inc:   inc,
 		p:     p,
 		opts:  opts,
 		res:   &Result{Workers: inc.Workers()},
-		lanes: make([]lane, shards),
-		dirty: make(map[*netlist.Instance]uint32),
-		bound: make(map[*netlist.Net]float64),
+		lanes: make([]lane, inc.ShardCount()),
+		dirty: make([]uint32, d.InstanceSlots()),
+		bound: make([]float64, d.NetSlots()),
 		batch: opts.BatchSize,
 	}
 	for i := range e.lanes {
@@ -223,10 +230,9 @@ func (e *laneEngine) run() (*Result, error) {
 	return res, nil
 }
 
-// retime runs one incremental update (the timer's dirty-shard path
-// when sharded), bumps the staleness epoch and marks the instances the
-// change journal reports as moved. A full rebuild — no usable journal —
-// marks everything stale instead.
+// retime runs one incremental update, bumps the staleness epoch and
+// marks the instances the change journal reports as moved. A full
+// rebuild — no usable journal — marks everything stale instead.
 func (e *laneEngine) retime() (*sta.Result, error) {
 	start := time.Now()
 	var timing *sta.Result
@@ -257,11 +263,11 @@ func (e *laneEngine) retime() (*sta.Result, error) {
 // attached instance must re-score before their next proposal.
 func (e *laneEngine) markNet(n *netlist.Net) {
 	if drv := n.Driver.Inst; drv != nil {
-		e.dirty[drv] = e.epoch
+		e.dirty = setID(e.dirty, drv.ID(), e.epoch)
 	}
 	for _, s := range n.Sinks {
 		if s.Inst != nil {
-			e.dirty[s.Inst] = e.epoch
+			e.dirty = setID(e.dirty, s.Inst.ID(), e.epoch)
 		}
 	}
 }
@@ -269,11 +275,26 @@ func (e *laneEngine) markNet(n *netlist.Net) {
 // staleEpoch returns the epoch an entry for inst must have been scored
 // at (or after) to be trusted.
 func (e *laneEngine) staleEpoch(inst *netlist.Instance) uint32 {
-	d := e.dirty[inst]
-	if e.allDirty > d {
-		d = e.allDirty
+	return max(atID(e.dirty, inst.ID()), e.allDirty)
+}
+
+// atID reads entry id of a per-element table, zero past its end.
+func atID[T any](t []T, id int32) T {
+	if int(id) < len(t) {
+		return t[id]
 	}
-	return d
+	var zero T
+	return zero
+}
+
+// setID stores v as entry id of a per-element table, growing it with
+// zeros when the ID falls past its end.
+func setID[T any](t []T, id int32, v T) []T {
+	if n := int(id) + 1 - len(t); n > 0 {
+		t = append(t, make([]T, n)...)
+	}
+	t[id] = v
+	return t
 }
 
 // pass runs one full lane pass: score and bucket every candidate once,
@@ -311,7 +332,7 @@ func (e *laneEngine) pass(timing *sta.Result) (int, error) {
 }
 
 // score enumerates the pass's candidates once, buckets them into their
-// instance's shard lane and heap-orders each lane (fanned out over the
+// instance's lane and heap-orders each lane (fanned out over the
 // workers; heap construction is lane-local so order of lanes is
 // irrelevant). It also sets the pass's adaptive-batch ceiling.
 func (e *laneEngine) score(timing *sta.Result) {
@@ -329,7 +350,7 @@ func (e *laneEngine) scoreLanes(timing *sta.Result) {
 		e.lanes[i].entries = e.lanes[i].entries[:0]
 	}
 	for i := range all {
-		if e.vetoed[all[i].Inst] >= 2 {
+		if atID(e.vetoed, all[i].Inst.ID()) >= 2 {
 			continue
 		}
 		l := &e.lanes[e.inc.ShardOf(all[i].Inst)]
@@ -403,7 +424,7 @@ func (e *laneEngine) fanOut(n int, task func(k int)) {
 
 // commitBatch drains up to one adaptive batch: lanes propose their
 // best fresh entries concurrently, then proposals apply serially in
-// fixed global order (shard ID, then lane priority order) under the
+// fixed global order (lane ID, then lane priority order) under the
 // boundary-slack budget. Returns the number of moves applied.
 func (e *laneEngine) commitBatch(timing *sta.Result) (int, error) {
 	start := time.Now()
@@ -422,7 +443,7 @@ func (e *laneEngine) commitLanes(timing *sta.Result) (int, error) {
 		return 0, nil
 	}
 	// Distribute the batch over active lanes, remainder to the lowest
-	// shard IDs — deterministic and independent of execution order.
+	// lane IDs — deterministic and independent of execution order.
 	base, rem := e.batch/len(e.active), e.batch%len(e.active)
 	for k := range e.active {
 		q := base
@@ -441,13 +462,13 @@ func (e *laneEngine) commitLanes(timing *sta.Result) (int, error) {
 			e.propose(&e.lanes[id], timing)
 		}
 	}
-	// Serial apply in shard-ID order under the boundary budget (active
+	// Serial apply in lane-ID order under the boundary budget (active
 	// is built ascending, so this order is fixed at any worker count).
 	// The budget resets each batch: the re-time that follows refreshes
-	// every interface net's slack. Only this batch's proposers apply —
+	// every boundary net's slack. Only this batch's proposers apply —
 	// a drained lane's prop buffer holds its previous batch, which
 	// already committed.
-	clear(e.bound)
+	e.resetBound()
 	applied := 0
 	for _, id := range e.active {
 		for _, m := range e.lanes[id].prop {
@@ -490,14 +511,23 @@ func (e *laneEngine) propose(l *lane, timing *sta.Result) {
 	}
 }
 
+// resetBound zeroes the boundary budget of the nets the last batch
+// charged.
+func (e *laneEngine) resetBound() {
+	for _, id := range e.charged {
+		e.bound[id] = 0
+	}
+	e.charged = e.charged[:0]
+}
+
 // admit charges a proposal against the batch's boundary-slack budget.
-// Interior moves (touching no cross-shard net) pass free — their
-// interactions are intra-shard, covered by the one-batch-stale guard
-// and the post-pass unwind. A move touching boundary nets must fit
-// under the worst already-charged budget of those nets, then charges
-// its safety-scaled delay to each: two lanes sharing an interface net
-// cannot see each other's commits until the next re-time, so the batch
-// pre-books the slack it spends.
+// Interior moves (touching no boundary net) pass free — their
+// interactions stay inside one lane, covered by the one-batch-stale
+// guard and the post-pass unwind. A move touching boundary nets must
+// fit under the worst already-charged budget of those nets, then
+// charges its safety-scaled delay to each: two lanes sharing a boundary
+// net cannot see each other's commits until the next re-time, so the
+// batch pre-books the slack it spends.
 func (e *laneEngine) admit(m Move) bool {
 	used := 0.0
 	boundary := false
@@ -507,7 +537,7 @@ func (e *laneEngine) admit(m Move) bool {
 			continue
 		}
 		boundary = true
-		if u := e.bound[n]; u > used {
+		if u := atID(e.bound, n.ID()); u > used {
 			used = u
 		}
 	}
@@ -526,7 +556,11 @@ func (e *laneEngine) admit(m Move) bool {
 		if n == nil || !e.inc.BoundaryNet(n) {
 			continue
 		}
-		e.bound[n] += charge
+		u := atID(e.bound, n.ID())
+		if u == 0 { // charges are positive: first charge this batch
+			e.charged = append(e.charged, n.ID())
+		}
+		e.bound = setID(e.bound, n.ID(), u+charge)
 	}
 	return true
 }
@@ -603,9 +637,6 @@ func (e *laneEngine) revertWorst(timing *sta.Result) (int, error) {
 		e.res.Phases.UnwindNs += time.Since(start).Nanoseconds()
 		return 0, err
 	}
-	if e.vetoed == nil {
-		e.vetoed = make(map[*netlist.Instance]uint8)
-	}
 	reverted := 0
 	for _, m := range moves {
 		if aerr := e.p.Apply(m); aerr != nil {
@@ -613,7 +644,7 @@ func (e *laneEngine) revertWorst(timing *sta.Result) (int, error) {
 			e.res.Reverts += reverted
 			return reverted, aerr
 		}
-		e.vetoed[m.Inst]++
+		e.vetoed = setID(e.vetoed, m.Inst.ID(), atID(e.vetoed, m.Inst.ID())+1)
 		reverted++
 	}
 	e.res.Phases.UnwindNs += time.Since(start).Nanoseconds()

@@ -1,10 +1,10 @@
 package assign
 
-// White-box tests for the shard-parallel lane engine: the strict heap
-// order, the adaptive batch arithmetic, and the
-// PR 10 satellite contract — the steady-state score / commit-selection
-// / unwind-selection phases allocate nothing once their reuse buffers
-// are warm (testing.AllocsPerRun guards, below the pprof wrappers).
+// White-box tests for the lane engine: the strict heap order, the
+// adaptive batch arithmetic, and the allocation contract — the
+// steady-state score / commit-selection / unwind-selection phases
+// allocate nothing once their reuse buffers are warm
+// (testing.AllocsPerRun guards, below the pprof wrappers).
 
 import (
 	"testing"
@@ -156,14 +156,10 @@ func TestLaneSteadyStateAllocFree(t *testing.T) {
 	e, timing := laneFixture(t, 4, 1.25)
 	p := e.p.(*FlavorProblem)
 
-	// Pre-size the boundary budget's buckets: clear() keeps capacity,
-	// so charging any boundary-net subset later stays allocation-free.
-	for _, n := range p.d.Nets() {
-		if e.inc.BoundaryNet(n) {
-			e.bound[n] = 0
-		}
-	}
-	clear(e.bound)
+	// Pre-size the charged-net list: a batch charges each net at most
+	// once, so charging any boundary-net subset later stays
+	// allocation-free.
+	e.charged = make([]int32, 0, p.d.NetSlots())
 
 	e.scoreLanes(timing) // warm the enumeration and lane buffers
 	if n := testing.AllocsPerRun(20, func() { e.scoreLanes(timing) }); n > 0 {
@@ -188,7 +184,7 @@ func TestLaneSteadyStateAllocFree(t *testing.T) {
 		for _, id := range e.active {
 			e.propose(&e.lanes[id], timing)
 		}
-		clear(e.bound)
+		e.resetBound()
 		for i := range e.lanes {
 			for _, m := range e.lanes[i].prop {
 				e.admit(m)
@@ -236,5 +232,90 @@ func TestLaneUnwindSelectionAllocFree(t *testing.T) {
 		}
 	}); n > 0 {
 		t.Errorf("unwind selection allocates %v/run in steady state, want 0", n)
+	}
+
+	// Reverting the batch vetoes each reverted instance once.
+	want := append([]Move(nil), moves...)
+	reverted, err := e.revertWorst(timing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reverted != len(want) {
+		t.Fatalf("reverted %d of the %d selected moves", reverted, len(want))
+	}
+	for _, m := range want {
+		if got := atID(e.vetoed, m.Inst.ID()); got != 1 {
+			t.Errorf("%s vetoed %d times after one revert, want 1", m.Inst.Name, got)
+		}
+	}
+}
+
+// TestLaneBookkeepingByID pins the ID-indexed tables: markNet stamps the
+// driver and every sink and grows the table past its end, the boundary
+// budget charges each boundary net of an admitted move and resetBound
+// clears exactly what the batch charged, and an instance vetoed twice
+// drops out of scoring.
+func TestLaneBookkeepingByID(t *testing.T) {
+	e, timing := laneFixture(t, 4, 1.25)
+	p := e.p.(*FlavorProblem)
+
+	var m Move
+	var boundary []int32
+	for _, c := range p.Candidates(timing, nil) {
+		boundary = boundary[:0]
+		for k := range c.Inst.Cell.Pins {
+			if n := c.Inst.NetAt(k); n != nil && e.inc.BoundaryNet(n) {
+				boundary = append(boundary, n.ID())
+			}
+		}
+		if len(boundary) > 0 && c.DeltaNs > 0 && c.SlackNs-e.opts.SafetyFactor*c.DeltaNs > e.opts.SlackMarginNs {
+			m = c
+			break
+		}
+	}
+	if m.Inst == nil {
+		t.Fatal("no admissible candidate touches a boundary net")
+	}
+
+	out := m.Inst.OutputNet()
+	e.dirty = e.dirty[:0] // every ID now falls past the end
+	e.epoch = 7
+	e.markNet(out)
+	if got := e.staleEpoch(m.Inst); got != 7 {
+		t.Errorf("driver stamped %d, want 7", got)
+	}
+	for _, s := range out.Sinks {
+		if s.Inst != nil && e.staleEpoch(s.Inst) != 7 {
+			t.Errorf("sink %s stamped %d, want 7", s.Inst.Name, e.staleEpoch(s.Inst))
+		}
+	}
+
+	e.resetBound()
+	if !e.admit(m) {
+		t.Fatal("an admissible move was refused on an empty budget")
+	}
+	for _, id := range boundary {
+		if e.bound[id] <= 0 {
+			t.Errorf("boundary net %d not charged", id)
+		}
+	}
+	e.resetBound()
+	if len(e.charged) != 0 {
+		t.Errorf("%d nets still listed as charged after the reset", len(e.charged))
+	}
+	for id, u := range e.bound {
+		if u != 0 {
+			t.Fatalf("net %d keeps budget %v after the reset", id, u)
+		}
+	}
+
+	e.vetoed = setID(e.vetoed, m.Inst.ID(), 2)
+	e.scoreLanes(timing)
+	for i := range e.lanes {
+		for _, en := range e.lanes[i].entries {
+			if en.m.Inst == m.Inst {
+				t.Fatalf("%s was vetoed twice but scored again", m.Inst.Name)
+			}
+		}
 	}
 }

@@ -23,9 +23,10 @@ const sensEpsNs = 1e-6
 // The same unwind runs as the final guard — sensitivity never ends
 // with a setup violation the greedy policy would have avoided.
 //
-// The engine is the lane engine (lanes.go) at every shard count: one
-// commit lane per timer shard, so a one-shard timer is one lane with
-// no boundary nets. The lane schedule follows the shard count, so a
+// The engine is the lane engine (lanes.go) at every lane count: one
+// commit lane per cluster of the timer's lane view
+// (sta.Config.Partitions), so an unpartitioned timer is one lane with
+// no boundary nets. The lane schedule follows the cluster count, so a
 // different partitioning may commit a different (equally
 // violation-free) set; the worker count never changes the answer.
 type sensitivity struct{}

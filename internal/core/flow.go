@@ -66,21 +66,20 @@ type Config struct {
 	// flows (it locks internally); built on demand when nil.
 	CornerSet *mcmm.Set
 
-	// Partitions, when > 1, sets the shard count of every timing analysis
-	// in the flow: the netlist is clustered into about this many shards
-	// and per-shard propagation fans out on engine.Map. Timing
-	// results are bit-identical to one shard at any worker count, and
-	// so is greedy assignment. The sensitivity strategy runs one commit
-	// lane per shard, so its result follows the shard count: a
+	// Partitions, when > 1, clusters the design of every timer in the
+	// flow into about this many sensitivity lanes. Timing never depends
+	// on it (the timer propagates every design on one queue), and
+	// neither does greedy assignment. The sensitivity strategy runs one
+	// commit lane per cluster, so its result follows the count: a
 	// different (equally violation-free) commit schedule per count,
-	// bit-exact across worker counts. 0 or 1 means one shard.
+	// bit-exact across worker counts. 0 or 1 means one lane.
 	Partitions int
-	// ShardJobs bounds the per-design fan-out width: the timer's shard
-	// drains and the sensitivity strategy's commit lanes, which take
-	// their width from the timer (<= 0 means GOMAXPROCS; capped at the
-	// shard count, so only a partitioned design fans out). It never
-	// changes results, only scheduling. The corner sign-off fans out
-	// across its corner views at GOMAXPROCS.
+	// ShardJobs bounds the per-design fan-out width of the sensitivity
+	// strategy's commit lanes, which take their width from the timer
+	// (<= 0 means GOMAXPROCS; capped at the lane count, so only a
+	// partitioned design fans out). It never changes results, only
+	// scheduling. The timer itself never fans out; the corner sign-off
+	// fans out across its corner views at GOMAXPROCS.
 	ShardJobs int
 	// Deprecated: AssignJobs is ignored. The assignment lanes fan out at
 	// the timer's width, which ShardJobs sets. The field stays only

@@ -1,8 +1,7 @@
 // Package engine holds the flow's concurrency primitives. Map is a
 // bounded fan-out with index-ordered results: the facade runs each
 // batch's prepare tasks and then its technique flows on it, and the
-// sharded timer's drains, the assignment lanes and the corner sign-off
-// call it directly. Pool (pool.go) is the resident bounded queue behind
+// assignment lanes and the corner sign-off call it directly. Pool (pool.go) is the resident bounded queue behind
 // the smtd service, and AnalysisCache (cache.go) memoizes the per-design
 // analyses concurrent flows would otherwise recompute, under keys its
 // callers compose.

@@ -162,8 +162,8 @@ func TestMapEmpty(t *testing.T) {
 	}
 }
 
-// Map sits under every shard drain and assignment lane fan-out, so its
-// fixed cost is paid thousands of times per flow.
+// Map sits under every assignment lane fan-out, so its fixed cost is
+// paid thousands of times per flow.
 func TestMapAllocs(t *testing.T) {
 	fn := func(_ context.Context, i int) (int, error) { return i, nil }
 	allocs := testing.AllocsPerRun(100, func() {

@@ -1,12 +1,13 @@
-// Package partition clusters a netlist into shards for partition-parallel
-// timing. The pass is a deterministic single sweep over the design's
-// topological order: each instance joins the cluster that already holds
-// the most of its fanin drivers (fanin cohesion), falling back to the
-// most recently opened cluster while it has room. Because the sweep
-// follows levelization, clusters grow as contiguous cones and the
-// registered tile boundaries of hierarchical designs become natural cuts,
-// keeping the cross-cluster net count — and therefore the interface graph
-// the sharded timer iterates — small.
+// Package partition clusters a netlist: the timer lays the sensitivity
+// strategy's commit lanes over the clusters. The pass is a deterministic
+// single sweep over the design's topological order: each instance joins
+// the cluster that already holds the most of its fanin drivers (fanin
+// cohesion), falling back to the most recently opened cluster while it
+// has room. Because the sweep follows levelization, clusters grow as
+// contiguous cones and the registered tile boundaries of hierarchical
+// designs become natural cuts, keeping the cross-cluster net count — and
+// therefore the boundary nets whose slack the lanes budget jointly —
+// small.
 //
 // The same cluster structure is the prerequisite for cluster-based
 // sleep-transistor sizing (one switch per cluster): a Clustering is a

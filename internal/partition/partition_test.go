@@ -67,7 +67,7 @@ func TestClusterCoversEveryInstance(t *testing.T) {
 }
 
 // TestClusterDeterministic: two sweeps of the same design must agree
-// cluster-for-cluster — the sharded timer's reproducibility rests on it.
+// cluster-for-cluster — the sensitivity lanes' reproducibility rests on it.
 func TestClusterDeterministic(t *testing.T) {
 	d := synthSmall(t)
 	a, err := Cluster(d, Options{TargetSize: 24})
@@ -104,8 +104,7 @@ func TestClusterCountOverride(t *testing.T) {
 }
 
 // TestClusterSingle: a target beyond the design size yields one cluster
-// and no cut nets — the degenerate case the sharded timer treats as
-// monolithic.
+// and no cut nets — the degenerate case the timer lays as one lane.
 func TestClusterSingle(t *testing.T) {
 	d := synthSmall(t)
 	c, err := Cluster(d, Options{TargetSize: 1 << 20})

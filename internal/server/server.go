@@ -34,14 +34,14 @@ type Options struct {
 	// MaxJobs caps retained job records (finished jobs evict
 	// oldest-first past it); <= 0 means DefaultMaxJobs.
 	MaxJobs int
-	// Partitions is the default timing-shard count applied to job specs
-	// that leave it unset (a spec's own value wins). <= 1 keeps one
-	// shard. Timing and greedy results are bit-identical either way; the
-	// sensitivity strategy's follow the shard count.
+	// Partitions is the default sensitivity-lane count applied to job
+	// specs that leave it unset (a spec's own value wins). <= 1 keeps one
+	// lane. Timing and greedy results never depend on it; the
+	// sensitivity strategy's follow the lane count.
 	Partitions int
-	// ShardJobs bounds per-design fan-out (the shard drains and the
-	// sensitivity strategy's lanes) when partitioned timing is on; same
-	// spec-wins default rule as Partitions. <= 0 means GOMAXPROCS.
+	// ShardJobs bounds per-design fan-out of the sensitivity strategy's
+	// lanes when Partitions > 1; same spec-wins default rule as
+	// Partitions. <= 0 means GOMAXPROCS.
 	ShardJobs int
 	// Strategy is the default Vth-assignment strategy applied to job
 	// specs that leave theirs unset (a spec's own value wins). Empty

@@ -8,30 +8,31 @@ import (
 	"selectivemt/internal/netlist"
 )
 
-// warmGraph compiles d under c, lays the shards over it and runs the full
-// analysis.
-func warmGraph(t *testing.T, d *netlist.Design, c Config) *ShardedGraph {
+// warmGraph compiles d under c, lays the buckets over it and runs the
+// full analysis.
+func warmGraph(t *testing.T, d *netlist.Design, c Config) *propagator {
 	t.Helper()
 	c, err := normalizeConfig(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sg, err := newTimer(d, c)
+	cg, err := compile(d, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sg.runFull()
-	return sg
+	p := newPropagator(cg)
+	p.runFull()
+	return p
 }
 
 // requireRepropagateZeroAlloc pins the allocation contract of a full
 // re-propagation, the tail of every full analysis: once its buffers have
 // reached steady capacity it must not touch the heap at all.
-func requireRepropagateZeroAlloc(t *testing.T, sg *ShardedGraph) {
+func requireRepropagateZeroAlloc(t *testing.T, p *propagator) {
 	t.Helper()
-	sg.repropagateAll() // warm every buffer to steady capacity
-	if n := testing.AllocsPerRun(10, func() { sg.repropagateAll() }); n != 0 {
-		t.Errorf("repropagateAll on %d shards allocates %v/run, want 0", sg.Shards(), n)
+	p.repropagateAll() // warm every buffer to steady capacity
+	if n := testing.AllocsPerRun(10, func() { p.repropagateAll() }); n != 0 {
+		t.Errorf("repropagateAll allocates %v/run, want 0", n)
 	}
 }
 
@@ -39,10 +40,10 @@ func requireRepropagateZeroAlloc(t *testing.T, sg *ShardedGraph) {
 // a cell-swap rebind plus the seeded forward/backward waves and the
 // endpoint scan — the white-box equivalent of ReplaceCell +
 // Incremental.retime, minus the journal.
-func requireRetimeZeroAlloc(t *testing.T, d *netlist.Design, sg *ShardedGraph) {
+func requireRetimeZeroAlloc(t *testing.T, d *netlist.Design, p *propagator) {
 	t.Helper()
 	l := lib(t)
-	cg := sg.cg
+	cg := p.cg
 	var inst *netlist.Instance
 	for _, cand := range d.Instances() {
 		if cand.Cell.Kind != liberty.KindComb {
@@ -74,34 +75,25 @@ func requireRetimeZeroAlloc(t *testing.T, d *netlist.Design, sg *ShardedGraph) {
 		inst.Cell = variants[k&1]
 		k++
 		cg.combArcs[ci] = cg.buildArcs(inst, cg.combArcs[ci])
-		sg.resetAll()
+		p.reset()
 		for _, id := range touched {
-			sg.seedRetime(id)
+			p.seedRetime(id)
 		}
-		sg.propagate()
+		p.propagate()
 	}
 	retime()
 	retime() // warm both variants and the changed-list capacities
 	if n := testing.AllocsPerRun(10, retime); n != 0 {
-		t.Errorf("swap retime on %d shards allocates %v/run, want 0", sg.Shards(), n)
+		t.Errorf("swap retime allocates %v/run, want 0", n)
 	}
 }
 
-// TestRepropagateZeroAlloc pins the default layout: one shard that owns
-// every net, an empty boundary, one round per direction, and a full
-// re-propagation that allocates nothing.
+// TestRepropagateZeroAlloc: a full re-propagation allocates nothing.
 func TestRepropagateZeroAlloc(t *testing.T) {
-	sg := warmGraph(t, synthSmall(t), cfg(t, 3))
-	if sg.Shards() != 1 || sg.Boundary() != 0 {
-		t.Fatalf("default layout: %d shards, %d boundary nets; want 1 and 0", sg.Shards(), sg.Boundary())
-	}
-	if sg.Rounds() != 2 {
-		t.Fatalf("one shard ran %d rounds, want one per direction", sg.Rounds())
-	}
-	requireRepropagateZeroAlloc(t, sg)
+	requireRepropagateZeroAlloc(t, warmGraph(t, synthSmall(t), cfg(t, 3)))
 }
 
-// TestRetimeZeroAlloc is the swap-retime contract on the one-shard graph.
+// TestRetimeZeroAlloc is the swap-retime contract.
 func TestRetimeZeroAlloc(t *testing.T) {
 	d := synthSmall(t)
 	requireRetimeZeroAlloc(t, d, warmGraph(t, d, cfg(t, 3)))
@@ -110,7 +102,7 @@ func TestRetimeZeroAlloc(t *testing.T) {
 // TestFlatLegacyDifferentialRandomEdits is the fuzz-style differential
 // oracle: a seeded random walk of swap and placement-move batches, where
 // after every batch Analyze must match the map-based pass bit for bit, at
-// every shard layout.
+// every lane layout (which Analyze must ignore).
 func TestFlatLegacyDifferentialRandomEdits(t *testing.T) {
 	l := lib(t)
 	forEachLayout(t, synthSmall, cfg(t, 3), func(t *testing.T, d *netlist.Design, c Config) {

@@ -4,11 +4,10 @@
 // levels. It owns the per-net state every analysis reads and writes
 // (extracted RC, arrival window, worst slew, required time) in flat
 // slices indexed by net ID, the extraction that fills the RC part, and
-// the serial endpoint scan. It propagates nothing itself: the shard drain
-// (sharded.go) is the one propagator over it, as a single shard unless
-// Config.Partitions asks for more. An insertion batch from the design's
-// change journal patches the graph in place (patch.go) instead of
-// recompiling it.
+// the serial endpoint scan. It propagates nothing itself: the propagator
+// (propagate.go) is the one code that does. An insertion batch from the
+// design's change journal patches the graph in place (patch.go) instead
+// of recompiling it.
 //
 // The arithmetic is exactly the map-based pass's that preceded this
 // kernel, in the same evaluation order, so results are bit-identical to
@@ -153,7 +152,7 @@ type CompiledGraph struct {
 	wns, tns, worstHold float64
 	holdBuf             []*netlist.Instance
 
-	// Elmore scratch for serial extraction, reused across nets.
+	// Elmore scratch for extraction, reused across nets.
 	elmoreDelay, elmoreDown []float64
 }
 
@@ -469,13 +468,6 @@ func sinkPos(n *netlist.Net, inst *netlist.Instance, pin string) int32 {
 // refilled in place — consistent with the live view an Incremental's
 // Result gives — so the steady-state retime loop allocates nothing.
 func (cg *CompiledGraph) extract(id int32) {
-	cg.extractWith(id, &cg.elmoreDelay, &cg.elmoreDown)
-}
-
-// extractWith is extract with caller-supplied Elmore scratch, so shards
-// can extract concurrently (each shard owns disjoint nets and its own
-// scratch; all other written state — rc/totalCap/sinkD — is per-net).
-func (cg *CompiledGraph) extractWith(id int32, elmoreDelay, elmoreDown *[]float64) {
 	n := cg.nets[id]
 	var t *parasitics.RCTree
 	if cg.intoEx != nil {
@@ -488,11 +480,11 @@ func (cg *CompiledGraph) extractWith(id int32, elmoreDelay, elmoreDown *[]float6
 	// Per-sink wire delays, padded with zeros past SinkNode (a sink that
 	// resolved to no RC node has no wire delay).
 	nodes := len(t.CapPF)
-	if cap(*elmoreDelay) < nodes {
-		*elmoreDelay = make([]float64, nodes)
-		*elmoreDown = make([]float64, nodes)
+	if cap(cg.elmoreDelay) < nodes {
+		cg.elmoreDelay = make([]float64, nodes)
+		cg.elmoreDown = make([]float64, nodes)
 	}
-	delay := t.ElmoreInto((*elmoreDelay)[:nodes], (*elmoreDown)[:nodes])
+	delay := t.ElmoreInto(cg.elmoreDelay[:nodes], cg.elmoreDown[:nodes])
 	sd := cg.sinkD[id][:0]
 	for i := range n.Sinks {
 		if i < len(t.SinkNode) {

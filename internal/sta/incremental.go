@@ -3,6 +3,7 @@ package sta
 import (
 	"errors"
 
+	"selectivemt/internal/engine"
 	"selectivemt/internal/netlist"
 )
 
@@ -11,36 +12,39 @@ import (
 // dirty fanout cone of each edit (and required times back through the
 // dirty fanin cone), instead of re-walking every net the way Analyze does.
 // The propagation state lives in a flat CompiledGraph — dense int32 net
-// IDs, slice-indexed arrivals/requireds/slews — drained by the same shard
+// IDs, slice-indexed arrivals/requireds/slews — drained by the same
 // propagator Analyze uses, so the retime inner loops allocate nothing.
+// With Config.Partitions > 1 it also lays the sensitivity lanes over the
+// design (ShardCount, ShardOf, BoundaryNet); propagation ignores them.
 //
 // It follows the design through its change journal (netlist.Design
 // revisions). Cell swaps and placement moves are re-timed incrementally.
 // Insertion batches (connect/disconnect, instance, net and port adds,
 // buffer insertion, net-flag flips) patch the compiled graph in place
 // (patch.go): new nets and instances get appended IDs, the named
-// elements are rebound, levels move over the forward cone, the shards are
-// laid again, and only the touched cones are re-timed. Batches that
-// remove a net or an instance, and a lost journal (overflow,
-// NoteBulkEdit, out-of-band surgery), recompile and re-analyze. Results
-// are exact: after Update the Result is equal — field by field, bit by
-// bit — to what a fresh Analyze of the current design would return; the
-// property tests in incremental_test.go hold both to the map-based
-// oracle.
+// elements are rebound, levels move over the forward cone, the buckets
+// (and any lanes) are laid again, and only the touched cones are
+// re-timed. Batches that remove a net or an instance, and a lost journal
+// (overflow, NoteBulkEdit, out-of-band surgery), recompile and
+// re-analyze. Results are exact: after Update the Result is equal —
+// field by field, bit by bit — to what a fresh Analyze of the current
+// design would return; the property tests in incremental_test.go hold
+// both to the map-based oracle.
 //
 // The Result returned by Update/Result is live: it reads the timer's
 // current graph, so later updates show through it. Callers that need a
 // frozen snapshot must run Analyze. An Incremental is not safe for
 // concurrent use.
 type Incremental struct {
-	d   *netlist.Design
-	cfg Config // normalized
-	sg  *ShardedGraph
-	res *Result
-	rev uint64 // design revision res reflects
+	d     *netlist.Design
+	cfg   Config // normalized
+	p     *propagator
+	lanes *laneView // nil: one lane
+	res   *Result
+	rev   uint64 // design revision res reflects
 
 	// lastSvc records how the most recent Update was serviced, so
-	// LastRetimeChanged knows whether the shards' changed lists describe
+	// LastRetimeChanged knows whether the changed lists describe
 	// the whole delta (retime), nothing (noop) or are meaningless because
 	// everything was recomputed (full rebuild).
 	lastSvc serviceKind
@@ -107,14 +111,20 @@ func (inc *Incremental) Design() *netlist.Design { return inc.d }
 // Stats returns the update counters.
 func (inc *Incremental) Stats() IncrementalStats { return inc.stats }
 
-// rebuild recompiles the graph and re-runs the full analysis.
+// rebuild recompiles the graph, lays the lanes over it and re-runs the
+// full analysis.
 func (inc *Incremental) rebuild() error {
-	sg, err := newTimer(inc.d, inc.cfg)
+	cg, err := compile(inc.d, inc.cfg)
 	if err != nil {
 		return err
 	}
-	sg.runFull()
-	inc.setGraph(sg)
+	lanes, err := buildLanes(cg, inc.cfg)
+	if err != nil {
+		return err
+	}
+	p := newPropagator(cg)
+	p.runFull()
+	inc.setGraph(p, lanes)
 	inc.broken = false
 	inc.lastSvc = svcFull
 	inc.stats.FullBuilds++
@@ -122,11 +132,11 @@ func (inc *Incremental) rebuild() error {
 	return nil
 }
 
-// setGraph installs a (re)compiled graph and points the live Result at
-// its per-net state.
-func (inc *Incremental) setGraph(sg *ShardedGraph) {
-	inc.sg = sg
-	inc.res.st = &sg.cg.netState
+// setGraph installs a (re)laid propagator and lane view and points the
+// live Result at the graph's per-net state.
+func (inc *Incremental) setGraph(p *propagator, lanes *laneView) {
+	inc.p, inc.lanes = p, lanes
+	inc.res.st = &p.cg.netState
 }
 
 // publish stamps the live Result with the current revision and endpoint
@@ -134,38 +144,51 @@ func (inc *Incremental) setGraph(sg *ShardedGraph) {
 func (inc *Incremental) publish() {
 	inc.rev = inc.d.Revision()
 	inc.res.Revision = inc.rev
-	inc.sg.cg.mirrorEndpoints(inc.res)
+	inc.p.cg.mirrorEndpoints(inc.res)
 }
 
-// ShardCount reports how many shards the timer propagates on: 1 unless
-// Config.Partitions asked for more. Callers that schedule work per shard
-// (the assignment lane engine) size their structures off this.
-func (inc *Incremental) ShardCount() int { return len(inc.sg.shards) }
+// ShardCount reports how many lanes the design is clustered into: 1
+// unless Config.Partitions asked for more. Callers that schedule work per
+// lane (the assignment lane engine) size their structures off this.
+func (inc *Incremental) ShardCount() int {
+	if inc.lanes == nil {
+		return 1
+	}
+	return inc.lanes.count
+}
 
-// Workers reports the timer's fan-out width: Config.ShardJobs (<= 0
-// means GOMAXPROCS) capped at the shard count. Work that fans out per
-// shard of this timer (the assignment lane engine) runs at this width,
-// so one knob bounds a design's parallelism.
-func (inc *Incremental) Workers() int { return inc.sg.workers() }
+// Workers reports the lanes' fan-out width: Config.ShardJobs (<= 0 means
+// GOMAXPROCS) capped at the lane count. Work that fans out per lane of
+// this timer (the assignment lane engine) runs at this width, so one knob
+// bounds a design's parallelism. The timer itself never fans out.
+func (inc *Incremental) Workers() int {
+	return min(engine.NormalizeWorkers(inc.cfg.ShardJobs), inc.ShardCount())
+}
 
-// ShardOf returns the shard that owns an instance's timing state — the
-// owner of its output net, the same assignment buildSharded derived from
-// the clustering. Sink-only instances report shard 0.
+// ShardOf returns the lane that owns an instance: the owner of its output
+// net, as the lane view derived it from the clustering. Sink-only
+// instances report lane 0.
 func (inc *Incremental) ShardOf(inst *netlist.Instance) int {
+	if inc.lanes == nil {
+		return 0
+	}
 	if out := inst.OutputNet(); out != nil {
-		if id, ok := inc.sg.cg.lookup(out); ok {
-			return int(inc.sg.owner[id])
+		if id, ok := inc.p.cg.lookup(out); ok {
+			return int(inc.lanes.owner[id])
 		}
 	}
 	return 0
 }
 
-// BoundaryNet reports whether a net is part of the interface graph — read
-// across a partition cut, so concurrent decisions in different shards can
-// share its slack. Always false on a one-shard timer.
+// BoundaryNet reports whether a net is read or driven across a lane cut
+// by a combinational arc, so concurrent decisions in different lanes can
+// share its slack. Always false on a one-lane timer.
 func (inc *Incremental) BoundaryNet(n *netlist.Net) bool {
-	id, ok := inc.sg.cg.lookup(n)
-	return ok && inc.sg.bSlot[id] >= 0
+	if inc.lanes == nil {
+		return false
+	}
+	id, ok := inc.p.cg.lookup(n)
+	return ok && inc.lanes.boundary[id]
 }
 
 // LastRetimeChanged reports the nets whose timing or parasitic state the
@@ -182,11 +205,11 @@ func (inc *Incremental) LastRetimeChanged(fn func(*netlist.Net)) bool {
 	case svcNoop:
 		return true
 	}
-	nets := inc.sg.cg.nets
+	nets := inc.p.cg.nets
 	for _, id := range inc.touched {
 		fn(nets[id])
 	}
-	inc.sg.eachChanged(func(id int32) { fn(nets[id]) })
+	inc.p.eachChanged(func(id int32) { fn(nets[id]) })
 	return true
 }
 
@@ -203,7 +226,7 @@ func (inc *Incremental) LastRetimeSpan() (int, bool) {
 	case svcNoop:
 		return 0, true
 	}
-	return len(inc.touched) + inc.sg.changedCount(), true
+	return len(inc.touched) + inc.p.changedCount(), true
 }
 
 // Update brings the result up to date with the design. A clean journal
@@ -238,7 +261,7 @@ func (inc *Incremental) Update() (*Result, error) {
 		// Swap/move batch: connectivity is intact, but a replaced cell
 		// carries new arc pointers — rebind the flattened arcs in place.
 		inc.collectTouched(delta)
-		cg := inc.sg.cg
+		cg := inc.p.cg
 		for _, ch := range delta {
 			if ch.Kind == netlist.ChangeCellReplaced && ch.Inst != nil {
 				if ci, ok := cg.combOf(ch.Inst); ok {
@@ -263,10 +286,10 @@ func (inc *Incremental) rebuildResult() (*Result, error) {
 }
 
 // patch applies an insertion batch to the compiled graph and, since the
-// net population changed, lays the shards (and, when partitioned, the
-// clustering) over it again.
+// net population and levels changed, lays the buckets (and, when
+// partitioned, the clustering) over it again.
 func (inc *Incremental) patch(delta []netlist.Change) error {
-	cg := inc.sg.cg
+	cg := inc.p.cg
 	if err := cg.intern(delta); err != nil {
 		return err
 	}
@@ -274,11 +297,11 @@ func (inc *Incremental) patch(delta []netlist.Change) error {
 	if err := cg.patch(delta, inc.touched); err != nil {
 		return err
 	}
-	sg, err := buildSharded(cg, inc.cfg)
+	lanes, err := buildLanes(cg, inc.cfg)
 	if err != nil {
 		return err
 	}
-	inc.setGraph(sg)
+	inc.setGraph(newPropagator(cg), lanes)
 	inc.stats.StructuralUpdates++
 	return nil
 }
@@ -290,7 +313,7 @@ func (inc *Incremental) patch(delta []netlist.Change) error {
 // moved one changes the RC of everything it touches). Nets that left the
 // design are gone from the graph already.
 func (inc *Incremental) collectTouched(delta []netlist.Change) {
-	cg := inc.sg.cg
+	cg := inc.p.cg
 	if grow := len(cg.nets) - len(inc.touchMark); grow > 0 {
 		inc.touchMark = append(inc.touchMark, make([]uint32, grow)...)
 	}
@@ -325,14 +348,13 @@ func (inc *Incremental) collectTouched(delta []netlist.Change) {
 }
 
 // retime re-times the cones of the touched nets: each is re-extracted and
-// seeded into its owning shard's queues, so a batch confined to a few
-// clusters activates only those shards (plus whatever the interface graph
-// ripples into).
+// seeded into the dirty buckets, and the drains recompute only what the
+// seeds' waves reach.
 func (inc *Incremental) retime() {
-	sg := inc.sg
-	sg.resetAll()
+	p := inc.p
+	p.reset()
 	for _, id := range inc.touched {
-		sg.seedRetime(id)
+		p.seedRetime(id)
 	}
-	inc.stats.NetsRetimed += sg.propagate()
+	inc.stats.NetsRetimed += p.propagate()
 }

@@ -138,9 +138,9 @@ func requireOracle(t *testing.T, d *netlist.Design, c Config, got *Result) {
 	requireExactMatch(t, d, got, want)
 }
 
-// forEachLayout runs an oracle walk once per shard layout, each on its
-// own freshly built design: Partitions 0 and 1 (one shard), Partitions 4
-// at 2 workers (clustered), and a random 5-shard cut at 1, 2 and 4
+// forEachLayout runs an oracle walk once per lane layout, each on its
+// own freshly built design: Partitions 0 and 1 (one lane), Partitions 4
+// at 2 workers (clustered), and a random 5-lane cut at 1, 2 and 4
 // workers.
 func forEachLayout(t *testing.T, build func(*testing.T) *netlist.Design, base Config,
 	walk func(t *testing.T, d *netlist.Design, c Config)) {
@@ -192,7 +192,7 @@ var swappableFlavors = []liberty.Flavor{
 }
 
 // TestIncrementalMatchesFullAfterSwaps is the core property test: after
-// every randomized batch of cell swaps and reverts, at every shard
+// every randomized batch of cell swaps and reverts, at every lane
 // layout, the incremental result must equal the oracle exactly.
 func TestIncrementalMatchesFullAfterSwaps(t *testing.T) {
 	l := lib(t)
@@ -282,7 +282,7 @@ func TestIncrementalDirtyConeIsSparse(t *testing.T) {
 // TestIncrementalStructuralEdits covers the ECO shape: buffer insertion
 // in front of flop D pins (instance+net adds, sink moves, placement) and
 // instance removal, all while holding exact equality with the oracle at
-// every shard layout. A Result taken before the edits must follow the
+// every lane layout. A Result taken before the edits must follow the
 // recompiled graph.
 func TestIncrementalStructuralEdits(t *testing.T) {
 	l := lib(t)
@@ -366,7 +366,7 @@ func TestIncrementalStructuralEdits(t *testing.T) {
 
 // TestIncrementalRandomMixedEdits interleaves swaps, buffer insertions
 // and placement moves in one random walk — the closest approximation of
-// a whole optimization flow hammering one graph — at every shard layout.
+// a whole optimization flow hammering one graph — at every lane layout.
 func TestIncrementalRandomMixedEdits(t *testing.T) {
 	l := lib(t)
 	po := place.DefaultOptions(sharedProc.RowHeightUm, sharedProc.SitePitchUm)

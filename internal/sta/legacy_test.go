@@ -2,7 +2,7 @@
 // walks the design through pointer-and-map state (map[*netlist.Net]float64
 // per quantity) exactly as the engine did before the flat kernel landed,
 // and returns its own map-keyed legacyResult. The property tests hold the
-// shard drain to bit-identical results against it, at one shard and at k.
+// propagator to bit-identical results against it, at every lane layout.
 package sta
 
 import (

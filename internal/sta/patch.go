@@ -26,7 +26,7 @@ import (
 //   - Every touched net gets its driver kind and consumer list re-derived;
 //     the rebuilt list goes to the end of the CSR array.
 //   - Levels are recomputed over the forward cone to the exact
-//     longest-path values, so the shard buckets drain in recompile order.
+//     longest-path values, so the dirty buckets drain in recompile order.
 //
 // Removals renumber the graph, and a combinational cell that loses its
 // output would leave a hole in it; both take the recompile instead.

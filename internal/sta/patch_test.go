@@ -209,7 +209,7 @@ func timedSinkAfter(n *netlist.Net, pos int32) bool {
 }
 
 // TestIncrementalPatchesStructuralEdits walks one design through every
-// insertion the flow makes, at all six shard layouts. After every batch
+// insertion the flow makes, at all six lane layouts. After every batch
 // the patched timer must equal the oracle bit for bit without a single
 // recompile, and a final removal batch must recompile once and stay
 // exact.
@@ -322,7 +322,7 @@ func TestIncrementalPatchRejectsCycle(t *testing.T) {
 
 // TestPatchedGraphMatchesRecompile: after the whole walk the patched
 // graph's levels, driver kinds, consumer lists, arcs and endpoint order
-// equal a recompile's, so the shard buckets drain in recompile order.
+// equal a recompile's, so the dirty buckets drain in recompile order.
 func TestPatchedGraphMatchesRecompile(t *testing.T) {
 	lib(t)
 	d := synthSmall(t)
@@ -340,7 +340,7 @@ func TestPatchedGraphMatchesRecompile(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got := inc.sg.cg
+	got := inc.p.cg
 	want, err := compile(d, c)
 	if err != nil {
 		t.Fatal(err)

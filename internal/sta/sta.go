@@ -5,12 +5,13 @@
 // (Dual-Vth, MT selection, switch clustering, ECO) queries this engine.
 //
 // There is one engine. A CompiledGraph (compiled.go) holds a design
-// revision as flat, slice-indexed data, and the shard drain (sharded.go)
-// is the only propagator over it: one shard by default, Config.Partitions
-// only sets the shard count. A Result reads the flat per-net state
-// through accessors (Arrival, Slew, Required, RC, Slack). The map-based
-// pass this kernel replaced is kept as the bit-exactness oracle in
-// legacy_test.go.
+// revision as flat, slice-indexed data, and the propagator (propagate.go)
+// is the only code that propagates over it: one level-ordered dirty queue
+// per direction, on the calling goroutine, whatever Config.Partitions
+// says. Partitions only lays the sensitivity lanes an Incremental reports
+// (lanes.go). A Result reads the flat per-net state through accessors
+// (Arrival, Slew, Required, RC, Slack). The map-based pass this kernel
+// replaced is kept as the bit-exactness oracle in legacy_test.go.
 package sta
 
 import (
@@ -37,25 +38,22 @@ type Config struct {
 	// ClockSlewNs is the slew at flop clock pins (post-CTS).
 	ClockSlewNs float64
 
-	// Partitions sets the shard count of Analyze/Incremental: at <= 1 one
-	// shard owns the whole design; above it the design is clustered
-	// (internal/partition) into about this many shards, propagation fans
-	// out per shard and the cross-shard interface graph iterates to a
-	// fixed point. Results are bit-identical at any shard and worker count.
+	// Partitions sets the sensitivity lanes of an Incremental: above 1
+	// the design is clustered (internal/partition) into about this many
+	// lanes, which ShardCount, ShardOf and BoundaryNet report. It never
+	// changes timing: every design propagates on one level-ordered queue,
+	// and Analyze ignores the field.
 	Partitions int
-	// ShardJobs bounds the per-design fan-out width: the shard drains,
-	// and the assignment lanes that run on this timer
-	// (Incremental.Workers). <= 0 means GOMAXPROCS; always clamped to the
-	// shard count. At 1 propagation stays on the calling goroutine and
-	// allocates nothing.
+	// ShardJobs bounds the fan-out width of the assignment lanes that
+	// run on an Incremental (Incremental.Workers): <= 0 means GOMAXPROCS,
+	// always clamped to the lane count.
 	ShardJobs int
-	// Deprecated: ShardRun is ignored. The shard drains fan out on
-	// engine.Map. The field stays only because cmd/smtbench still
-	// assigns it.
+	// Deprecated: ShardRun is ignored; the timer never fans out. The
+	// field stays only because cmd/smtbench still assigns it.
 	ShardRun func(tasks, workers int, run func(task int))
 
 	// shardAssign overrides the clustering pass with an explicit
-	// instance-to-shard assignment of shardCount shards — the property
+	// instance-to-lane assignment of shardCount lanes — the property
 	// tests' hook for adversarially random cuts.
 	shardAssign func(*netlist.Instance) int32
 	shardCount  int
@@ -191,12 +189,12 @@ func Analyze(d *netlist.Design, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	sg, err := newTimer(d, cfg)
+	cg, err := compile(d, cfg)
 	if err != nil {
 		return nil, err
 	}
-	sg.runFull()
-	return sg.cg.result(), nil
+	newPropagator(cg).runFull()
+	return cg.result(), nil
 }
 
 // CriticalInstances returns the instances whose output slack is below the

@@ -51,16 +51,16 @@ type JobSpec struct {
 	// this inrush limit — for the improved technique when selected,
 	// otherwise the first selected technique that built clusters.
 	InrushLimitMA float64 `json:"inrush_limit_ma,omitempty"`
-	// Partitions, when > 1, clusters the job's timing analyses into about
-	// this many shards. Timing and greedy results are bit-identical; the
-	// sensitivity strategy commits one lane per shard, so its result
-	// follows the shard count (see Config.Partitions). 0 or 1 means one
-	// shard.
+	// Partitions, when > 1, clusters the job's designs into about this
+	// many sensitivity lanes. Timing and greedy results never depend on
+	// it; the sensitivity strategy commits one lane per cluster, so its
+	// result follows the count (see Config.Partitions). 0 or 1 means one
+	// lane.
 	Partitions int `json:"partitions,omitempty"`
-	// ShardJobs bounds the per-design fan-out width: the timer's shard
-	// drains and the sensitivity strategy's commit lanes (<= 0 means
-	// GOMAXPROCS, capped at the shard count). Only meaningful with
-	// Partitions > 1; it never changes results, only scheduling.
+	// ShardJobs bounds the per-design fan-out width of the sensitivity
+	// strategy's commit lanes (<= 0 means GOMAXPROCS, capped at the lane
+	// count). Only meaningful with Partitions > 1; it never changes
+	// results, only scheduling.
 	ShardJobs int `json:"shard_jobs,omitempty"`
 	// Strategy names the Vth-assignment strategy for every Dual-Vth/SMT
 	// stage of the job: "greedy" (the paper's slack-ordered pass,

@@ -29,7 +29,7 @@ func largeTimingSetup(tb testing.TB) (*netlist.Design, sta.Config, *Environment)
 }
 
 // hugeTimingSetup is largeTimingSetup at the ~1M-instance tier, the scale
-// target for the partition-parallel sharded kernel.
+// target for the timing kernel and the sensitivity lanes.
 func hugeTimingSetup(tb testing.TB) (*netlist.Design, sta.Config, *Environment) {
 	return tierTimingSetup(tb, CircuitHuge())
 }
@@ -115,11 +115,10 @@ func TestLargeSwapPassRetimesIncrementally(t *testing.T) {
 	}
 }
 
-// BenchmarkLargeFullFlat times repeated full analysis of the 100k tier at
-// the default one shard: compile, extraction and propagation on every
-// iteration. The numbers recorded in BENCH_sta_pr6.json predate the
-// removal of the compile cache, which re-ran only propagation after the
-// first iteration.
+// BenchmarkLargeFullFlat times repeated full analysis of the 100k tier:
+// compile, extraction and propagation on every iteration. The numbers
+// recorded in BENCH_sta_pr6.json predate the removal of the compile
+// cache, which re-ran only propagation after the first iteration.
 func BenchmarkLargeFullFlat(b *testing.B) {
 	d, stCfg, _ := largeTimingSetup(b)
 	b.ResetTimer()
@@ -261,48 +260,11 @@ func BenchmarkSimNew(b *testing.B) {
 	})
 }
 
-// benchFullSharded times steady-state full analysis through the sharded
-// kernel at worker counts 1/2/4. The w1 number against the one-shard
-// Full benchmark of the same tier is the protocol-overhead measurement
-// (the acceptance bar is <= 10% on the 100k tier); w2/w4 show the
-// fan-out scaling. All worker counts share one cached sharded graph —
-// results are bit-identical, only the schedule changes.
-func benchFullSharded(b *testing.B, setup func(testing.TB) (*netlist.Design, sta.Config, *Environment), partitions int) {
-	d, stCfg, _ := setup(b)
-	stCfg.Partitions = partitions
-	for _, w := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
-			cfg := stCfg
-			cfg.ShardJobs = w
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := sta.Analyze(d, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkLargeFullSharded: the 100k tier through the sharded kernel.
-// Compare w1 against BenchmarkLargeFullFlat for the protocol overhead;
-// recorded numbers live in BENCH_sta_pr7.json.
-func BenchmarkLargeFullSharded(b *testing.B) {
-	benchFullSharded(b, largeTimingSetup, 8)
-}
-
-// BenchmarkHugeFullSharded: full analysis of the ~1M-instance tier
-// (gen.Huge) through the sharded kernel at workers 1/2/4.
-func BenchmarkHugeFullSharded(b *testing.B) {
-	benchFullSharded(b, hugeTimingSetup, 16)
-}
-
 // BenchmarkHugeIncremental times the ECO cadence on the 1M tier: a batch
-// of 4 Vth toggles per incremental update on a persistent partitioned
-// timer, so only the dirty shards repropagate.
+// of 4 Vth toggles per incremental update on a persistent timer, so only
+// the dirty cones repropagate.
 func BenchmarkHugeIncremental(b *testing.B) {
 	d, stCfg, env := hugeTimingSetup(b)
-	stCfg.Partitions = 16
 	var swaps []*netlist.Instance
 	n := 0
 	for _, inst := range d.Instances() {

@@ -132,7 +132,7 @@ func CircuitLarge() CircuitSpec { return gen.Large(100_000, 20050307) }
 
 // CircuitHuge returns the ~1M-instance benchmark tier: eight parallel
 // Large-style tile lanes XOR-folded at the output — the scale target for
-// the partition-parallel sharded timing kernel.
+// the timing kernel and the sensitivity lanes at the largest tier.
 func CircuitHuge() CircuitSpec { return gen.Huge(1_000_000, 20050307) }
 
 // Comparison is the paper's three-technique comparison on one circuit.
